@@ -24,7 +24,7 @@ from .constants import (
     singular_amplitude,
     solve_sigma,
 )
-from .field import Field, WeightSpec, steady_state, weighted_norm
+from .field import WeightSpec, fft_workers, steady_state, thread_count, weighted_norm
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -105,26 +105,21 @@ def fit_power_law(times, values, window=None) -> FitResult:
 # sweep executor
 
 
-def thread_count(threads=None) -> int:
-    """Worker count: explicit argument, else FRACLAB_THREADS, else 1."""
-    if threads is not None:
-        n = int(threads)
-    else:
-        n = int(os.environ.get("FRACLAB_THREADS", "1"))
-    if n < 1:
-        raise ValueError(f"thread count must be positive, got {n}")
-    return n
-
-
 def run_sweep(configs, threads=None, keep_snapshots: bool = False) -> list:
     """Evolve independent configs, preserving input order in the results.
 
-    Jobs are deterministic per config, so any worker count yields the
-    same records.
+    thread_count(threads) threads are split between the pool and each
+    run's FFTs.  Jobs are deterministic per config, so any worker count
+    yields the same records.
     """
     configs = list(configs)
-    workers = min(thread_count(threads), max(len(configs), 1))
-    job = lambda cfg: evolve(cfg, keep_snapshots=keep_snapshots)
+    total = thread_count(threads)
+    workers = min(total, max(len(configs), 1))
+
+    def job(cfg):
+        with fft_workers(total // workers):
+            return evolve(cfg, keep_snapshots=keep_snapshots)
+
     if workers == 1:
         return [job(cfg) for cfg in configs]
     with ThreadPoolExecutor(max_workers=workers) as pool:

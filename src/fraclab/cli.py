@@ -128,7 +128,17 @@ def cmd_evolve(args) -> int:
     if outputs.snapshot_every and outputs.snapshot_dir is None:
         raise ValueError("snapshot_every needs a snapshot directory (--snapshot-dir)")
 
-    record = evolve(config, keep_snapshots=bool(outputs.snapshot_every))
+    def write_every(i, t, field):  # streams snapshots as their output times are reached
+        if i % outputs.snapshot_every == 0:
+            path = os.path.join(outputs.snapshot_dir, f"snapshot_{i:04d}.frdf")
+            meta = SnapshotMeta(alpha=config.params.alpha, p=config.params.p, t=float(t))
+            write_snapshot(field, path, meta)
+
+    if outputs.snapshot_every:
+        os.makedirs(outputs.snapshot_dir, exist_ok=True)
+        record = evolve(config, on_output=write_every)
+    else:
+        record = evolve(config)
     chash = config.config_hash()
 
     lines = [f"# fraclab {__version__} config {chash}", "t,sup_norm,l2_norm,mass,min_value,dt"]
@@ -141,15 +151,6 @@ def cmd_evolve(args) -> int:
     }
     lines.append("# " + json.dumps(footer, sort_keys=True))
     _emit(lines, outputs.csv_path)
-
-    if outputs.snapshot_every:
-        os.makedirs(outputs.snapshot_dir, exist_ok=True)
-        meta = lambda t: SnapshotMeta(alpha=config.params.alpha, p=config.params.p, t=float(t))
-        for i, (t, field) in enumerate(zip(record.times, record.snapshots)):
-            if i % outputs.snapshot_every == 0:
-                path = os.path.join(outputs.snapshot_dir, f"snapshot_{i:04d}.frdf")
-                write_snapshot(field, path, meta(t))
-
     return 3 if isinstance(record.status, NumericalFailure) else 0
 
 

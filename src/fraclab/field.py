@@ -8,10 +8,13 @@ the analytic Gaussian semigroup without rescaling.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +63,7 @@ class Grid:
 
     def radius(self) -> np.ndarray:
         """|x| on the full lattice, shape (n,)*d."""
-        return _cached(self, "radius", _radius)
+        return _cached(self, "radius", lambda g: _hypot([g.axis()] * g.d))
 
     def capped_radius(self) -> np.ndarray:
         """max(|x|, h/2): the half-cell floor used by all singular factors."""
@@ -88,15 +91,16 @@ def _cached(grid: Grid, name, build):
 def clear_grid_cache():
     with _CACHE_LOCK:
         _GRID_CACHE.clear()
+    propagator.cache_clear()
 
 
-def _radius(grid: Grid) -> np.ndarray:
-    ax = grid.axis()
-    sq = np.zeros(grid.shape)
-    for k in range(grid.d):
-        shape = [1] * grid.d
-        shape[k] = grid.n
-        sq = sq + (ax ** 2).reshape(shape)
+def _hypot(axes) -> np.ndarray:
+    """|x| on the lattice spanned by 1-d coordinate axes."""
+    sq = np.zeros(tuple(a.size for a in axes))
+    for k, a in enumerate(axes):
+        shape = [1] * len(axes)
+        shape[k] = a.size
+        sq += (a ** 2).reshape(shape)
     return np.sqrt(sq)
 
 
@@ -104,20 +108,7 @@ def _freq_magnitude(grid: Grid) -> np.ndarray:
     # rfftn layout: full frequency axes except the last, which is halved
     full = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
     half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
-    axes = [full] * (grid.d - 1) + [half]
-    sq = np.zeros(tuple(a.size for a in axes))
-    for k, a in enumerate(axes):
-        shape = [1] * grid.d
-        shape[k] = a.size
-        sq = sq + (a ** 2).reshape(shape)
-    return np.sqrt(sq)
-
-
-def _symbol(grid: Grid, alpha: float) -> np.ndarray:
-    def build(g, _alpha=alpha):
-        return _freq_magnitude(g) ** _alpha
-
-    return _cached(grid, ("symbol", alpha), build)
+    return _hypot([full] * (grid.d - 1) + [half])
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,24 +328,78 @@ def steady_state(grid: Grid, params: ModelParams) -> Field:
 # ---------------------------------------------------------------------------
 # fractional heat flow
 
+_FFT_SHARE = threading.local()
+
+
+def thread_count(threads=None) -> int:
+    """Worker count: explicit argument, else FRACLAB_THREADS, else 1."""
+    if threads is not None:
+        n = int(threads)
+    else:
+        n = int(os.environ.get("FRACLAB_THREADS", "1"))
+    if n < 1:
+        raise ValueError(f"thread count must be positive, got {n}")
+    return n
+
+
+@contextmanager
+def fft_workers(n: int):
+    """Give this thread's spectral transforms n workers inside the block;
+    outside any block they take thread_count()."""
+    previous, _FFT_SHARE.workers = getattr(_FFT_SHARE, "workers", None), n
+    try:
+        yield
+    finally:
+        _FFT_SHARE.workers = previous
+
+
+class SpectralPropagator:
+    """exp(-t (-Laplace)^{alpha/2}) on one grid by real FFTs.
+
+    Holds the symbol |k|^alpha, the multiplier of the last t it was
+    applied with (equal substeps reuse it) and the scipy.fft pair.  The
+    zero mode carries multiplier 1, so mass is preserved exactly.  Shared
+    instances are safe across threads: the cache swaps a (t, array) pair.
+    """
+
+    def __init__(self, grid: Grid, alpha: float):
+        if not 0.0 < alpha <= 2.0:
+            raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+        import scipy.fft  # deferred: commands without a spectral step never load it
+
+        self._fft = scipy.fft
+        self._symbol = _cached(grid, ("symbol", alpha), lambda g: _freq_magnitude(g) ** alpha)
+        self._shape = grid.shape
+        self._last = (None, None)
+
+    def multiplier(self, t: float) -> np.ndarray:
+        last_t, mult = self._last
+        if last_t != t:
+            mult = np.multiply(self._symbol, -t)
+            np.exp(mult, out=mult)
+            self._last = (t, mult)
+        return mult
+
+    def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
+        """A new array: values carried forward by time t."""
+        workers = getattr(_FFT_SHARE, "workers", None) or thread_count()
+        spectrum = self._fft.rfftn(values, workers=workers)
+        spectrum *= self.multiplier(t)
+        return self._fft.irfftn(spectrum, self._shape, workers=workers)
+
+
+@functools.lru_cache(maxsize=None)
+def propagator(grid: Grid, alpha: float) -> SpectralPropagator:
+    """The shared SpectralPropagator of (grid, alpha); clear_grid_cache drops it."""
+    return SpectralPropagator(grid, alpha)
+
 
 def heat_propagate(field: Field, t: float, alpha: float) -> Field:
-    """Apply exp(-t (-Laplace)^{alpha/2}) by spectral multiplication.
-
-    The zero mode carries multiplier 1, so mass is preserved exactly.
-    t = 0 returns the input field unchanged.
-    """
+    """Apply exp(-t (-Laplace)^{alpha/2}); t = 0 returns the input field."""
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-    if t == 0.0:
-        return field
-    grid = field.grid
-    spectrum = np.fft.rfftn(field.values)
-    spectrum *= np.exp(-t * _symbol(grid, alpha))
-    axes = tuple(range(grid.d))
-    return Field(grid, np.fft.irfftn(spectrum, s=grid.shape, axes=axes))
+    prop = propagator(field.grid, alpha)
+    return field if t == 0.0 else Field(field.grid, prop(field.values, t))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +423,7 @@ def write_snapshot(field: Field, path, meta: SnapshotMeta):
         fh.write(_HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.d))
         fh.write(struct.pack(f"<{grid.d}I", *grid.shape))
         fh.write(_TAIL.pack(grid.half_length, meta.alpha, meta.p, meta.t))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
 
 
 def read_snapshot(path):

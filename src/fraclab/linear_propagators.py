@@ -3,7 +3,7 @@
 V_h is the inverse-power potential |x|^{-alpha} floored at the half-cell
 radius.  Steps use Strang splitting (potential, diffusion, potential), so
 every substep is a positive operator and nonnegativity is exact.  Runs over
-distinct fields share nothing mutable beyond the per-grid array cache.
+distinct fields share nothing mutable beyond the per-grid cache.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from .field import (
     Grid,
     WeightSpec,
     _cached,
-    _symbol,
+    _hypot,
     heat_propagate,
+    propagator,
     weight_values,
     weighted_norm,
 )
@@ -78,21 +79,37 @@ class HardyOperatorSpec:
         return WeightSpec(sigma=sigma, t=t, alpha=self.alpha)
 
 
+def _strang_intervals(values: np.ndarray, spec: HardyOperatorSpec, grid: Grid, times, substeps: int):
+    """Yield (t, values) at each output time, covering every interval from
+    the previous time (0 first) by equal Strang substeps.
+
+    The potential half-steps between two diffusions fuse into one
+    e^{dt V}, and e^{dt V/2} is built once per interval.  The input array
+    is left alone, and a yielded array is never written again.
+    """
+    if spec.d != grid.d:
+        raise ValueError(f"spec dimension {spec.d} does not match grid {grid.d}")
+    prop = propagator(grid, spec.alpha)
+    potential = spec.potential(grid)
+    t_prev = 0.0
+    for t_out in times:
+        dt = (t_out - t_prev) / substeps
+        half = np.exp(0.5 * dt * potential)
+        full = half * half if substeps > 1 else None
+        values = values * half
+        for k in range(substeps, 0, -1):
+            values = prop(values, dt)
+            values *= full if k > 1 else half
+        t_prev = t_out
+        yield t_out, values
+
+
 def hardy_step(w: Field, dt: float, spec: HardyOperatorSpec) -> Field:
     """One Strang step exp(V dt/2) exp(-dt (-Lap)^{a/2}) exp(V dt/2)."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if spec.d != w.grid.d:
-        raise ValueError(f"spec dimension {spec.d} does not match grid {w.grid.d}")
-    if spec.kappa == 0.0:
-        return heat_propagate(w, dt, spec.alpha)
-    grid = w.grid
-    half = np.exp(0.5 * dt * spec.potential(grid))
-    values = half * w.values
-    spectrum = np.fft.rfftn(values)
-    spectrum *= np.exp(-dt * _symbol(grid, spec.alpha))
-    values = np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.d)))
-    return Field(grid, half * values)
+    ((_, values),) = _strang_intervals(w.values, spec, w.grid, (dt,), 1)
+    return Field(w.grid, values)
 
 
 def dyadic_schedule(grid: Grid, alpha: float, horizon: float) -> np.ndarray:
@@ -145,6 +162,14 @@ def _check_schedule(times) -> np.ndarray:
     return times
 
 
+def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int):
+    if substeps < 1:
+        raise ValueError("substeps_per_interval must be at least 1")
+    if float(np.min(w0.values)) < 0.0:
+        raise ValueError("w0 must be nonnegative")
+    return _strang_intervals(w0.values, spec, w0.grid, times, substeps)
+
+
 def hardy_evolve(
     w0: Field,
     spec: HardyOperatorSpec,
@@ -158,36 +183,15 @@ def hardy_evolve(
     substep and the potential substep is exact.
     """
     times = _check_schedule(times)
-    if substeps_per_interval < 1:
-        raise ValueError("substeps_per_interval must be at least 1")
-    if float(np.min(w0.values)) < 0.0:
-        raise ValueError("w0 must be nonnegative")
+    flow = _nonnegative_flow(w0, spec, times, substeps_per_interval)
     sigma = spec.sigma()  # raises for supercritical kappa before any work
 
-    w = w0
-    t_prev = 0.0
-    plain = {1.0: [], 2.0: [], math.inf: []}
-    weighted = {1.0: [], 2.0: [], math.inf: []}
-    for t_out in times:
-        dt = (t_out - t_prev) / substeps_per_interval
-        for _ in range(substeps_per_interval):
-            w = hardy_step(w, dt, spec)
-        t_prev = t_out
-        wspec = spec.weight(t_out)
-        for q in plain:
-            plain[q].append(weighted_norm(w, q))
-            weighted[q].append(weighted_norm(w, q, wspec))
-    return NormSeries(
-        times=times,
-        sigma=sigma,
-        plain_q1=np.array(plain[1.0]),
-        plain_q2=np.array(plain[2.0]),
-        plain_qinf=np.array(plain[math.inf]),
-        weighted_q1=np.array(weighted[1.0]),
-        weighted_q2=np.array(weighted[2.0]),
-        weighted_qinf=np.array(weighted[math.inf]),
-        final=w,
-    )
+    rows = []
+    for t_out, values in flow:
+        w = Field(w0.grid, values)
+        weights = (None, spec.weight(t_out))
+        rows.append([weighted_norm(w, q, wt) for wt in weights for q in (1.0, 2.0, math.inf)])
+    return NormSeries(times, sigma, *np.array(rows).T, final=w)
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +252,16 @@ def kernel_ratio_probe(
         window_radius = 0.25 * grid.half_length
 
     # distance from the source point, unwrapped coordinates
-    ax = grid.axis()
-    dist_sq = np.zeros(grid.shape)
-    for k in range(grid.d):
-        shape = [1] * grid.d
-        shape[k] = grid.n
-        dist_sq = dist_sq + ((ax - y_point[k]) ** 2).reshape(shape)
-    in_window = np.sqrt(dist_sq) <= window_radius
+    in_window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
     off_origin = grid.radius() > 0.0
 
-    w = delta
-    t_prev = 0.0
     max_r, med_r, min_r = [], [], []
-    for t_out in times:
-        dt = (t_out - t_prev) / substeps_per_interval
-        for _ in range(substeps_per_interval):
-            w = hardy_step(w, dt, spec)
-        t_prev = t_out
+    for t_out, values in _strang_intervals(delta.values, spec, grid, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)
         mask = in_window & off_origin & (free.values > support_floor * np.max(free.values))
-        ratio = w.values[mask] / (phi[mask] * phi[idx] * free.values[mask])
+        ratio = values[mask] / (phi[mask] * phi[idx] * free.values[mask])
         max_r.append(float(np.max(ratio)))
         med_r.append(float(np.median(ratio)))
         min_r.append(float(np.min(ratio)))
@@ -311,27 +303,8 @@ def hypercontractivity_measure(
     times = _check_schedule(times)
     if times.size < 3 or times[-1] < 2.0 * times[0]:
         raise ValueError("degenerate fit window: need >= 3 times spanning a factor 2")
-    if q == 1.0 or q == 2.0 or math.isinf(q):
-        series = hardy_evolve(w0, spec, times, substeps_per_interval)
-        norms = {
-            1.0: series.weighted_q1,
-            2.0: series.weighted_q2,
-            math.inf: series.weighted_qinf,
-        }[q]
-    else:
-        # general q: evolve once recording just this norm
-        if float(np.min(w0.values)) < 0.0:
-            raise ValueError("w0 must be nonnegative")
-        w = w0
-        t_prev = 0.0
-        vals = []
-        for t_out in times:
-            dt = (t_out - t_prev) / substeps_per_interval
-            for _ in range(substeps_per_interval):
-                w = hardy_step(w, dt, spec)
-            t_prev = t_out
-            vals.append(weighted_norm(w, q, spec.weight(t_out)))
-        norms = np.array(vals)
+    flow = _nonnegative_flow(w0, spec, times, substeps_per_interval)
+    norms = np.array([weighted_norm(Field(w0.grid, v), q, spec.weight(t)) for t, v in flow])
     inv_r = 0.0 if math.isinf(r) else 1.0 / r
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     expected = -(spec.d / spec.alpha) * (inv_r - inv_q)

@@ -1,4 +1,4 @@
-"""Adaptive splitting integrator for u_t = -(-Laplace)^{alpha/2} u + u^p.
+"""Adaptive splitting integrator for u_t = -(-Laplace)^{alpha/2} u + |u|^{p-1} u.
 
 The reaction substep is solved in closed form, so a blowup inside a step is
 detected exactly at the denominator's pole rather than by overflow.  Steps
@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .constants import ModelParams, kappa_from_params
-from .field import Field, Grid, PowerTailDatum, _symbol, sample, steady_state
+from .field import Field, Grid, PowerTailDatum, heat_propagate, propagator, sample, steady_state
+from .linear_propagators import HardyOperatorSpec, _strang_intervals
 
 DT_UNDERFLOW = 1e-12
 ETA_DEFAULT = 0.1
@@ -80,30 +81,55 @@ def reaction_exact(u: float, dt: float, p: float) -> float:
         raise ValueError(f"u must be nonnegative, got {u}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    growth = (p - 1.0) * u ** (p - 1.0) * dt
-    if growth >= 1.0:
+    u = np.float64(u)  # numpy scalars overflow to inf where floats raise
+    if _room(u, dt, p) <= 0.0:
         return math.inf
-    return u * (1.0 - growth) ** (-1.0 / (p - 1.0))
+    return float(_flow(u, dt, p))
 
 
-def _reaction(values: np.ndarray, dt: float, p: float):
-    """Vectorized reaction substep; None signals a pole inside the step.
+def _room(v, dt: float, p: float):
+    """1 - (p-1) dt |v|^{p-1}, the flow's distance to its pole, on a numpy
+    scalar or an array.  The pole checks and _flow share it, and powers go
+    through the ufuncs (a scalar ** takes another code path), so a value
+    that passes a check is flowed with the same positive denominator."""
+    g = abs(v)
+    if p == 3.0:
+        g *= g
+    elif p != 2.0:
+        g = np.power(g, p - 1.0)
+    g *= -(p - 1.0) * dt
+    g += 1.0
+    return g
 
-    A NaN growth is corruption, not a pole, and raises instead.
+
+def _flow(v, dt: float, p: float):
+    """u(dt) for u' = |u|^{p-1} u from u(0) = v, short of the pole: on a
+    numpy scalar, or in place on an array.  The flow is odd and monotone."""
+    g = _room(v, dt, p)
+    if p == 3.0:
+        g = np.sqrt(g)
+    elif p != 2.0:
+        g = np.power(g, 1.0 / (p - 1.0))
+    v /= g
+    return v
+
+
+def _reaction(values: np.ndarray, dt: float, p: float, peak: float):
+    """Reaction substep in place; None signals a pole inside the step.
+
+    peak is max |values| as a numpy scalar: by monotonicity the pole check
+    is one scalar, computed by the same numpy arithmetic as the array.  A
+    NaN peak is corruption, not a pole, and raises instead.
     """
-    growth = (p - 1.0) * values ** (p - 1.0) * dt
-    top = float(np.max(growth))
-    if math.isnan(top):
+    if math.isnan(peak):
         raise FloatingPointError("non-finite reaction input")
-    if top >= 1.0:  # inf lands here: the pole was reached
+    if _room(peak, dt, p) <= 0.0:  # inf lands here: the pole was reached
         return None
-    return values * (1.0 - growth) ** (-1.0 / (p - 1.0))
+    return _flow(values, dt, p)
 
 
 def _diffuse(values: np.ndarray, grid: Grid, dt: float, alpha: float) -> np.ndarray:
-    spectrum = np.fft.rfftn(values)
-    spectrum *= np.exp(-dt * _symbol(grid, alpha))
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.d)))
+    return propagator(grid, alpha)(values, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +210,6 @@ class SandwichMonitor:
         r_max: float | None = None,
     ):
         self._grid = grid
-        self._alpha = params.alpha
         self._uinf = steady_state(grid, params).values
         excess = float(np.max(u0_values - self._uinf))
         if excess > 1e-12 * float(np.max(self._uinf)):
@@ -192,8 +217,7 @@ class SandwichMonitor:
         self._v = self._uinf - u0_values
         if kappa is None:
             kappa = kappa_from_params(params)
-        rc = grid.capped_radius()
-        self._half_potential = 0.5 * kappa * rc ** (-params.alpha)
+        self._spec = HardyOperatorSpec(params.alpha, params.d, kappa)
         if r_min is None:
             r_min = 32.0 * grid.h
         if r_max is None:
@@ -206,10 +230,7 @@ class SandwichMonitor:
         self.max_upper = 0.0
 
     def advance(self, dt: float):
-        half = np.exp(dt * self._half_potential)
-        v = half * self._v
-        v = _diffuse(v, self._grid, dt, self._alpha)
-        self._v = half * v
+        ((_, self._v),) = _strang_intervals(self._v, self._spec, self._grid, (dt,), 1)
 
     def observe(self, t: float, values: np.ndarray):
         uinf = self._uinf
@@ -251,14 +272,16 @@ def evolve(
     config: ExperimentConfig,
     monitors=(),
     keep_snapshots: bool = False,
+    on_output=None,
 ) -> RunRecord:
     """Integrate to the horizon, recording norms on the output schedule.
 
     dt = min(dt_max, eta / ((p-1) sup^{p-1})) tracks the reaction time
     scale; classification is Blowup on a reaction pole, on sup passing the
-    configured threshold, or on dt underflow.  Diffusion ringing below the
-    1e-12 relative level is clipped to keep the state nonnegative; the
-    pre-clip minimum lands in the record.
+    configured threshold, or on dt underflow.  Diffusion ringing below
+    zero is clipped to keep the state nonnegative; the pre-clip minimum
+    lands in the record.  on_output(k, t, field) is called at the k-th
+    recorded time, so a caller can write each output as it is reached.
     """
     params = config.params
     p, alpha = params.p, params.alpha
@@ -285,57 +308,57 @@ def evolve(
         masses.append(float(np.sum(values) * h_d))
         mins.append(min_raw)
         dts.append(dt_used)
-        if keep_snapshots:
-            snapshots.append(Field(grid, values))
+        if keep_snapshots or on_output is not None:
+            field = Field(grid, values)
+            if keep_snapshots:
+                snapshots.append(field)
+            if on_output is not None:
+                on_output(len(times) - 1, t, field)
 
     record(0.0, 0.0, float(np.min(values)))
     for mon in monitors:
         mon.observe(0.0, values)
 
+    # the state stays nonnegative, so its sup is also its largest |u|; the
+    # extremes stay numpy scalars, which overflow to inf instead of raising
+    sup = np.max(values)
     status = None
     t = 0.0
     out_idx = 0
     step_idx = 0
     while status is None and t < t_end * (1.0 - 1e-15):
-        sup = float(np.max(values))
-        if not math.isfinite(sup):
-            status = NumericalFailure(f"non-finite field at step {step_idx}, t = {t:.6g}")
-            break
-        with np.errstate(over="ignore"):
-            dt_stab = eta / ((p - 1.0) * sup ** (p - 1.0)) if sup > 0.0 else dt_max
+        dt_stab = float(eta / ((p - 1.0) * sup ** (p - 1.0))) if sup > 0.0 else dt_max
         dt_nominal = min(dt_max, dt_stab)
         if dt_nominal < DT_UNDERFLOW:
             status = Blowup(t + 0.5 * dt_nominal)
             break
         t_target = out_times[out_idx] if out_idx < out_times.size else t_end
         dt = min(dt_nominal, t_target - t)
+        half = 0.5 * dt
 
         try:
-            stepped = _reaction(values, 0.5 * dt, p)
-            if stepped is None:
-                status = Blowup(t + 0.5 * dt)
-                break
-            stepped = _diffuse(stepped, grid, dt, alpha)
-            stepped = _reaction(stepped, 0.5 * dt, p)
-            if stepped is None:
-                status = Blowup(t + 0.5 * dt)
-                break
+            stepped = _reaction(values, half, p, sup)
+            if stepped is not None:
+                stepped = _diffuse(stepped, grid, dt, alpha)
+                lo, hi = stepped.min(), stepped.max()
+                stepped = _reaction(stepped, half, p, max(-lo, hi))
         except FloatingPointError:
             status = NumericalFailure(
                 f"non-finite field at step {step_idx}, t = {t:.6g}"
             )
             break
-        min_raw = float(np.min(stepped))
-        sup_new = float(np.max(stepped))
-        if not math.isfinite(min_raw) or not math.isfinite(sup_new):
-            status = NumericalFailure(
-                f"non-finite field at step {step_idx}, t = {t + dt:.6g}"
-            )
+        if stepped is None:
+            status = Blowup(t + half)
             break
-        if sup_new > sup_threshold:
-            status = Blowup(t + 0.5 * dt)
+        # the flow is monotone: its extremes are the flowed extremes
+        min_raw, sup = _flow(lo, half, p), _flow(hi, half, p)
+        if sup > sup_threshold:
+            status = Blowup(t + half)
             break
-        values = np.maximum(stepped, 0.0)
+        if min_raw < 0.0:
+            np.maximum(stepped, 0.0, out=stepped)
+            sup = max(sup, 0.0)
+        values = stepped
         t += dt
         step_idx += 1
         for mon in monitors:
@@ -343,7 +366,7 @@ def evolve(
             mon.observe(t, values)
         if out_idx < out_times.size and t >= t_target * (1.0 - 1e-12):
             t = t_target  # land exactly for bookkeeping
-            record(t, dt, min_raw)
+            record(t, dt, float(min_raw))
             out_idx += 1
 
     if status is None:
@@ -383,8 +406,6 @@ def blowup_certificate(u0: Field, params: ModelParams, horizon: float) -> Certif
     A diagnostic correlate of blowup, only meaningful above the Fujita
     exponent; times stay inside the image-safe window t^{1/alpha} <= L/8.
     """
-    from .field import heat_propagate
-
     fujita = 1.0 + params.alpha / params.d
     if not params.p > fujita:
         raise ValueError(f"certificate needs p > {fujita}, got p = {params.p}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
 
 from .constants import frac_lap_constant, log_gamma, sphere_area, singular_amplitude
 
@@ -57,6 +56,8 @@ class RadialProfile:
             raise ValueError(f"unknown core_rule {self.core_rule!r}")
         self._loglog = bool(np.all(self.values > 0.0))
         if self._loglog:
+            from scipy.interpolate import PchipInterpolator  # only profiles need scipy here
+
             self._interp = PchipInterpolator(
                 np.log(self.radii), np.log(self.values), extrapolate=False
             )

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import fraclab.cli as cli
 from fraclab.cli import main
 from fraclab.field import Field, Grid, SnapshotMeta, write_snapshot
-from fraclab.nonlinear_solver import NumericalFailure, RunRecord
+from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
 
 def run_config(tmp_path, **overrides):
@@ -190,6 +192,36 @@ def test_evolve_writes_snapshots(tmp_path, capsys):
     field, meta = read_snapshot(snaps / "snapshot_0002.frdf")
     assert meta.t == 1.0
     assert field.grid.n == 256
+
+
+def test_evolve_streams_snapshots_identical_to_kept_ones(tmp_path, monkeypatch, capsys):
+    cfg = run_config(tmp_path, grid={"n": 32, "L": 8.0}, params={"alpha": 1.0, "d": 3, "p": 2.0})
+    records = []
+
+    def recording_evolve(config, **kwargs):
+        records.append(evolve(config, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "evolve", recording_evolve)
+    streamed = tmp_path / "streamed"
+    assert main(["evolve", "--config", str(cfg), "--snapshot-every", "1",
+                 "--snapshot-dir", str(streamed)]) == 0
+    assert records[0].snapshots is None  # nothing held until the end of the run
+
+    config = cli._load_config(cfg)
+    kept = evolve(config, keep_snapshots=True)
+    assert len(kept.snapshots) == 4
+    for i, (t, field) in enumerate(zip(kept.times, kept.snapshots)):
+        path = tmp_path / f"kept_{i}.frdf"
+        write_snapshot(field, path, SnapshotMeta(alpha=1.0, p=2.0, t=float(t)))
+        assert (streamed / f"snapshot_{i:04d}.frdf").read_bytes() == path.read_bytes()
+
+
+def test_import_cli_leaves_scipy_unloaded():
+    code = ("import sys, fraclab.cli; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.interpolate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_evolve_snapshots_need_directory(tmp_path, capsys):

@@ -41,6 +41,19 @@ def test_step_domain_errors():
         hardy_step(f, 1.0, HardyOperatorSpec(alpha=1.0, d=2, kappa=0.1))
 
 
+def test_runs_reject_a_mismatched_spec_dimension():
+    g = Grid(1, 64, 8.0)
+    f = sample(g, GaussianDatum())
+    spec = HardyOperatorSpec(alpha=1.0, d=2, kappa=0.1)
+    times = [0.5, 1.0, 2.0]
+    with pytest.raises(ValueError, match="spec dimension"):
+        hardy_evolve(f, spec, times, substeps_per_interval=2)
+    with pytest.raises(ValueError, match="spec dimension"):
+        kernel_ratio_probe(g, spec, [0.0], times, substeps_per_interval=2)
+    with pytest.raises(ValueError, match="spec dimension"):
+        hypercontractivity_measure(f, spec, 2.0, 1.0, times, substeps_per_interval=2)
+
+
 def test_zero_kappa_reduces_to_heat():
     g = Grid(1, 128, 16.0)
     f = sample(g, GaussianDatum())

@@ -118,6 +118,33 @@ def test_dt_underflow_triggers_blowup():
     assert list(rec.times) == [0.0]
 
 
+def test_overflowing_datum_blows_up_by_dt_underflow():
+    # sup^{p-1} = 1e400 overflows: the step-size rule must read it as inf
+    # and end in Blowup, not raise OverflowError
+    cfg = make_config(grid={"n": 16, "L": 4.0},
+                      initial={"kind": "gaussian", "amplitude": 1e200},
+                      time={"t_end": 8.0, "blowup_sup_threshold": 1e300})
+    with np.errstate(over="ignore"):
+        rec = evolve(cfg)
+    assert rec.status == Blowup(0.0)
+    assert list(rec.times) == [0.0]
+
+
+def test_non_integer_p_survives_diffusion_ringing():
+    # the diffused field dips to about -7.7e-8; the reaction |u|^{p-1} u
+    # must carry such ringing through instead of turning it into NaN
+    cfg = config_from_dict({
+        "params": {"alpha": 1.0, "d": 3, "p": 1.7},
+        "grid": {"n": 32, "L": 16.0},
+        "time": {"t_end": 8.0, "output_schedule": [1.0, 2.0, 4.0, 8.0]},
+        "initial": {"kind": "gaussian", "amplitude": 0.1},
+    })
+    rec = evolve(cfg)
+    assert isinstance(rec.status, Global)
+    assert list(rec.times) == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert np.all(np.isfinite(rec.sup_norm)) and np.all(np.diff(rec.sup_norm) < 0.0)
+
+
 def test_injected_nan_reports_numerical_failure(monkeypatch):
     def bad_diffuse(values, grid, dt, alpha):
         out = values.copy()
