@@ -183,8 +183,17 @@ class _ObservationLog:
                 "config_hash": self.config_hash,
                 "observations": sorted(self.seen.items()),
             }
-            with open(self.path, "w") as fh:
-                json.dump(state, fh, indent=2)
+            # a whole new file replaces the old one, so an interrupted write
+            # leaves the previous state in place for the resume
+            tmp = os.fspath(self.path) + ".tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    json.dump(state, fh, indent=2)
+                os.replace(tmp, self.path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+                raise
 
     def _check_monotone(self):
         globals_ = [lam for lam, kind in self.seen.items() if kind == "Global"]

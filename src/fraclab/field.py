@@ -336,7 +336,11 @@ def thread_count(threads=None) -> int:
     if threads is not None:
         n = int(threads)
     else:
-        n = int(os.environ.get("FRACLAB_THREADS", "1"))
+        raw = os.environ.get("FRACLAB_THREADS", "1")
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(f"FRACLAB_THREADS must be a positive integer, got {raw!r}") from None
     if n < 1:
         raise ValueError(f"thread count must be positive, got {n}")
     return n
@@ -357,17 +361,22 @@ class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid by real FFTs.
 
     Holds the symbol |k|^alpha, the multiplier of the last t it was
-    applied with (equal substeps reuse it) and the scipy.fft pair.  The
-    zero mode carries multiplier 1, so mass is preserved exactly.  Shared
-    instances are safe across threads: the cache swaps a (t, array) pair.
+    applied with (equal substeps reuse it) and the transform pair: numpy's
+    rfft/irfft on d = 1, where FFT workers cannot split a single transform
+    and numpy.fft costs no import, and scipy.fft's rfftn/irfftn with
+    workers on d >= 2.  The zero mode carries multiplier 1, so mass is
+    preserved exactly.  Shared instances are safe across threads: the
+    cache swaps a (t, array) pair.
     """
 
     def __init__(self, grid: Grid, alpha: float):
         if not 0.0 < alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-        import scipy.fft  # deferred: commands without a spectral step never load it
+        self._fft = None
+        if grid.d > 1:
+            import scipy.fft  # deferred: only d >= 2 spectral steps load it
 
-        self._fft = scipy.fft
+            self._fft = scipy.fft
         self._symbol = _cached(grid, ("symbol", alpha), lambda g: _freq_magnitude(g) ** alpha)
         self._shape = grid.shape
         self._last = (None, None)
@@ -382,6 +391,10 @@ class SpectralPropagator:
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new array: values carried forward by time t."""
+        if self._fft is None:
+            spectrum = np.fft.rfft(values)
+            spectrum *= self.multiplier(t)
+            return np.fft.irfft(spectrum, self._shape[0])
         workers = getattr(_FFT_SHARE, "workers", None) or thread_count()
         spectrum = self._fft.rfftn(values, workers=workers)
         spectrum *= self.multiplier(t)

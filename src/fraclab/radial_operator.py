@@ -56,11 +56,7 @@ class RadialProfile:
             raise ValueError(f"unknown core_rule {self.core_rule!r}")
         self._loglog = bool(np.all(self.values > 0.0))
         if self._loglog:
-            from scipy.interpolate import PchipInterpolator  # only profiles need scipy here
-
-            self._interp = PchipInterpolator(
-                np.log(self.radii), np.log(self.values), extrapolate=False
-            )
+            self._interp = _MonotoneCubic(np.log(self.radii), np.log(self.values))
         else:
             self._interp = None
 
@@ -80,6 +76,55 @@ class RadialProfile:
         else:
             out[mid] = np.interp(np.log(r[mid]), np.log(self.radii), self.values)
         return out
+
+
+class _MonotoneCubic:
+    """Piecewise cubic Hermite interpolant with PCHIP slopes on [x[0], x[-1]].
+
+    Interior slopes are the weighted harmonic mean of the adjacent secants
+    (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5:300, 1984), zero where
+    the secants differ in sign or one vanishes; the end slopes follow the
+    shape-preserving three-point rule, and two nodes give the secant line.
+    Coefficients and evaluation order are those of scipy's
+    PchipInterpolator, so values agree with it bit for bit.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        if x.size < 2 or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("a monotone cubic needs at least two finite nodes")
+        h = np.diff(x)
+        m = np.diff(y) / h
+        slope = np.zeros_like(y)
+        if m.size == 1:
+            slope[:] = m[0]
+        else:
+            m0, m1 = m[:-1], m[1:]
+            keep = (np.sign(m0) == np.sign(m1)) & (m0 != 0.0) & (m1 != 0.0)
+            w1, w2 = (2 * h[1:] + h[:-1])[keep], (h[1:] + 2 * h[:-1])[keep]
+            slope[1:-1][keep] = 1.0 / ((w1 / m0[keep] + w2 / m1[keep]) / (w1 + w2))
+            slope[0] = _end_slope(h[0], h[1], m[0], m[1])
+            slope[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (slope[:-1] + slope[1:] - 2 * m) / h
+        self._x = x
+        self._c = (y[:-1], slope[:-1], (m - slope[:-1]) / h - t, t / h)
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        # interval i holds x[i] <= q < x[i+1]; q = x[-1] falls in the last one
+        i = np.searchsorted(self._x[1:-1], q, side="right")
+        s = q - self._x[i]
+        c0, c1, c2, c3 = (c[i] for c in self._c)
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope, clipped to keep the end interval monotone."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _angular_rule(d: int, n_angular: int):
@@ -165,6 +210,10 @@ def steady_residual(
     (r, residual).  The profile spans 8 decades so the requested annulus
     sits well inside the resolved region.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if r_min > r_max:
+        raise ValueError(f"r_min = {r_min} exceeds r_max = {r_max}")
     if not params.singular_regime:
         raise ValueError("steady_residual requires the singular regime (d > alpha, p > p_singular)")
     prof = steady_profile(params, n_nodes=n_nodes)

@@ -132,6 +132,40 @@ def test_classify_threshold_state_resume(tmp_path, monkeypatch):
     assert second == first
 
 
+def test_classify_state_survives_an_interrupted_write(tmp_path, monkeypatch):
+    state = tmp_path / "bisect.json"
+    cfg = classify_config()
+    real_dump = json.dump
+
+    class Interrupted(Exception):
+        pass
+
+    writes = []
+
+    def dump_then_fail(obj, fh, **kwargs):
+        writes.append(1)
+        if len(writes) == 3:  # the first bisection point, after both endpoints
+            fh.write(json.dumps(obj, **kwargs)[:25])
+            raise Interrupted
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(Interrupted):
+        classify_threshold(cfg, 0.5, 3.0, tol=0.1, state_path=str(state), reverify=False)
+    monkeypatch.setattr(json, "dump", real_dump)
+    assert list(tmp_path.iterdir()) == [state]
+    saved = json.loads(state.read_text())
+    assert saved["observations"] == [[0.5, "Global"], [3.0, "Blowup"]]
+
+    calls = []
+    real = an.evolve
+    monkeypatch.setattr(an, "evolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+    bracket = classify_threshold(cfg, 0.5, 3.0, tol=0.1, state_path=str(state), reverify=False)
+    assert bracket.ratio <= 1.1
+    final = json.loads(state.read_text())["observations"]
+    assert len(calls) == len(final) - 2  # the endpoints came from the saved state
+
+
 def test_classify_threshold_rejects_foreign_state(tmp_path):
     state = tmp_path / "bisect.json"
     state.write_text(json.dumps({"config_hash": "somebody-else", "observations": []}))
@@ -470,6 +504,12 @@ def test_thread_count_resolution(monkeypatch):
     assert thread_count(2) == 2
     with pytest.raises(ValueError, match="positive"):
         thread_count(0)
+
+
+def test_thread_count_names_a_malformed_environment_value(monkeypatch):
+    monkeypatch.setenv("FRACLAB_THREADS", "abc")
+    with pytest.raises(ValueError, match="FRACLAB_THREADS must be a positive integer, got 'abc'"):
+        thread_count()
 
 
 def test_run_sweep_deterministic_across_workers():

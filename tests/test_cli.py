@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -119,6 +120,17 @@ def test_steady_check_emits_residual_csv(capsys):
     assert max_res < 0.05
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--r-min", "0.5", "--r-max", "2.0", "--n", "0"], "n_points must be at least 1"),
+    (["--r-min", "2.0", "--r-max", "0.5", "--n", "3"], "exceeds r_max"),
+])
+def test_steady_check_rejects_bad_sampling(bad, message, capsys):
+    assert main(["steady-check", "--alpha", "1", "--d", "3", "--p", "2", *bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -217,11 +229,46 @@ def test_evolve_streams_snapshots_identical_to_kept_ones(tmp_path, monkeypatch, 
         assert (streamed / f"snapshot_{i:04d}.frdf").read_bytes() == path.read_bytes()
 
 
+def _scipy_modules_after(argv):
+    """Exit code and the scipy modules loaded by one CLI call in a fresh interpreter."""
+    code = ("import sys; from fraclab.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, check=True, env=env)
+    rc, modules = out.stdout.strip().splitlines()[-1].split(" ", 1)
+    return int(rc), modules
+
+
 def test_import_cli_leaves_scipy_unloaded():
-    code = ("import sys, fraclab.cli; "
-            "print(sorted(m for m in ('scipy.fft', 'scipy.interpolate') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _scipy_modules_after(["--version"]) == (0, "[]")
+
+
+def test_one_dimensional_commands_load_no_scipy(tmp_path):
+    cfg = str(run_config(tmp_path, potential={"kappa": 0.01}))
+    csv = str(tmp_path / "out.csv")
+    for argv in (
+        ["steady-check", "--alpha", "1", "--d", "3", "--p", "2",
+         "--r-min", "1", "--r-max", "1", "--n", "1"],
+        ["evolve", "--config", cfg, "--csv", csv],
+        ["linear-evolve", "--config", cfg, "--csv", csv, "--substeps", "2"],
+        ["classify", "--config", cfg, "--lambda-min", "0.5", "--lambda-max", "40",
+         "--tol", "1", "--threads", "2"],
+    ):
+        assert _scipy_modules_after(argv) == (0, "[]"), argv[0]
+
+
+def test_three_dimensional_evolve_loads_scipy_fft(tmp_path):
+    cfg = run_config(tmp_path, params={"alpha": 1.0, "d": 3, "p": 2.0},
+                     grid={"n": 16, "L": 8.0},
+                     time={"t_end": 0.5, "output_schedule": [0.25, 0.5]})
+    rc, modules = _scipy_modules_after(
+        ["evolve", "--config", str(cfg), "--csv", str(tmp_path / "out.csv")])
+    assert rc == 0
+    assert "'scipy.fft'" in modules
+    assert "scipy.interpolate" not in modules
 
 
 def test_evolve_snapshots_need_directory(tmp_path, capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from fraclab.constants import ModelParams, power_map_coeff, singular_amplitude
-from fraclab.radial_operator import RadialProfile, frac_lap_radial, steady_residual
+from fraclab.radial_operator import RadialProfile, _MonotoneCubic, frac_lap_radial, steady_residual
 
 
 def power_profile(gamma, d, r_lo=1e-4, r_hi=1e4, n=512):
@@ -122,3 +125,44 @@ def test_domain_errors():
         RadialProfile(np.array([1.0, 0.5]), np.array([1.0, 1.0]), 3, tail_exponent=1.0)
     with pytest.raises(ValueError):
         RadialProfile(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1, tail_exponent=1.0)
+
+
+def test_steady_residual_rejects_bad_sampling():
+    params = ModelParams(1.0, 3, 2.0)
+    with pytest.raises(ValueError, match="n_points must be at least 1"):
+        steady_residual(params, 0.5, 2.0, 0)
+    with pytest.raises(ValueError, match="exceeds r_max"):
+        steady_residual(params, 2.0, 0.5, 3)
+
+
+def test_malformed_positive_profiles_rejected():
+    with pytest.raises(ValueError):
+        RadialProfile(np.array([1.0]), np.array([1.0]), 3, tail_exponent=1.0)
+    with pytest.raises(ValueError):
+        RadialProfile(np.array([1.0, 2.0]), np.array([1.0, np.inf]), 3, tail_exponent=1.0)
+    with pytest.raises(ValueError):
+        RadialProfile(np.array([1.0, np.inf]), np.array([1.0, 1.0]), 3, tail_exponent=1.0)
+
+
+@st.composite
+def _pchip_data(draw):
+    n = draw(st.integers(2, 60))
+    steps = st.floats(1e-3, 10.0)
+    x = np.cumsum([draw(st.floats(-10.0, 10.0))] + draw(st.lists(steps, min_size=n - 1, max_size=n - 1)))
+    if draw(st.booleans()):  # monotone data, with flat runs
+        y = np.cumsum(draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)))
+    else:  # sign-changing slopes
+        y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=40))
+    q = np.concatenate([x, np.minimum(x[0] + np.array(fractions) * (x[-1] - x[0]), x[-1])])
+    return x, y, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_pchip_data())
+def test_monotone_cubic_matches_scipy_pchip(data):
+    x, y, q = data
+    with np.errstate(over="ignore"):  # secants near the subnormal range
+        want = PchipInterpolator(x, y, extrapolate=False)(q)
+        got = _MonotoneCubic(x, y)(q)
+    np.testing.assert_array_equal(got, want)
