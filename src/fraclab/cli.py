@@ -119,6 +119,10 @@ def cmd_evolve(args) -> int:
     config = _load_config(args.config)
     outputs = config.outputs
     if args.snapshot_every is not None:
+        if args.snapshot_every < 0:  # a negative modulus would still pick outputs
+            raise ValueError(
+                f"outputs.snapshot_every: must be nonnegative, got {args.snapshot_every}"
+            )
         outputs = replace(outputs, snapshot_every=args.snapshot_every)
     if args.snapshot_dir is not None:
         outputs = replace(outputs, snapshot_dir=args.snapshot_dir)

@@ -104,11 +104,45 @@ def _hypot(axes) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _freq_magnitude(grid: Grid) -> np.ndarray:
-    # rfftn layout: full frequency axes except the last, which is halved
-    full = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+def _octant_freq_magnitude(grid: Grid) -> np.ndarray:
+    """|k| on the rfftfreq half axis of every dimension."""
     half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
-    return _hypot([full] * (grid.d - 1) + [half])
+    return _hypot([half] * grid.d)
+
+
+def _mirror(octant: np.ndarray, axes: int) -> np.ndarray:
+    """Reflect the leading `axes` axes about their last index: m points
+    become 2(m - 1), and index m - 1 + i takes the value of m - 1 - i."""
+    pad = [(0, octant.shape[0] - 2)] * axes + [(0, 0)] * (octant.ndim - axes)
+    return np.pad(octant, pad, mode="reflect")
+
+
+def fold(values: np.ndarray) -> np.ndarray:
+    """The octant j in [0, n/2] of every axis (x from -L to 0), as a new array.
+
+    A lattice field even in every coordinate, v[j] = v[(n - j) % n] on each
+    axis, is fixed by its octant.
+    """
+    m = values.shape[0] // 2 + 1
+    return values[(slice(0, m),) * values.ndim].copy()
+
+
+def unfold(octant: np.ndarray) -> np.ndarray:
+    """The even full-lattice field with this octant: the inverse of fold."""
+    return _mirror(octant, octant.ndim)
+
+
+def multiplicity(grid: Grid) -> np.ndarray:
+    """Lattice points per octant point, so that weighted octant sums are
+    full-lattice sums: per axis 1 at j = 0 and j = n/2 and 2 elsewhere,
+    multiplied over the axes."""
+
+    def build(g):
+        axis = np.full(g.n // 2 + 1, 2.0)
+        axis[0] = axis[-1] = 1.0
+        return functools.reduce(np.multiply.outer, [axis] * g.d)
+
+    return _cached(grid, "multiplicity", build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,15 +392,23 @@ def fft_workers(n: int):
 
 
 class SpectralPropagator:
-    """exp(-t (-Laplace)^{alpha/2}) on one grid by real FFTs.
+    """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
-    Holds the symbol |k|^alpha, the multiplier of the last t it was
-    applied with (equal substeps reuse it) and the transform pair: numpy's
+    Calling it carries a full lattice array by real FFTs: numpy's
     rfft/irfft on d = 1, where FFT workers cannot split a single transform
     and numpy.fft costs no import, and scipy.fft's rfftn/irfftn with
-    workers on d >= 2.  The zero mode carries multiplier 1, so mass is
-    preserved exactly.  Shared instances are safe across threads: the
-    cache swaps a (t, array) pair.
+    workers on d >= 2.  octant() carries the octant of a field that is even
+    in every coordinate (see fold), whose DFT is the type-1 DCT of the
+    octant (Martucci 1994): scipy.fft's dctn/idctn with workers on d >= 2,
+    and on d = 1 the unfolded line through rfft/irfft, since a DCT-I pads
+    to the full length there anyway.
+
+    The symbol |k|^alpha lives on the rfftfreq half axis in every
+    dimension; the full layout's multiplier is its reflection on all axes
+    but the last.  One cache entry holds the multipliers of the last t
+    (equal substeps reuse them), swapped as one tuple, so shared instances
+    are safe across threads.  The zero mode carries multiplier 1, so mass
+    is preserved exactly.
     """
 
     def __init__(self, grid: Grid, alpha: float):
@@ -377,28 +419,53 @@ class SpectralPropagator:
             import scipy.fft  # deferred: only d >= 2 spectral steps load it
 
             self._fft = scipy.fft
-        self._symbol = _cached(grid, ("symbol", alpha), lambda g: _freq_magnitude(g) ** alpha)
+        self._symbol = _cached(grid, ("symbol", alpha), lambda g: _octant_freq_magnitude(g) ** alpha)
         self._shape = grid.shape
-        self._last = (None, None)
+        self._last = (None, None, None)  # t, octant multiplier, full multiplier
+
+    def _multipliers(self, t: float, full: bool):
+        last_t, octant, whole = self._last
+        if last_t != t:
+            octant = np.multiply(self._symbol, -t)
+            np.exp(octant, out=octant)
+            whole = None
+        if full and whole is None:
+            whole = octant if octant.ndim == 1 else _mirror(octant, octant.ndim - 1)
+        self._last = (t, octant, whole)
+        return octant, whole
 
     def multiplier(self, t: float) -> np.ndarray:
-        last_t, mult = self._last
-        if last_t != t:
-            mult = np.multiply(self._symbol, -t)
-            np.exp(mult, out=mult)
-            self._last = (t, mult)
-        return mult
+        """e^{-t|k|^alpha} in the rfftn layout of the full lattice."""
+        return self._multipliers(t, True)[1]
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
-        """A new array: values carried forward by time t."""
+        """A new full lattice array: values carried forward by time t."""
+        mult = self.multiplier(t)
         if self._fft is None:
             spectrum = np.fft.rfft(values)
-            spectrum *= self.multiplier(t)
+            spectrum *= mult
             return np.fft.irfft(spectrum, self._shape[0])
-        workers = getattr(_FFT_SHARE, "workers", None) or thread_count()
+        workers = _workers()
         spectrum = self._fft.rfftn(values, workers=workers)
-        spectrum *= self.multiplier(t)
+        spectrum *= mult
         return self._fft.irfftn(spectrum, self._shape, workers=workers)
+
+    def octant(self, values: np.ndarray, t: float) -> np.ndarray:
+        """A new octant array: the even field with this octant carried
+        forward by time t, folded again."""
+        mult = self._multipliers(t, False)[0]
+        if self._fft is None:
+            spectrum = np.fft.rfft(np.concatenate((values, values[-2:0:-1])))
+            spectrum *= mult
+            return np.fft.irfft(spectrum, self._shape[0])[: values.size]
+        workers = _workers()
+        spectrum = self._fft.dctn(values, type=1, workers=workers)
+        spectrum *= mult
+        return self._fft.idctn(spectrum, type=1, workers=workers, overwrite_x=True)
+
+
+def _workers() -> int:
+    return getattr(_FFT_SHARE, "workers", None) or thread_count()
 
 
 @functools.lru_cache(maxsize=None)

@@ -53,6 +53,8 @@ class HardyOperatorSpec:
 
     def potential(self, grid: Grid) -> np.ndarray:
         """kappa * max(|x|, cap)^{-alpha} on the lattice (cached per grid)."""
+        if self.d != grid.d:
+            raise ValueError(f"spec dimension {self.d} does not match grid {grid.d}")
         cap = self.cap_radius(grid)
         key = ("potential", self.alpha, self.kappa, cap)
 
@@ -79,18 +81,16 @@ class HardyOperatorSpec:
         return WeightSpec(sigma=sigma, t=t, alpha=self.alpha)
 
 
-def _strang_intervals(values: np.ndarray, spec: HardyOperatorSpec, grid: Grid, times, substeps: int):
+def _strang_intervals(values: np.ndarray, step, potential: np.ndarray, times, substeps: int):
     """Yield (t, values) at each output time, covering every interval from
     the previous time (0 first) by equal Strang substeps.
 
-    The potential half-steps between two diffusions fuse into one
-    e^{dt V}, and e^{dt V/2} is built once per interval.  The input array
-    is left alone, and a yielded array is never written again.
+    step(values, dt) is the diffusion (a propagator or its octant layout)
+    and potential the array in the same layout.  The potential half-steps
+    between two diffusions fuse into one e^{dt V}, and e^{dt V/2} is built
+    once per interval.  The input array is left alone, and a yielded array
+    is never written again.
     """
-    if spec.d != grid.d:
-        raise ValueError(f"spec dimension {spec.d} does not match grid {grid.d}")
-    prop = propagator(grid, spec.alpha)
-    potential = spec.potential(grid)
     t_prev = 0.0
     for t_out in times:
         dt = (t_out - t_prev) / substeps
@@ -98,17 +98,22 @@ def _strang_intervals(values: np.ndarray, spec: HardyOperatorSpec, grid: Grid, t
         full = half * half if substeps > 1 else None
         values = values * half
         for k in range(substeps, 0, -1):
-            values = prop(values, dt)
+            values = step(values, dt)
             values *= full if k > 1 else half
         t_prev = t_out
         yield t_out, values
+
+
+def _lattice_flow(values: np.ndarray, spec: HardyOperatorSpec, grid: Grid, times, substeps: int):
+    """_strang_intervals on the full lattice of grid."""
+    return _strang_intervals(values, propagator(grid, spec.alpha), spec.potential(grid), times, substeps)
 
 
 def hardy_step(w: Field, dt: float, spec: HardyOperatorSpec) -> Field:
     """One Strang step exp(V dt/2) exp(-dt (-Lap)^{a/2}) exp(V dt/2)."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ((_, values),) = _strang_intervals(w.values, spec, w.grid, (dt,), 1)
+    ((_, values),) = _lattice_flow(w.values, spec, w.grid, (dt,), 1)
     return Field(w.grid, values)
 
 
@@ -167,7 +172,7 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int):
         raise ValueError("substeps_per_interval must be at least 1")
     if float(np.min(w0.values)) < 0.0:
         raise ValueError("w0 must be nonnegative")
-    return _strang_intervals(w0.values, spec, w0.grid, times, substeps)
+    return _lattice_flow(w0.values, spec, w0.grid, times, substeps)
 
 
 def hardy_evolve(
@@ -256,7 +261,7 @@ def kernel_ratio_probe(
     off_origin = grid.radius() > 0.0
 
     max_r, med_r, min_r = [], [], []
-    for t_out, values in _strang_intervals(delta.values, spec, grid, times, substeps_per_interval):
+    for t_out, values in _lattice_flow(delta.values, spec, grid, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)

@@ -15,7 +15,18 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .constants import ModelParams, kappa_from_params
-from .field import Field, Grid, PowerTailDatum, heat_propagate, propagator, sample, steady_state
+from .field import (
+    Field,
+    Grid,
+    PowerTailDatum,
+    fold,
+    heat_propagate,
+    multiplicity,
+    propagator,
+    sample,
+    steady_state,
+    unfold,
+)
 from .linear_propagators import HardyOperatorSpec, _strang_intervals
 
 DT_UNDERFLOW = 1e-12
@@ -129,11 +140,13 @@ def _reaction(values: np.ndarray, dt: float, p: float, peak: float):
 
 
 def _diffuse(values: np.ndarray, grid: Grid, dt: float, alpha: float) -> np.ndarray:
-    return propagator(grid, alpha)(values, dt)
+    """Diffusion substep on the octant state of evolve."""
+    return propagator(grid, alpha).octant(values, dt)
 
 
 # ---------------------------------------------------------------------------
-# monitors (observe every accepted step; advance co-fields in lockstep)
+# monitors (observe the octant state of every accepted step, see fold;
+# advance co-fields in lockstep)
 
 
 def _barrier_values(grid: Grid, params: ModelParams, barrier) -> np.ndarray:
@@ -168,20 +181,20 @@ class BarrierMonitor:
 
     def __init__(self, grid: Grid, params: ModelParams, barrier="singular",
                  r_max: float | None = None):
-        self._barrier = _barrier_values(grid, params, barrier)
         if r_max is None:
             r_max = 0.25 * grid.half_length
-        self._mask = grid.radius() <= r_max
+        self._mask = fold(grid.radius() <= r_max)
         if not self._mask.any():
             raise ValueError(f"no grid points inside radius {r_max}")
+        self._barrier = fold(_barrier_values(grid, params, barrier))[self._mask]
         self.max_violation = 0.0
 
     def advance(self, dt: float):
         pass
 
     def observe(self, t: float, values: np.ndarray):
-        m = self._mask
-        v = float(np.max((values[m] - self._barrier[m]) / self._barrier[m]))
+        b = self._barrier
+        v = float(np.max((values[self._mask] - b) / b))
         if v > self.max_violation:
             self.max_violation = v
 
@@ -209,20 +222,22 @@ class SandwichMonitor:
         r_min: float | None = None,
         r_max: float | None = None,
     ):
-        self._grid = grid
-        self._uinf = steady_state(grid, params).values
-        excess = float(np.max(u0_values - self._uinf))
-        if excess > 1e-12 * float(np.max(self._uinf)):
+        uinf = steady_state(grid, params).values
+        excess = float(np.max(u0_values - uinf))
+        if excess > 1e-12 * float(np.max(uinf)):
             raise ValueError("sandwich monitor needs a datum below the steady state")
-        self._v = self._uinf - u0_values
+        self._uinf = fold(uinf)
+        self._v = self._uinf - fold(u0_values)
         if kappa is None:
             kappa = kappa_from_params(params)
-        self._spec = HardyOperatorSpec(params.alpha, params.d, kappa)
+        spec = HardyOperatorSpec(params.alpha, params.d, kappa)
+        self._potential = fold(spec.potential(grid))
+        self._step = propagator(grid, params.alpha).octant
         if r_min is None:
             r_min = 32.0 * grid.h
         if r_max is None:
             r_max = 0.25 * grid.half_length
-        r = grid.radius()
+        r = fold(grid.radius())
         self._mask = (r >= r_min) & (r <= r_max)
         if not self._mask.any():
             raise ValueError(f"empty monitor annulus [{r_min}, {r_max}]")
@@ -230,7 +245,7 @@ class SandwichMonitor:
         self.max_upper = 0.0
 
     def advance(self, dt: float):
-        ((_, self._v),) = _strang_intervals(self._v, self._spec, self._grid, (dt,), 1)
+        ((_, self._v),) = _strang_intervals(self._v, self._step, self._potential, (dt,), 1)
 
     def observe(self, t: float, values: np.ndarray):
         uinf = self._uinf
@@ -282,6 +297,11 @@ def evolve(
     zero is clipped to keep the state nonnegative; the pre-clip minimum
     lands in the record.  on_output(k, t, field) is called at the k-th
     recorded time, so a caller can write each output as it is reached.
+
+    Every datum is radial, so the state is its octant (see fold): the
+    diffusion is the propagator's octant layout, norms weigh each point by
+    its multiplicity, and monitors observe the octant.  Fields handed out
+    at the output times are unfolded to the full lattice.
     """
     params = config.params
     p, alpha = params.p, params.alpha
@@ -296,7 +316,8 @@ def evolve(
     out_times = config.output_times(grid)
 
     h_d = grid.h ** grid.d
-    values = u0.values.copy()
+    weights = multiplicity(grid)
+    values = fold(u0.values)
 
     times, sups, l2s, masses, mins, dts = [], [], [], [], [], []
     snapshots = [] if keep_snapshots else None
@@ -304,12 +325,12 @@ def evolve(
     def record(t, dt_used, min_raw):
         times.append(t)
         sups.append(float(np.max(values)))
-        l2s.append(float(np.sqrt(np.sum(values ** 2) * h_d)))
-        masses.append(float(np.sum(values) * h_d))
+        l2s.append(float(np.sqrt(np.vdot(weights, values * values) * h_d)))
+        masses.append(float(np.vdot(weights, values) * h_d))
         mins.append(min_raw)
         dts.append(dt_used)
         if keep_snapshots or on_output is not None:
-            field = Field(grid, values)
+            field = Field(grid, unfold(values))
             if keep_snapshots:
                 snapshots.append(field)
             if on_output is not None:

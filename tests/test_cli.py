@@ -206,6 +206,21 @@ def test_evolve_writes_snapshots(tmp_path, capsys):
     assert field.grid.n == 256
 
 
+def test_evolve_rejects_negative_snapshot_every(tmp_path, capsys):
+    message = "outputs.snapshot_every: must be nonnegative, got -2"
+    snaps = tmp_path / "snaps"
+    rc = main(["evolve", "--config", str(run_config(tmp_path)), "--snapshot-every", "-2",
+               "--snapshot-dir", str(snaps)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not snaps.exists()
+    # the same value in the config document is an invalid document
+    cfg = run_config(tmp_path, outputs={"snapshot_every": -2, "snapshot_dir": str(snaps)})
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not snaps.exists()
+
+
 def test_evolve_streams_snapshots_identical_to_kept_ones(tmp_path, monkeypatch, capsys):
     cfg = run_config(tmp_path, grid={"n": 32, "L": 8.0}, params={"alpha": 1.0, "d": 3, "p": 2.0})
     records = []

@@ -1,7 +1,8 @@
 """Properties of the spectral propagator and the loops built on it.
 
 The propagator must conserve mass, compose as a semigroup, and agree with
-a plain numpy.fft evaluation of exp(-t |k|^alpha); the fused-potential
+a plain numpy.fft evaluation of exp(-t |k|^alpha); its octant layout must
+agree with the full layout on mirror-even data; the fused-potential
 interval loop must agree with one Strang step at a time; the reaction
 flow must compose; and a run must not depend on the FFT worker count.
 """
@@ -22,7 +23,10 @@ from fraclab.field import (
     SpectralPropagator,
     _FFT_SHARE,
     fft_workers,
+    fold,
+    multiplicity,
     propagator,
+    unfold,
 )
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hardy_step
 from fraclab.nonlinear_solver import _flow, _reaction, evolve, reaction_exact
@@ -79,6 +83,64 @@ def test_propagator_matches_numpy_fft(d, alpha, t, seed):
     v = _values(grid, seed)
     out = SpectralPropagator(grid, alpha)(v, t)
     assert np.max(np.abs(out - _reference(v, grid, t, alpha))) <= 1e-12 * np.max(np.abs(v))
+
+
+def _even(grid: Grid, seed: int) -> np.ndarray:
+    """A random lattice array even in every coordinate: a table indexed by
+    min(j, n - j) on each axis."""
+    j = np.arange(grid.n)
+    mirror = np.minimum(j, grid.n - j)
+    table = np.random.default_rng(seed).standard_normal((grid.n // 2 + 1,) * grid.d)
+    return table[np.ix_(*[mirror] * grid.d)]
+
+
+@PROPERTY
+@given(d=dims, seed=seeds)
+def test_unfold_inverts_fold_on_even_arrays(d, seed):
+    grid = _grid(d)
+    v = _even(grid, seed)
+    octant = fold(v)
+    assert octant.shape == (grid.n // 2 + 1,) * d
+    assert not np.shares_memory(octant, v)
+    assert np.array_equal(unfold(octant), v)
+
+
+@PROPERTY
+@given(d=dims, seed=seeds)
+def test_weighted_octant_sums_are_lattice_sums(d, seed):
+    grid = _grid(d)
+    v = _even(grid, seed)
+    weights = multiplicity(grid)
+    assert weights.sum() == grid.n ** d and not weights.flags.writeable
+    for full, octant in ((v, fold(v)), (v * v, fold(v) ** 2)):
+        assert math.isclose(np.vdot(weights, octant), full.sum(),
+                            rel_tol=0.0, abs_tol=1e-12 * np.abs(full).sum())
+
+
+@PROPERTY
+@given(d=dims, alpha=alphas, t=times, seed=seeds)
+def test_octant_propagator_matches_the_full_lattice(d, alpha, t, seed):
+    grid = _grid(d)
+    v = _even(grid, seed)
+    prop = SpectralPropagator(grid, alpha)
+    octant = prop.octant(fold(v), t)
+    full = prop(v, t)
+    assert np.max(np.abs(unfold(octant) - full)) <= 1e-12 * np.max(np.abs(full))
+    if d == 1:  # the same rfft/irfft pair on the same line
+        assert np.array_equal(octant, fold(full))
+
+
+@PROPERTY
+@given(d=dims, alpha=alphas, t=times, seed=seeds)
+def test_octant_propagator_does_not_depend_on_fft_workers(d, alpha, t, seed):
+    grid = _grid(d)
+    octant = fold(_even(grid, seed))
+    prop = propagator(grid, alpha)
+    outs = []
+    for workers in (1, 2):
+        with fft_workers(workers):
+            outs.append(prop.octant(octant, t))
+    assert np.array_equal(*outs)
 
 
 def test_propagator_reuses_the_multiplier_of_the_last_time():
