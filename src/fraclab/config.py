@@ -28,6 +28,7 @@ from .field import (
     SteadyBumpDeficitDatum,
     SteadyTailDeficitDatum,
     TruncatedSingularDatum,
+    octant_sample,
     sample,
 )
 
@@ -67,27 +68,44 @@ class InitialSpec:
     ell: float = 0.5
     scale: float = 1.0
 
-    def build(self, grid: Grid, params: ModelParams) -> Field:
+    def datum(self, params: ModelParams):
+        """The field datum of this kind, None for "zero"."""
         if self.kind == "zero":
-            return Field(grid, np.zeros(grid.shape))
+            return None
         if self.kind == "gaussian":
-            datum = GaussianDatum(amplitude=self.amplitude, width=self.width)
-        elif self.kind == "truncated_singular":
-            datum = TruncatedSingularDatum(params, delta=self.delta)
-        elif self.kind == "power_tail":
-            datum = PowerTailDatum(
+            return GaussianDatum(amplitude=self.amplitude, width=self.width)
+        if self.kind == "truncated_singular":
+            return TruncatedSingularDatum(params, delta=self.delta)
+        if self.kind == "power_tail":
+            return PowerTailDatum(
                 params, amplitude=self.amplitude, gamma0=self.gamma0, delta=self.delta
             )
-        elif self.kind == "steady_deficit_tail":
-            datum = SteadyTailDeficitDatum(params, b=self.b, ell=self.ell)
-        elif self.kind == "steady_deficit_bump":
-            datum = SteadyBumpDeficitDatum(params, b=self.b, width=self.width)
-        else:
-            raise ValueError(f"unknown initial kind {self.kind!r}")
+        if self.kind == "steady_deficit_tail":
+            return SteadyTailDeficitDatum(params, b=self.b, ell=self.ell)
+        if self.kind == "steady_deficit_bump":
+            return SteadyBumpDeficitDatum(params, b=self.b, width=self.width)
+        raise ValueError(f"unknown initial kind {self.kind!r}")
+
+    def build(self, grid: Grid, params: ModelParams) -> Field:
+        """The scaled datum on the lattice."""
+        datum = self.datum(params)
+        if datum is None:
+            return Field._adopt(grid, np.zeros(grid.shape))
         out = sample(grid, datum)
         if self.scale == 1.0:
             return out
-        return Field(grid, self.scale * out.values)
+        return Field._adopt(grid, self.scale * out.values)
+
+    def build_octant(self, grid: Grid, params: ModelParams) -> np.ndarray:
+        """build on the octant (see field.fold), as a new array equal to
+        the fold of build's values bit for bit."""
+        datum = self.datum(params)
+        if datum is None:
+            return np.zeros((grid.n // 2 + 1,) * grid.d)
+        values = octant_sample(grid, datum)
+        if self.scale != 1.0:
+            values *= self.scale
+        return values
 
 
 @dataclass(frozen=True)
@@ -232,6 +250,9 @@ def _number(section, key, where, errors, default=None, required=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{where}.{key}: expected a number, got {value!r}")
         return default
+    if not math.isfinite(value):  # json.loads reads Infinity and NaN
+        errors.append(f"{where}.{key}: must be finite, got {value}")
+        return default
     return float(value)
 
 
@@ -339,10 +360,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             errors.append(f"time.eta: must lie in (0, 1], got {eta}")
         if dt_max is not None and not dt_max > 0.0:
             errors.append(f"time.dt_max: must be positive, got {dt_max}")
-        if threshold is not None and not (threshold > 0.0 and math.isfinite(threshold)):
-            errors.append(
-                f"time.blowup_sup_threshold: must be positive and finite, got {threshold}"
-            )
+        if threshold is not None and not threshold > 0.0:
+            errors.append(f"time.blowup_sup_threshold: must be positive, got {threshold}")
         if isinstance(schedule, str):
             if schedule != "dyadic":
                 errors.append(
@@ -350,11 +369,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 )
         elif isinstance(schedule, list):
             ok = all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
                 for v in schedule
             )
             if not ok or len(schedule) == 0:
-                errors.append("time.output_schedule: must be a nonempty number list")
+                errors.append("time.output_schedule: must be a nonempty list of finite numbers")
             else:
                 ts = [float(v) for v in schedule]
                 if not all(b > a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
@@ -441,6 +460,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 )
         elif isinstance(kappa, bool) or not isinstance(kappa, (int, float)):
             errors.append(f"potential.kappa: expected number or binding, got {kappa!r}")
+        elif not math.isfinite(kappa):
+            errors.append(f"potential.kappa: must be finite, got {kappa}")
         elif kappa < 0.0:
             errors.append(f"potential.kappa: must be nonnegative, got {kappa}")
         else:

@@ -9,6 +9,7 @@ the analytic Gaussian semigroup without rescaling.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -69,6 +70,18 @@ class Grid:
         """max(|x|, h/2): the half-cell floor used by all singular factors."""
         return _cached(self, "capped_radius", lambda g: np.maximum(g.radius(), 0.5 * g.h))
 
+    def octant_radius(self) -> np.ndarray:
+        """|x| on the octant (see fold), shape (n/2+1,)*d: the arithmetic of
+        radius() on the leading coordinates of each axis, so it equals the
+        fold of radius() bit for bit."""
+        return _cached(self, "octant_radius", lambda g: _hypot([g.axis()[: g.n // 2 + 1]] * g.d))
+
+    def octant_capped_radius(self) -> np.ndarray:
+        """capped_radius() on the octant."""
+        return _cached(
+            self, "octant_capped_radius", lambda g: np.maximum(g.octant_radius(), 0.5 * g.h)
+        )
+
 
 # per-grid arrays are pure functions of (d, n, L); benign to race, cheap to share
 _CACHE_LOCK = threading.Lock()
@@ -112,9 +125,18 @@ def _octant_freq_magnitude(grid: Grid) -> np.ndarray:
 
 def _mirror(octant: np.ndarray, axes: int) -> np.ndarray:
     """Reflect the leading `axes` axes about their last index: m points
-    become 2(m - 1), and index m - 1 + i takes the value of m - 1 - i."""
-    pad = [(0, octant.shape[0] - 2)] * axes + [(0, 0)] * (octant.ndim - axes)
-    return np.pad(octant, pad, mode="reflect")
+    become 2(m - 1), and index m - 1 + i takes the value of m - 1 - i.
+
+    The new array is filled block by block straight from the octant, so
+    no temporary is made.
+    """
+    m = octant.shape[0]
+    out = np.empty((2 * (m - 1),) * axes + octant.shape[axes:])
+    halves = ((slice(0, m), slice(None)), (slice(m, None), slice(m - 2, 0, -1)))
+    for block in itertools.product(halves, repeat=axes):
+        dst, src = zip(*block)
+        out[dst] = octant[src]
+    return out
 
 
 def fold(values: np.ndarray) -> np.ndarray:
@@ -147,20 +169,34 @@ def multiplicity(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Immutable scalar field on a Grid; values are validated finite."""
+    """Immutable scalar field on a Grid; values are validated finite.
+
+    The constructor copies values, so later writes to the caller's array
+    do not reach the field.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> Field:
+        """A Field over a new float array that no one else holds: the
+        constructor's checks without its copy."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._own(values)
+        return field
+
+    def _own(self, values: np.ndarray):
         if values.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -315,48 +351,61 @@ class SteadyBumpDeficitDatum:
             raise ValueError(f"width must be positive, got {self.width}")
 
 
-def sample(grid: Grid, datum) -> Field:
-    """Evaluate an initial datum on the lattice; values are nonnegative."""
+def _radial_values(datum, radius, capped) -> np.ndarray:
+    """A new array of the datum at the points whose |x| is radius() and
+    whose half-cell capped |x| is capped(): the one formula of each datum,
+    for the lattice and for its octant."""
     if isinstance(datum, GaussianDatum):
-        r = grid.radius()
-        values = datum.amplitude * np.exp(-((r / datum.width) ** 2))
-    elif isinstance(datum, TruncatedSingularDatum):
+        return datum.amplitude * np.exp(-((radius() / datum.width) ** 2))
+    if isinstance(datum, TruncatedSingularDatum):
         if datum.delta >= 1.0:
             warnings.warn(
                 f"delta = {datum.delta} >= 1: datum is not a strict sub-steady state",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        params = datum.params
-        s = singular_amplitude(params)
-        m = params.alpha / (params.p - 1.0)
-        values = datum.delta * s * grid.capped_radius() ** (-m)
-    elif isinstance(datum, PowerTailDatum):
-        params = datum.params
-        s = singular_amplitude(params)
-        m = params.alpha / (params.p - 1.0)
-        rc = grid.capped_radius()
-        values = np.minimum(
-            datum.amplitude * rc ** (-datum.gamma0),
-            datum.delta * s * rc ** (-m),
+        return _steady_values(datum.params, capped, datum.delta)
+    if isinstance(datum, PowerTailDatum):
+        return np.minimum(
+            datum.amplitude * capped() ** (-datum.gamma0),
+            _steady_values(datum.params, capped, datum.delta),
         )
-    elif isinstance(datum, SteadyTailDeficitDatum):
-        base = steady_state(grid, datum.params).values
-        values = np.maximum(base - datum.b * grid.capped_radius() ** (-datum.ell), 0.0)
-    elif isinstance(datum, SteadyBumpDeficitDatum):
-        base = steady_state(grid, datum.params).values
-        dent = datum.b * np.exp(-((grid.radius() / datum.width) ** 2))
-        values = np.maximum(base - dent, 0.0)
-    else:
-        raise TypeError(f"unsupported datum type {type(datum).__name__}")
-    return Field(grid, values)
+    if isinstance(datum, SteadyTailDeficitDatum):
+        base = _steady_values(datum.params, capped)
+        return np.maximum(base - datum.b * capped() ** (-datum.ell), 0.0)
+    if isinstance(datum, SteadyBumpDeficitDatum):
+        base = _steady_values(datum.params, capped)
+        dent = datum.b * np.exp(-((radius() / datum.width) ** 2))
+        return np.maximum(base - dent, 0.0)
+    raise TypeError(f"unsupported datum type {type(datum).__name__}")
+
+
+def _steady_values(params: ModelParams, capped, factor: float = 1.0) -> np.ndarray:
+    """factor * s |x|^{-alpha/(p-1)} at the capped radii."""
+    s = singular_amplitude(params)
+    m = params.alpha / (params.p - 1.0)
+    return factor * s * capped() ** (-m)
+
+
+def sample(grid: Grid, datum) -> Field:
+    """Evaluate an initial datum on the lattice; values are nonnegative."""
+    return Field._adopt(grid, _radial_values(datum, grid.radius, grid.capped_radius))
+
+
+def octant_sample(grid: Grid, datum) -> np.ndarray:
+    """sample on the octant (see fold), as a new array equal to the fold
+    of the lattice sample bit for bit."""
+    return _radial_values(datum, grid.octant_radius, grid.octant_capped_radius)
 
 
 def steady_state(grid: Grid, params: ModelParams) -> Field:
     """The scale-invariant steady profile s |x|^{-alpha/(p-1)}, half-cell capped."""
-    s = singular_amplitude(params)
-    m = params.alpha / (params.p - 1.0)
-    return Field(grid, s * grid.capped_radius() ** (-m))
+    return Field._adopt(grid, _steady_values(params, grid.capped_radius))
+
+
+def octant_steady_state(grid: Grid, params: ModelParams) -> np.ndarray:
+    """steady_state on the octant, as a new array."""
+    return _steady_values(params, grid.octant_capped_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +528,7 @@ def heat_propagate(field: Field, t: float, alpha: float) -> Field:
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     prop = propagator(field.grid, alpha)
-    return field if t == 0.0 else Field(field.grid, prop(field.values, t))
+    return field if t == 0.0 else Field._adopt(field.grid, prop(field.values, t))
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,19 @@ class HardyOperatorSpec:
 
     def potential(self, grid: Grid) -> np.ndarray:
         """kappa * max(|x|, cap)^{-alpha} on the lattice (cached per grid)."""
+        return self._potential(grid, "potential", grid.radius)
+
+    def octant_potential(self, grid: Grid) -> np.ndarray:
+        """potential on the octant (see field.fold), equal to its fold bit
+        for bit (cached per grid)."""
+        return self._potential(grid, "octant_potential", grid.octant_radius)
+
+    def _potential(self, grid: Grid, name: str, radius) -> np.ndarray:
         if self.d != grid.d:
             raise ValueError(f"spec dimension {self.d} does not match grid {grid.d}")
         cap = self.cap_radius(grid)
-        key = ("potential", self.alpha, self.kappa, cap)
-
-        def build(g):
-            r = np.maximum(g.radius(), cap)
-            return self.kappa * r ** (-self.alpha)
-
-        return _cached(grid, key, build)
+        key = (name, self.alpha, self.kappa, cap)
+        return _cached(grid, key, lambda g: self.kappa * np.maximum(radius(), cap) ** (-self.alpha))
 
     def sigma(self) -> float:
         """Weight exponent: the smaller root of the power-map equation.

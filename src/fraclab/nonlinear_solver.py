@@ -23,8 +23,8 @@ from .field import (
     heat_propagate,
     multiplicity,
     propagator,
-    sample,
-    steady_state,
+    octant_sample,
+    octant_steady_state,
     unfold,
 )
 from .linear_propagators import HardyOperatorSpec, _strang_intervals
@@ -150,25 +150,12 @@ def _diffuse(values: np.ndarray, grid: Grid, dt: float, alpha: float) -> np.ndar
 
 
 def _barrier_values(grid: Grid, params: ModelParams, barrier) -> np.ndarray:
+    """The barrier on the octant."""
     if barrier == "singular":
-        return steady_state(grid, params).values
+        return octant_steady_state(grid, params)
     if isinstance(barrier, PowerTailDatum):
-        return sample(grid, barrier).values
+        return octant_sample(grid, barrier)
     raise TypeError(f"barrier must be 'singular' or a PowerTailDatum, got {barrier!r}")
-
-
-def barrier_monitor(u: Field, params: ModelParams, barrier, r_max=None) -> float:
-    """Max of (u - b)+ / b against the capped barrier sample.
-
-    Pass r_max to ignore radii beyond it; None compares on the whole grid.
-    """
-    b = _barrier_values(u.grid, params, barrier)
-    ratio = (u.values - b) / b
-    if r_max is not None:
-        ratio = ratio[u.grid.radius() <= r_max]
-        if ratio.size == 0:
-            raise ValueError(f"no grid points inside radius {r_max}")
-    return max(0.0, float(np.max(ratio)))
 
 
 class BarrierMonitor:
@@ -183,10 +170,10 @@ class BarrierMonitor:
                  r_max: float | None = None):
         if r_max is None:
             r_max = 0.25 * grid.half_length
-        self._mask = fold(grid.radius() <= r_max)
+        self._mask = grid.octant_radius() <= r_max
         if not self._mask.any():
             raise ValueError(f"no grid points inside radius {r_max}")
-        self._barrier = fold(_barrier_values(grid, params, barrier))[self._mask]
+        self._barrier = _barrier_values(grid, params, barrier)[self._mask]
         self.max_violation = 0.0
 
     def advance(self, dt: float):
@@ -222,22 +209,22 @@ class SandwichMonitor:
         r_min: float | None = None,
         r_max: float | None = None,
     ):
-        uinf = steady_state(grid, params).values
-        excess = float(np.max(u0_values - uinf))
-        if excess > 1e-12 * float(np.max(uinf)):
+        uinf = octant_steady_state(grid, params)
+        u0 = fold(u0_values)
+        if float(np.max(u0 - uinf)) > 1e-12 * float(np.max(uinf)):
             raise ValueError("sandwich monitor needs a datum below the steady state")
-        self._uinf = fold(uinf)
-        self._v = self._uinf - fold(u0_values)
+        self._uinf = uinf
+        self._v = uinf - u0
         if kappa is None:
             kappa = kappa_from_params(params)
         spec = HardyOperatorSpec(params.alpha, params.d, kappa)
-        self._potential = fold(spec.potential(grid))
+        self._potential = spec.octant_potential(grid)
         self._step = propagator(grid, params.alpha).octant
         if r_min is None:
             r_min = 32.0 * grid.h
         if r_max is None:
             r_max = 0.25 * grid.half_length
-        r = fold(grid.radius())
+        r = grid.octant_radius()
         self._mask = (r >= r_min) & (r <= r_max)
         if not self._mask.any():
             raise ValueError(f"empty monitor annulus [{r_min}, {r_max}]")
@@ -299,15 +286,18 @@ def evolve(
     recorded time, so a caller can write each output as it is reached.
 
     Every datum is radial, so the state is its octant (see fold): the
-    diffusion is the propagator's octant layout, norms weigh each point by
-    its multiplicity, and monitors observe the octant.  Fields handed out
-    at the output times are unfolded to the full lattice.
+    datum is evaluated there, the diffusion is the propagator's octant
+    layout, norms weigh each point by its multiplicity, and monitors
+    observe the octant.  Each output unfolds the state once into a new
+    read-only lattice Field, and no lattice array is built otherwise.
     """
     params = config.params
     p, alpha = params.p, params.alpha
     grid = config.build_grid()
-    u0 = config.initial_field(grid)
-    if float(np.min(u0.values)) < 0.0:
+    values = config.initial.build_octant(grid, params)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field values must be finite")
+    if float(np.min(values)) < 0.0:
         raise ValueError("initial field must be nonnegative")
     t_end = config.time.t_end
     eta = config.time.eta
@@ -317,7 +307,6 @@ def evolve(
 
     h_d = grid.h ** grid.d
     weights = multiplicity(grid)
-    values = fold(u0.values)
 
     times, sups, l2s, masses, mins, dts = [], [], [], [], [], []
     snapshots = [] if keep_snapshots else None
@@ -330,7 +319,7 @@ def evolve(
         mins.append(min_raw)
         dts.append(dt_used)
         if keep_snapshots or on_output is not None:
-            field = Field(grid, unfold(values))
+            field = Field._adopt(grid, unfold(values))
             if keep_snapshots:
                 snapshots.append(field)
             if on_output is not None:

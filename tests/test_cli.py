@@ -58,6 +58,16 @@ def test_invalid_config_document_is_exit_two(tmp_path, capsys):
     assert "(0, 2)" in capsys.readouterr().err
 
 
+def test_non_finite_config_number_is_exit_two(tmp_path, capsys):
+    path = run_config(tmp_path)
+    text = path.read_text()
+    for key, token in (('"p": 3.0', '"p": Infinity'), ('"amplitude": 0.1', '"amplitude": NaN')):
+        assert key in text
+        path.write_text(text.replace(key, token))
+        assert main(["evolve", "--config", str(path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "nope.json")]) == 1
 

@@ -137,3 +137,28 @@ def test_initial_field_scaling():
     cfg = config_from_dict(doc)
     f = cfg.initial_field()
     assert f.values[32] == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize(
+    "section, body, where",
+    [
+        ("params", {"alpha": 0.5, "d": 1, "p": "Infinity"}, "params.p"),
+        ("grid", {"n": 64, "L": "Infinity"}, "grid.L"),
+        ("time", {"t_end": "Infinity", "dt_max": "NaN"}, "time.t_end"),
+        ("initial", {"kind": "gaussian", "amplitude": "Infinity", "scale": "NaN"}, "initial.scale"),
+        ("potential", {"kappa": "Infinity"}, "potential.kappa"),
+    ],
+)
+def test_non_finite_numbers_rejected(section, body, where):
+    # json.loads reads the bare tokens Infinity and NaN as floats
+    doc = {"params": {"alpha": 0.5, "d": 1, "p": 3.0}, "initial": {"kind": "gaussian"}}
+    doc[section] = body
+    text = json.dumps(doc).replace('"Infinity"', "Infinity").replace('"NaN"', "NaN")
+    with pytest.raises(ConfigError, match=f"{where}: must be finite") as err:
+        parse_config(text)
+    assert all("finite" in e for e in err.value.errors)
+
+
+def test_non_finite_schedule_time_rejected():
+    with pytest.raises(ConfigError, match="finite numbers"):
+        parse_config(json.dumps(dict(MINIMAL, time={"output_schedule": [math.nan]})))

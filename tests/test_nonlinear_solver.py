@@ -6,14 +6,13 @@ import pytest
 import fraclab.nonlinear_solver as ns
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams
-from fraclab.field import Field, Grid, steady_state
+from fraclab.field import Field, Grid, fold, steady_state
 from fraclab.nonlinear_solver import (
     BarrierMonitor,
     Blowup,
     Global,
     NumericalFailure,
     SandwichMonitor,
-    barrier_monitor,
     blowup_certificate,
     comparison_monitor,
     evolve,
@@ -162,10 +161,17 @@ def test_injected_nan_reports_numerical_failure(monkeypatch):
 
 def test_negative_datum_rejected(monkeypatch):
     cfg = make_config(grid={"n": 64, "L": 8.0}, initial={"kind": "zero"})
-    grid = cfg.build_grid()
-    neg = Field(grid, np.full(grid.shape, -1.0))
-    monkeypatch.setattr(type(cfg), "initial_field", lambda self, grid=None: neg)
+    neg = np.full(33, -1.0)
+    monkeypatch.setattr(type(cfg.initial), "build_octant", lambda self, grid, params: neg.copy())
     with pytest.raises(ValueError, match="nonnegative"):
+        evolve(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_datum_rejected():
+    cfg = make_config(grid={"n": 64, "L": 8.0},
+                      initial={"kind": "gaussian", "amplitude": 1e200, "scale": 1e200})
+    with pytest.raises(ValueError, match="finite"):
         evolve(cfg)
 
 
@@ -214,14 +220,21 @@ def test_snapshots_disabled_by_default():
 # monitors
 
 
+def _barrier_violation(grid, values, barrier="singular", r_max=None):
+    mon = BarrierMonitor(grid, PARAMS, barrier, r_max=r_max)
+    mon.observe(0.0, fold(values))
+    return mon.maxima()["barrier_violation"]
+
+
 def test_barrier_monitor_one_shot():
     grid = Grid(1, 512, 64.0)
+    whole = grid.half_length  # sqrt(d) L: the whole grid
     uinf = steady_state(grid, PARAMS)
-    assert barrier_monitor(uinf, PARAMS, "singular") == 0.0
+    assert _barrier_violation(grid, uinf.values, r_max=whole) == 0.0
     doubled = Field(grid, 2.0 * uinf.values)
-    assert barrier_monitor(doubled, PARAMS, "singular") == pytest.approx(1.0, rel=1e-12)
+    assert _barrier_violation(grid, doubled.values, r_max=whole) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(TypeError, match="barrier"):
-        barrier_monitor(uinf, PARAMS, "bogus")
+        _barrier_violation(grid, uinf.values, "bogus", r_max=whole)
 
 
 def test_barrier_monitor_outer_mask():
@@ -230,8 +243,8 @@ def test_barrier_monitor_outer_mask():
     bumped = uinf.values.copy()
     bumped[0] *= 3.0  # excursion at |x| = L, outside any r_max <= L/4 window
     exceeds = Field(grid, bumped)
-    assert barrier_monitor(exceeds, PARAMS, "singular") > 0.0
-    assert barrier_monitor(exceeds, PARAMS, "singular", r_max=16.0) == 0.0
+    assert _barrier_violation(grid, exceeds.values, r_max=grid.half_length) > 0.0
+    assert _barrier_violation(grid, exceeds.values, r_max=16.0) == 0.0
 
 
 def test_barrier_holds_for_subsingular_datum():
