@@ -2,8 +2,7 @@
 bisection, steady-approach rate checks, and closed-form tail envelopes.
 
 Everything here consumes ExperimentConfig and the solver's RunRecord;
-nothing mutates shared state, so the sweep executor can run jobs on a
-plain thread pool (the FFT work releases the GIL).
+nothing mutates shared state.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -106,24 +104,15 @@ def fit_power_law(times, values, window=None) -> FitResult:
 
 
 def run_sweep(configs, threads=None, keep_snapshots: bool = False) -> list:
-    """Evolve independent configs, preserving input order in the results.
+    """Evolve configs in order, each with thread_count(threads) FFT workers.
 
-    thread_count(threads) threads are split between the pool and each
-    run's FFTs.  Jobs are deterministic per config, so any worker count
-    yields the same records.
+    Runs are deterministic per config, so any worker count yields the
+    same records.  They run one after another: a small 1-d run is Python
+    work that holds the interpreter lock, so a pool of runs would take
+    turns.
     """
-    configs = list(configs)
-    total = thread_count(threads)
-    workers = min(total, max(len(configs), 1))
-
-    def job(cfg):
-        with fft_workers(total // workers):
-            return evolve(cfg, keep_snapshots=keep_snapshots)
-
-    if workers == 1:
-        return [job(cfg) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, configs))
+    with fft_workers(thread_count(threads)):
+        return [evolve(cfg, keep_snapshots=keep_snapshots) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.1)
     p.add_argument("--state", help="resumable bisection state (JSON)")
-    p.add_argument("--threads", type=int, help="worker cap; FRACLAB_THREADS as fallback")
+    p.add_argument("--threads", type=int, help="FFT workers; FRACLAB_THREADS as fallback")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("fit", help="power-law fit of a CSV column against t")

@@ -440,17 +440,88 @@ def fft_workers(n: int):
         _FFT_SHARE.workers = previous
 
 
+# Lines of at least SPLIT_MIN points are transformed as two half-length
+# lines (see _halves).  With two FFT workers the halves run on two threads,
+# which beats numpy's single rfft/irfft pair from 2^17 points on a 2-core
+# x86-64 host (a 2^16 line breaks even); below that the thread hand-offs
+# cost more than they save.
+SPLIT_MIN = 2 ** 17
+
+
+@functools.lru_cache(maxsize=None)
+def _helper():
+    """The thread that runs the second half of split transforms, started
+    on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only split lines need it
+
+    return ThreadPoolExecutor(1, thread_name_prefix="fraclab-fft")
+
+
+def _in_pair(first, second, workers: int):
+    """(first(), second()), with second() on the helper thread when
+    workers >= 2.  Either way each runs the same arithmetic."""
+    if workers < 2:
+        return first(), second()
+    future = _helper().submit(second)
+    return first(), future.result()
+
+
+@functools.lru_cache(maxsize=None)
+def _twiddles(n: int):
+    """W^j and its conjugate for j in [0, n/4], W = e^{-2 pi i/n}."""
+    w = np.exp((-2j * np.pi / n) * np.arange(n // 4 + 1))
+    w_bar = w.conj()
+    w.flags.writeable = w_bar.flags.writeable = False
+    return w, w_bar
+
+
+def _halves(x: np.ndarray, workers: int):
+    """The half spectra of a real line x of n points: E, the rfft of the
+    even samples, and W^j O, the twiddled rfft of the odd samples, for j
+    in [0, n/4].  The rfft of x is X[j] = E[j] + W^j O[j] and
+    X[n/2 - j] = conj(E[j] - W^j O[j]) (radix-2 decimation in time,
+    Cooley & Tukey 1965)."""
+    w = _twiddles(x.size)[0]
+
+    def odd():
+        spectrum = np.fft.rfft(x[1::2])
+        spectrum *= w
+        return spectrum
+
+    return _in_pair(lambda: np.fft.rfft(x[0::2]), odd, workers)
+
+
+def _interleave(even, odd, n: int, workers: int) -> np.ndarray:
+    """The real line of n points whose half spectra (see _halves) are
+    even() and odd(); each half is computed and inverted on its thread."""
+    line = np.empty(n)
+    w_bar = _twiddles(n)[1]
+
+    def fill_even():
+        line[0::2] = np.fft.irfft(even(), n // 2)
+
+    def fill_odd():
+        spectrum = odd()
+        spectrum *= w_bar
+        line[1::2] = np.fft.irfft(spectrum, n // 2)
+
+    _in_pair(fill_even, fill_odd, workers)
+    return line
+
+
 class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
     Calling it carries a full lattice array by real FFTs: numpy's
-    rfft/irfft on d = 1, where FFT workers cannot split a single transform
-    and numpy.fft costs no import, and scipy.fft's rfftn/irfftn with
-    workers on d >= 2.  octant() carries the octant of a field that is even
-    in every coordinate (see fold), whose DFT is the type-1 DCT of the
-    octant (Martucci 1994): scipy.fft's dctn/idctn with workers on d >= 2,
-    and on d = 1 the unfolded line through rfft/irfft, since a DCT-I pads
-    to the full length there anyway.
+    rfft/irfft on d = 1, which costs no import, and scipy.fft's
+    rfftn/irfftn with workers on d >= 2.  A line of at least SPLIT_MIN
+    points is carried by its half spectra instead (see _halves), one half
+    per worker when there are two, with the same bits for any worker
+    count.  octant() carries the octant of a field that is even in every
+    coordinate (see fold), whose DFT is the type-1 DCT of the octant
+    (Martucci 1994): scipy.fft's dctn/idctn with workers on d >= 2, and on
+    d = 1 the unfolded line through the full layout, since a DCT-I pads to
+    the full length there anyway.
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
@@ -470,7 +541,8 @@ class SpectralPropagator:
             self._fft = scipy.fft
         self._symbol = _cached(grid, ("symbol", alpha), lambda g: _octant_freq_magnitude(g) ** alpha)
         self._shape = grid.shape
-        self._last = (None, None, None)  # t, octant multiplier, full multiplier
+        self._split = grid.d == 1 and grid.n >= SPLIT_MIN
+        self._last = (None, None, None)  # t, octant multiplier, full-layout multiplier
 
     def _multipliers(self, t: float, full: bool):
         last_t, octant, whole = self._last
@@ -479,17 +551,37 @@ class SpectralPropagator:
             np.exp(octant, out=octant)
             whole = None
         if full and whole is None:
-            whole = octant if octant.ndim == 1 else _mirror(octant, octant.ndim - 1)
+            whole = self._full_layout(octant)
         self._last = (t, octant, whole)
         return octant, whole
 
+    def _full_layout(self, octant: np.ndarray):
+        """The multiplier as the full layout applies it: the octant
+        reflected on all axes but the last, or on a split line the pair
+        (a, b) with a = (m[j] + m[n/2 - j])/2 and b = (m[j] - m[n/2 - j])/2
+        for j in [0, n/4], which takes half spectra E, W^j O to
+        a E + b W^j O, b E + a W^j O."""
+        if octant.ndim > 1:
+            return _mirror(octant, octant.ndim - 1)
+        if not self._split:
+            return octant
+        q = octant.size // 2
+        low, high = octant[: q + 1], octant[q:][::-1]
+        return 0.5 * (low + high), 0.5 * (low - high)
+
     def multiplier(self, t: float) -> np.ndarray:
         """e^{-t|k|^alpha} in the rfftn layout of the full lattice."""
-        return self._multipliers(t, True)[1]
+        octant, whole = self._multipliers(t, True)
+        return octant if octant.ndim == 1 else whole
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new full lattice array: values carried forward by time t."""
-        mult = self.multiplier(t)
+        mult = self._multipliers(t, True)[1]
+        if self._split:
+            a, b = mult
+            workers = _workers()
+            e, wo = _halves(values, workers)
+            return _interleave(lambda: a * e + b * wo, lambda: b * e + a * wo, values.size, workers)
         if self._fft is None:
             spectrum = np.fft.rfft(values)
             spectrum *= mult
@@ -502,11 +594,9 @@ class SpectralPropagator:
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new octant array: the even field with this octant carried
         forward by time t, folded again."""
-        mult = self._multipliers(t, False)[0]
         if self._fft is None:
-            spectrum = np.fft.rfft(np.concatenate((values, values[-2:0:-1])))
-            spectrum *= mult
-            return np.fft.irfft(spectrum, self._shape[0])[: values.size]
+            return self(np.concatenate((values, values[-2:0:-1])), t)[: values.size]
+        mult = self._multipliers(t, False)[0]
         workers = _workers()
         spectrum = self._fft.dctn(values, type=1, workers=workers)
         spectrum *= mult

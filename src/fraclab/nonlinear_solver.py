@@ -259,10 +259,8 @@ def comparison_monitor(
 ) -> RunRecord:
     """Run the configured evolution with the sandwich monitor attached."""
     grid = config.build_grid()
-    u0 = config.initial_field(grid)
-    monitor = SandwichMonitor(
-        grid, config.params, u0.values, kappa=kappa, r_min=r_min, r_max=r_max
-    )
+    u0 = unfold(config.initial.build_octant(grid, config.params))
+    monitor = SandwichMonitor(grid, config.params, u0, kappa=kappa, r_min=r_min, r_max=r_max)
     return evolve(config, monitors=(monitor,))
 
 

@@ -31,7 +31,7 @@ from fraclab.field import (
     unfold,
 )
 from fraclab.linear_propagators import HardyOperatorSpec
-from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
+from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, comparison_monitor, evolve
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -134,6 +134,12 @@ def test_evolve_caches_no_lattice_array():
     u0 = unfold(cfg.initial.build_octant(grid, cfg.params))
     monitors = (BarrierMonitor(grid, cfg.params), SandwichMonitor(grid, cfg.params, u0, r_min=grid.h))
     evolve(cfg, monitors=monitors)
+    sizes = {name: value.size for slot in _GRID_CACHE.values() for name, value in slot.items()
+             if isinstance(value, np.ndarray)}
+    assert sizes and max(sizes.values()) < grid.n ** grid.d, sizes
+
+    clear_grid_cache()
+    comparison_monitor(cfg, r_min=grid.h)
     sizes = {name: value.size for slot in _GRID_CACHE.values() for name, value in slot.items()
              if isinstance(value, np.ndarray)}
     assert sizes and max(sizes.values()) < grid.n ** grid.d, sizes

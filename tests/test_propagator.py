@@ -5,9 +5,13 @@ a plain numpy.fft evaluation of exp(-t |k|^alpha); its octant layout must
 agree with the full layout on mirror-even data; the fused-potential
 interval loop must agree with one Strang step at a time; the reaction
 flow must compose; and a run must not depend on the FFT worker count.
+Lines of SPLIT_MIN points and more are transformed as two half-length
+lines, whose half spectra must rebuild numpy's rfft and irfft.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,10 +22,13 @@ import fraclab.analysis as analysis
 from fraclab.config import config_from_dict
 from fraclab.constants import power_map_coeff_max
 from fraclab.field import (
+    SPLIT_MIN,
     Field,
     Grid,
     SpectralPropagator,
     _FFT_SHARE,
+    _halves,
+    _interleave,
     fft_workers,
     fold,
     multiplicity,
@@ -32,11 +39,13 @@ from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hardy_st
 from fraclab.nonlinear_solver import _flow, _reaction, evolve, reaction_exact
 
 PROPERTY = settings(max_examples=25, deadline=None)
+LONG = settings(max_examples=8, deadline=None)  # lines of 2^17 points and more
 
 dims = st.sampled_from([1, 2, 3])
 alphas = st.floats(0.2, 2.0)
 times = st.floats(1e-3, 2.0)
 seeds = st.integers(0, 2**32 - 1)
+long_lines = st.sampled_from([SPLIT_MIN, 2 * SPLIT_MIN, 4 * SPLIT_MIN])
 
 
 def _grid(d: int) -> Grid:
@@ -118,15 +127,15 @@ def test_weighted_octant_sums_are_lattice_sums(d, seed):
 
 
 @PROPERTY
-@given(d=dims, alpha=alphas, t=times, seed=seeds)
-def test_octant_propagator_matches_the_full_lattice(d, alpha, t, seed):
-    grid = _grid(d)
+@given(d=dims, alpha=alphas, t=times, seed=seeds, line=st.sampled_from([64, SPLIT_MIN, 2 * SPLIT_MIN]))
+def test_octant_propagator_matches_the_full_lattice(d, alpha, t, seed, line):
+    grid = Grid(1, line, 4.0) if d == 1 else _grid(d)
     v = _even(grid, seed)
     prop = SpectralPropagator(grid, alpha)
     octant = prop.octant(fold(v), t)
     full = prop(v, t)
     assert np.max(np.abs(unfold(octant) - full)) <= 1e-12 * np.max(np.abs(full))
-    if d == 1:  # the same rfft/irfft pair on the same line
+    if d == 1:  # the same transforms of the same line
         assert np.array_equal(octant, fold(full))
 
 
@@ -141,6 +150,88 @@ def test_octant_propagator_does_not_depend_on_fft_workers(d, alpha, t, seed):
         with fft_workers(workers):
             outs.append(prop.octant(octant, t))
     assert np.array_equal(*outs)
+
+
+def _split_rfft(x: np.ndarray, workers: int) -> np.ndarray:
+    """rfft of x joined from its half spectra: X[j] = E[j] + W^j O[j] and
+    X[n/2 - j] = conj(E[j] - W^j O[j]) for j in [0, n/4]."""
+    e, wo = _halves(x, workers)
+    return np.concatenate((e + wo, np.conjugate(e - wo)[-2::-1]))
+
+
+def _split_irfft(spectrum: np.ndarray, n: int, workers: int) -> np.ndarray:
+    """irfft(spectrum, n) from the half spectra E = (X[j] + conj X[n/2 - j])/2
+    and W^j O = (X[j] - conj X[n/2 - j])/2."""
+    q = n // 4
+    low, high = spectrum[: q + 1], np.conjugate(spectrum[q:][::-1])
+    return _interleave(lambda: (low + high) * 0.5, lambda: (low - high) * 0.5, n, workers)
+
+
+@LONG
+@given(n=long_lines, seed=seeds)
+def test_split_transforms_match_numpy_fft(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    # any spectrum, as a multiplied one is: irfft reads only the real
+    # parts of its first and last entries
+    noise = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    spectrum, line = np.fft.rfft(x), np.fft.irfft(noise, n)
+    outs = []
+    for workers in (1, 2):
+        forward, inverse = _split_rfft(x, workers), _split_irfft(noise, n, workers)
+        assert np.max(np.abs(forward - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
+        assert np.max(np.abs(inverse - line)) <= 1e-12 * np.max(np.abs(line))
+        outs.append((forward, inverse))
+    assert all(np.array_equal(one, two) for one, two in zip(*outs))
+
+
+@LONG
+@given(n=long_lines, alpha=alphas, t=times, seed=seeds)
+def test_split_propagator_does_not_depend_on_fft_workers(n, alpha, t, seed):
+    grid = Grid(1, n, 512.0)
+    v = _values(grid, seed)
+    prop = SpectralPropagator(grid, alpha)
+    outs = []
+    for workers in (1, 2):
+        with fft_workers(workers):
+            outs.append(prop(v, t))
+    assert np.array_equal(*outs)
+    assert np.max(np.abs(outs[0] - _reference(v, grid, t, alpha))) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_split_propagator_shared_across_threads():
+    # callers in four threads share one propagator, its cache of the last
+    # t and the helper thread; a short switch interval interleaves them
+    grid = Grid(1, SPLIT_MIN, 512.0)
+    prop = SpectralPropagator(grid, 0.7)
+    v = _values(grid, 7)
+    steps = [0.1 * (k + 1) for k in range(4)]
+    with fft_workers(1):
+        expected = [prop(v, t) for t in steps]
+    results, errors = {}, []
+
+    def run(k):
+        try:
+            with fft_workers(2):
+                for _ in range(3):
+                    results.setdefault(k, []).append(prop(v, steps[k]).copy())
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    for k, outs in results.items():
+        assert len(outs) == 3 and all(np.array_equal(out, expected[k]) for out in outs)
+    assert sorted(results) == [0, 1, 2, 3]
 
 
 def test_propagator_reuses_the_multiplier_of_the_last_time():
@@ -223,6 +314,20 @@ def test_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
 
+def test_long_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
+    grid = Grid(1, 2 * SPLIT_MIN, 512.0)
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.2 * power_map_coeff_max(1, 0.5))
+    w0 = Field(grid, np.exp(-grid.axis() ** 2))
+    series = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRACLAB_THREADS", threads)
+        series.append(hardy_evolve(w0, spec, [0.5, 1.0, 2.0], 4))
+    one, two = series
+    for name in ("plain_q1", "plain_q2", "plain_qinf", "weighted_q1", "weighted_q2", "weighted_qinf"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+    assert np.array_equal(one.final.values, two.final.values)
+
+
 def test_fft_workers_scope_and_sweep_share(monkeypatch):
     monkeypatch.setenv("FRACLAB_THREADS", "2")
     with fft_workers(1):
@@ -235,9 +340,9 @@ def test_fft_workers_scope_and_sweep_share(monkeypatch):
     monkeypatch.setattr(analysis, "evolve", lambda cfg, keep_snapshots=False: seen.append(
         _FFT_SHARE.workers))
     cfg = _evolve_3d_config()
-    analysis.run_sweep([cfg, cfg], threads=2)  # two pool threads, one FFT worker each
-    analysis.run_sweep([cfg], threads=2)  # one run gets both threads
-    assert seen == [1, 1, 2]
+    analysis.run_sweep([cfg, cfg], threads=2)  # runs in turn, each with every worker
+    analysis.run_sweep([cfg], threads=3)
+    assert seen == [2, 2, 3]
 
 
 @pytest.mark.parametrize("p", [1.7, 2.0, 3.0])
