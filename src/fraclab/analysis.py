@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import _DELTA_KINDS, ExperimentConfig
 from .constants import (
     ModelParams,
     kappa_from_delta,
@@ -103,7 +103,7 @@ def fit_power_law(times, values, window=None) -> FitResult:
 # sweep executor
 
 
-def run_sweep(configs, threads=None, keep_snapshots: bool = False) -> list:
+def run_sweep(configs, threads=None) -> list:
     """Evolve configs in order, each with thread_count(threads) FFT workers.
 
     Runs are deterministic per config, so any worker count yields the
@@ -112,7 +112,7 @@ def run_sweep(configs, threads=None, keep_snapshots: bool = False) -> list:
     turns.
     """
     with fft_workers(thread_count(threads)):
-        return [evolve(cfg, keep_snapshots=keep_snapshots) for cfg in configs]
+        return [evolve(cfg) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -296,35 +296,42 @@ class DeficitEvolution:
 
 
 def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
-    """Co-run config and its b = 0 twin; returns w(t) = u_ref(t) - u(t).
+    """Run the b = 0 twin of config, then config; returns w(t) = u_ref(t) - u(t).
 
-    Both runs must stay global.  reference_drift records how far the
-    reference trajectory moves off the steady sample in sup norm,
-    relative to the sample's sup.
+    Both runs must stay global.  The reference run holds only its outputs
+    inside the horizon until the deficit run subtracts them.
+    reference_drift records how far the reference trajectory moves off the
+    steady sample in sup norm, relative to the sample's sup.
     """
     if config.initial.kind not in ("steady_deficit_tail", "steady_deficit_bump"):
         raise ValueError(
             f"needs a steady-deficit initial datum, got {config.initial.kind!r}"
         )
-    reference = replace(config, initial=replace(config.initial, b=0.0))
-    run_rec, ref_rec = run_sweep([config, reference], keep_snapshots=True)
-    for rec, label in ((run_rec, "deficit run"), (ref_rec, "reference run")):
-        if not isinstance(rec.status, Global):
-            raise RuntimeError(f"{label} did not stay global: {rec.status_dict()}")
     grid = config.build_grid()
     horizon = image_safe_horizon(grid, config.params.alpha)
     sample = steady_state(grid, config.params).values
     sample_sup = float(np.max(sample))
 
-    times = []
-    deficits = []
+    held, times, deficits = {}, [], []
     drift = 0.0
-    for t, u, ref in zip(run_rec.times, run_rec.snapshots, ref_rec.snapshots):
-        if not 0.0 < t <= horizon * (1.0 + 1e-12):
-            continue
-        times.append(t)
-        deficits.append(ref.values - u.values)
-        drift = max(drift, float(np.max(np.abs(ref.values - sample))) / sample_sup)
+
+    def hold(k, t, ref):
+        nonlocal drift
+        if 0.0 < t <= horizon * (1.0 + 1e-12):
+            held[k] = ref.values
+            drift = max(drift, float(np.max(np.abs(ref.values - sample))) / sample_sup)
+
+    def subtract(k, t, u):
+        ref = held.pop(k, None)
+        if ref is not None:
+            times.append(t)
+            deficits.append(ref - u.values)
+
+    reference = replace(config, initial=replace(config.initial, b=0.0))
+    for cfg, hook, label in ((reference, hold, "reference run"), (config, subtract, "deficit run")):
+        rec = evolve(cfg, on_output=hook)
+        if not isinstance(rec.status, Global):
+            raise RuntimeError(f"{label} did not stay global: {rec.status_dict()}")
     if not times:
         raise ValueError("no schedule times inside the image-safe horizon")
     return DeficitEvolution(np.asarray(times), tuple(deficits), drift)
@@ -479,7 +486,7 @@ def weighted_decay_check(config: ExperimentConfig, qs=(1.0, 2.0, math.inf)) -> d
     """
     params = config.params
     delta = config.potential.delta
-    if delta is None and config.initial.kind in ("truncated_singular", "power_tail"):
+    if delta is None and config.initial.kind in _DELTA_KINDS:
         delta = config.initial.delta
     if delta is None:
         raise ValueError("needs delta (potential section) to form the barrier class")
@@ -494,27 +501,23 @@ def weighted_decay_check(config: ExperimentConfig, qs=(1.0, 2.0, math.inf)) -> d
             f"datum exceeds delta * u_inf by {excess:.3g}; outside the barrier class"
         )
 
-    record = evolve(config, keep_snapshots=True)
+    horizon = image_safe_horizon(grid, params.alpha)
+    times, norms = [], []
+
+    def measure(k, t, field):
+        if 0.0 < t <= horizon * (1.0 + 1e-12):
+            times.append(t)
+            weight = WeightSpec(sigma, t, params.alpha)
+            norms.append([weighted_norm(field, q, weight) for q in qs])
+
+    record = evolve(config, on_output=measure)
     if not isinstance(record.status, Global):
         raise RuntimeError(f"run did not stay global: {record.status_dict()}")
-    horizon = image_safe_horizon(grid, params.alpha)
-    keep = [
-        (t, snap)
-        for t, snap in zip(record.times, record.snapshots)
-        if 0.0 < t <= horizon * (1.0 + 1e-12)
-    ]
-    if not keep:
+    if not times:
         raise ValueError("no schedule times inside the image-safe horizon")
-    times = np.array([t for t, _ in keep])
+    times = np.array(times)
     window = default_fit_window(times, grid, params.alpha)
-
-    out = {}
-    for q in qs:
-        series = np.array(
-            [weighted_norm(snap, q, WeightSpec(sigma, t, params.alpha)) for t, snap in keep]
-        )
-        out[q] = fit_power_law(times, series, window)
-    return out
+    return {q: fit_power_law(times, series, window) for q, series in zip(qs, zip(*norms))}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,10 +121,7 @@ class PotentialSpec:
                 return kappa_from_params(params)
             if self.kappa == "from-delta":
                 delta = self.delta
-                if delta is None and initial is not None and initial.kind in (
-                    "truncated_singular",
-                    "power_tail",
-                ):
+                if delta is None and initial is not None and initial.kind in _DELTA_KINDS:
                     delta = initial.delta
                 if delta is None:
                     raise ValueError("potential 'from-delta' needs a delta")
@@ -167,56 +164,22 @@ class ExperimentConfig:
         return np.asarray(self.time.output_schedule, dtype=float)
 
     def to_dict(self) -> dict:
-        initial = {"kind": self.initial.kind}
-        if self.initial.kind == "gaussian":
-            initial["amplitude"] = self.initial.amplitude
-            initial["width"] = self.initial.width
-        elif self.initial.kind == "truncated_singular":
-            initial["delta"] = self.initial.delta
-        elif self.initial.kind == "power_tail":
-            initial["amplitude"] = self.initial.amplitude
-            initial["gamma0"] = self.initial.gamma0
-            initial["delta"] = self.initial.delta
-        elif self.initial.kind == "steady_deficit_tail":
-            initial["b"] = self.initial.b
-            initial["ell"] = self.initial.ell
-        elif self.initial.kind == "steady_deficit_bump":
-            initial["b"] = self.initial.b
-            initial["width"] = self.initial.width
-        if self.initial.kind != "zero":
-            initial["scale"] = self.initial.scale
-        potential = {"kappa": self.potential.kappa}
-        if self.potential.delta is not None:
-            potential["delta"] = self.potential.delta
-        if self.potential.cap_radius is not None:
-            potential["cap_radius"] = self.potential.cap_radius
-        schedule = self.time.output_schedule
-        if not isinstance(schedule, str):
-            schedule = list(schedule)
-        outputs = {}
-        if self.outputs.csv_path is not None:
-            outputs["csv_path"] = self.outputs.csv_path
-        if self.outputs.snapshot_dir is not None:
-            outputs["snapshot_dir"] = self.outputs.snapshot_dir
-        if self.outputs.snapshot_every:
-            outputs["snapshot_every"] = self.outputs.snapshot_every
+        """The JSON document: each section holds its dataclass fields, less
+        those left unset and the initial ones its kind does not read."""
+        kind = self.initial.kind
+        initial = {"kind": kind}
+        initial.update((key, getattr(self.initial, key)) for key in sorted(_INITIAL_KEYS[kind]))
+        time = asdict(self.time)
+        if not isinstance(time["output_schedule"], str):
+            time["output_schedule"] = list(time["output_schedule"])
         return {
-            "params": {
-                "alpha": self.params.alpha,
-                "d": self.params.d,
-                "p": self.params.p,
-            },
+            "params": asdict(self.params),
             "grid": {"n": self.grid.n, "L": self.grid.half_length},
-            "time": {
-                "t_end": self.time.t_end,
-                "eta": self.time.eta,
-                "dt_max": self.time.dt_max,
-                "blowup_sup_threshold": self.time.blowup_sup_threshold,
-                "output_schedule": schedule,
-            },
+            "time": time,
             "initial": initial,
-            "potential": potential,
-            "outputs": outputs,
+            "potential": {key: v for key, v in asdict(self.potential).items() if v is not None},
+            # an unset path is None and an unset snapshot_every is 0
+            "outputs": {key: v for key, v in asdict(self.outputs).items() if v not in (None, 0)},
         }
 
     def to_json(self) -> str:
@@ -276,6 +239,9 @@ _INITIAL_KEYS = {
     "steady_deficit_tail": {"b", "ell", "scale"},
     "steady_deficit_bump": {"b", "width", "scale"},
 }
+
+# kinds whose delta stands in for a missing potential.delta
+_DELTA_KINDS = tuple(kind for kind, keys in _INITIAL_KEYS.items() if "delta" in keys)
 
 # kinds built from the singular steady profile, admissible only when it exists
 _SINGULAR_KINDS = (
@@ -473,10 +439,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if cap is not None and not cap > 0.0:
             errors.append(f"potential.cap_radius: must be positive, got {cap}")
         if kappa == "from-delta" and delta is None:
-            has_fallback = initial is not None and initial.kind in (
-                "truncated_singular", "power_tail",
-            )
-            if not has_fallback:
+            if initial is None or initial.kind not in _DELTA_KINDS:
                 errors.append(
                     "potential.kappa 'from-delta' needs potential.delta or a "
                     "delta-bearing initial datum"

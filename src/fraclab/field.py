@@ -415,11 +415,17 @@ _FFT_SHARE = threading.local()
 
 
 def thread_count(threads=None) -> int:
-    """Worker count: explicit argument, else FRACLAB_THREADS, else 1."""
+    """Worker count: explicit argument, else FRACLAB_THREADS, else every CPU
+    this process may run on."""
     if threads is not None:
         n = int(threads)
     else:
-        raw = os.environ.get("FRACLAB_THREADS", "1")
+        raw = os.environ.get("FRACLAB_THREADS")
+        if raw is None:
+            try:
+                return len(os.sched_getaffinity(0))
+            except AttributeError:  # not on every platform
+                return os.cpu_count() or 1
         try:
             n = int(raw)
         except ValueError:

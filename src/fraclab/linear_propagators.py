@@ -296,27 +296,32 @@ class HypercontractivityResult:
 def hypercontractivity_measure(
     w0: Field,
     spec: HardyOperatorSpec,
-    q: float,
-    r: float,
+    pairs,
     times,
     substeps_per_interval: int = 24,
-) -> HypercontractivityResult:
-    """Fit the decay exponent of the weighted q-norm of e^{-tH} w0.
+) -> list:
+    """Fit the decay exponent of the weighted q-norm of e^{-tH} w0 for each
+    (q, r) in pairs, from one flow; returns one result per pair, in order.
 
     For a datum with finite weighted r-norm the smoothing gain is
-    -(d/alpha)(1/r - 1/q); the fitted slope is returned next to that target.
+    -(d/alpha)(1/r - 1/q); each fitted slope is returned next to that target.
     """
-    if not 1.0 <= r <= q:
-        raise ValueError(f"need 1 <= r <= q, got r={r}, q={q}")
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("need at least one (q, r) pair")
+    for q, r in pairs:
+        if not 1.0 <= r <= q:
+            raise ValueError(f"need 1 <= r <= q, got r={r}, q={q}")
     times = _check_schedule(times)
     if times.size < 3 or times[-1] < 2.0 * times[0]:
         raise ValueError("degenerate fit window: need >= 3 times spanning a factor 2")
-    flow = _nonnegative_flow(w0, spec, times, substeps_per_interval)
-    norms = np.array([weighted_norm(Field(w0.grid, v), q, spec.weight(t)) for t, v in flow])
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    expected = -(spec.d / spec.alpha) * (inv_r - inv_q)
-    slope = float(np.polyfit(np.log(times), np.log(norms), 1)[0])
-    return HypercontractivityResult(
-        slope=slope, expected=expected, times=times, norms=norms
-    )
+    rows = []
+    for t, values in _nonnegative_flow(w0, spec, times, substeps_per_interval):
+        w, weight = Field(w0.grid, values), spec.weight(t)
+        rows.append([weighted_norm(w, q, weight) for q, _ in pairs])
+    results = []
+    for (q, r), norms in zip(pairs, map(np.array, zip(*rows))):
+        slope = float(np.polyfit(np.log(times), np.log(norms), 1)[0])
+        expected = -(spec.d / spec.alpha) * (1.0 / r - 1.0 / q)  # 1/inf is 0
+        results.append(HypercontractivityResult(slope, expected, times, norms))
+    return results

@@ -19,7 +19,6 @@ from .field import (
     Field,
     Grid,
     PowerTailDatum,
-    fold,
     heat_propagate,
     multiplicity,
     propagator,
@@ -65,6 +64,8 @@ class RunRecord:
     status: Global | Blowup | NumericalFailure
     monitor_maxima: dict
     config_hash: str = ""
+    # evolve hands outputs to on_output and leaves this None; it stays
+    # while perfbench's tracer reads it
     snapshots: list | None = None
 
     def status_dict(self) -> dict:
@@ -192,6 +193,8 @@ class BarrierMonitor:
 class SandwichMonitor:
     """Checks 0 <= u_inf - u <= e^{-tH}(u_inf - u_0) along a run.
 
+    u_0 is the state of the first observation, which evolve makes at
+    t = 0 with its own datum; a datum above the steady state raises there.
     The linear majorant is co-evolved with the same steps as u, with
     kappa = p s^{p-1} (the coupling of the linearization around u_inf).
     Violations are measured on an annulus: the capped core cell under-feeds
@@ -204,17 +207,12 @@ class SandwichMonitor:
         self,
         grid: Grid,
         params: ModelParams,
-        u0_values: np.ndarray,
         kappa: float | None = None,
         r_min: float | None = None,
         r_max: float | None = None,
     ):
-        uinf = octant_steady_state(grid, params)
-        u0 = fold(u0_values)
-        if float(np.max(u0 - uinf)) > 1e-12 * float(np.max(uinf)):
-            raise ValueError("sandwich monitor needs a datum below the steady state")
-        self._uinf = uinf
-        self._v = uinf - u0
+        self._uinf = octant_steady_state(grid, params)
+        self._v = None
         if kappa is None:
             kappa = kappa_from_params(params)
         spec = HardyOperatorSpec(params.alpha, params.d, kappa)
@@ -236,6 +234,10 @@ class SandwichMonitor:
 
     def observe(self, t: float, values: np.ndarray):
         uinf = self._uinf
+        if self._v is None:
+            if float(np.max(values - uinf)) > 1e-12 * float(np.max(uinf)):
+                raise ValueError("sandwich monitor needs a datum below the steady state")
+            self._v = uinf - values
         m = self._mask
         lower = float(np.max((values[m] - uinf[m]) / uinf[m]))
         upper = float(np.max((uinf[m] - values[m] - self._v[m]) / uinf[m]))
@@ -251,19 +253,6 @@ class SandwichMonitor:
         }
 
 
-def comparison_monitor(
-    config: ExperimentConfig,
-    kappa: float | None = None,
-    r_min: float | None = None,
-    r_max: float | None = None,
-) -> RunRecord:
-    """Run the configured evolution with the sandwich monitor attached."""
-    grid = config.build_grid()
-    u0 = unfold(config.initial.build_octant(grid, config.params))
-    monitor = SandwichMonitor(grid, config.params, u0, kappa=kappa, r_min=r_min, r_max=r_max)
-    return evolve(config, monitors=(monitor,))
-
-
 # ---------------------------------------------------------------------------
 # the integrator
 
@@ -271,7 +260,6 @@ def comparison_monitor(
 def evolve(
     config: ExperimentConfig,
     monitors=(),
-    keep_snapshots: bool = False,
     on_output=None,
 ) -> RunRecord:
     """Integrate to the horizon, recording norms on the output schedule.
@@ -281,7 +269,8 @@ def evolve(
     configured threshold, or on dt underflow.  Diffusion ringing below
     zero is clipped to keep the state nonnegative; the pre-clip minimum
     lands in the record.  on_output(k, t, field) is called at the k-th
-    recorded time, so a caller can write each output as it is reached.
+    recorded time and is the one way to see the field: a caller writes,
+    reduces or keeps each output as it is reached.
 
     Every datum is radial, so the state is its octant (see fold): the
     datum is evaluated there, the diffusion is the propagator's octant
@@ -307,7 +296,6 @@ def evolve(
     weights = multiplicity(grid)
 
     times, sups, l2s, masses, mins, dts = [], [], [], [], [], []
-    snapshots = [] if keep_snapshots else None
 
     def record(t, dt_used, min_raw):
         times.append(t)
@@ -316,12 +304,8 @@ def evolve(
         masses.append(float(np.vdot(weights, values) * h_d))
         mins.append(min_raw)
         dts.append(dt_used)
-        if keep_snapshots or on_output is not None:
-            field = Field._adopt(grid, unfold(values))
-            if keep_snapshots:
-                snapshots.append(field)
-            if on_output is not None:
-                on_output(len(times) - 1, t, field)
+        if on_output is not None:
+            on_output(len(times) - 1, t, Field._adopt(grid, unfold(values)))
 
     record(0.0, 0.0, float(np.min(values)))
     for mon in monitors:
@@ -392,7 +376,6 @@ def evolve(
         status=status,
         monitor_maxima=maxima,
         config_hash=config.config_hash(),
-        snapshots=snapshots,
     )
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import Grid
-from fraclab.nonlinear_solver import Blowup, Global
+from fraclab.field import Grid, steady_state
+from fraclab.nonlinear_solver import Blowup, Global, evolve
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +211,7 @@ def test_classify_threshold_validation():
 
 def test_classify_threshold_reverify_catches_eta_sensitivity(monkeypatch):
     # rig verdicts to flip when eta is halved: the bracket must be rejected
-    def fake_evolve(cfg, keep_snapshots=False):
+    def fake_evolve(cfg):
         lam = cfg.initial.scale
         threshold = 1.5 if cfg.time.eta >= 0.1 else 0.75
 
@@ -347,6 +349,28 @@ def test_l2_stability_requires_bump_datum():
     tail = rate_config(4096, 512.0, kind="steady_deficit_tail", b=0.01, ell=0.5)
     with pytest.raises(ValueError, match="steady_deficit_bump"):
         l2_stability_check(tail)
+
+
+def test_deficit_evolution_is_the_difference_of_two_runs():
+    cfg = l2_config(0.1)
+    grid = cfg.build_grid()
+    reference = dataclasses.replace(cfg, initial=dataclasses.replace(cfg.initial, b=0.0))
+    outputs = []
+    for run_cfg in (cfg, reference):
+        fields = []
+        evolve(run_cfg, on_output=lambda k, t, field, out=fields: out.append((t, field)))
+        outputs.append(fields)
+    horizon = image_safe_horizon(grid, cfg.params.alpha)
+    pairs = [(t, u, ref) for (t, u), (_, ref) in zip(*outputs) if 0.0 < t <= horizon]
+    sample = steady_state(grid, cfg.params).values
+
+    run = deficit_evolution(cfg)
+    assert np.array_equal(run.times, [t for t, _, _ in pairs])
+    assert len(run.deficits) == len(pairs)
+    for w, (_, u, ref) in zip(run.deficits, pairs):
+        assert np.array_equal(w, ref.values - u.values)
+    drift = max(float(np.max(np.abs(ref.values - sample))) for _, _, ref in pairs)
+    assert run.reference_drift == drift / float(np.max(sample))
 
 
 def test_l2_deficit_series_monotone():
@@ -497,7 +521,7 @@ def test_envelope_domain_errors():
 
 def test_thread_count_resolution(monkeypatch):
     monkeypatch.delenv("FRACLAB_THREADS", raising=False)
-    assert thread_count() == 1
+    assert thread_count() == len(os.sched_getaffinity(0))
     assert thread_count(4) == 4
     monkeypatch.setenv("FRACLAB_THREADS", "3")
     assert thread_count() == 3

@@ -187,7 +187,7 @@ def test_evolve_blowup_is_success(tmp_path, capsys):
 def test_evolve_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     empty = np.array([])
 
-    def broken(config, keep_snapshots=False):
+    def broken(config):
         return RunRecord(
             times=np.array([0.0]), sup_norm=np.array([1.0]), l2_norm=np.array([1.0]),
             mass=np.array([1.0]), min_value=np.array([0.0]), dt=np.array([0.0]),
@@ -245,10 +245,10 @@ def test_evolve_streams_snapshots_identical_to_kept_ones(tmp_path, monkeypatch, 
                  "--snapshot-dir", str(streamed)]) == 0
     assert records[0].snapshots is None  # nothing held until the end of the run
 
-    config = cli._load_config(cfg)
-    kept = evolve(config, keep_snapshots=True)
-    assert len(kept.snapshots) == 4
-    for i, (t, field) in enumerate(zip(kept.times, kept.snapshots)):
+    kept = []
+    evolve(cli._load_config(cfg), on_output=lambda k, t, field: kept.append((t, field)))
+    assert len(kept) == 4
+    for i, (t, field) in enumerate(kept):
         path = tmp_path / f"kept_{i}.frdf"
         write_snapshot(field, path, SnapshotMeta(alpha=1.0, p=2.0, t=float(t)))
         assert (streamed / f"snapshot_{i:04d}.frdf").read_bytes() == path.read_bytes()

@@ -2,9 +2,18 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraclab.config import ConfigError, ExperimentConfig, config_from_dict, parse_config
-from fraclab.constants import kappa_from_delta, kappa_from_params
+from fraclab.config import (
+    _DELTA_KINDS,
+    _INITIAL_KEYS,
+    ConfigError,
+    ExperimentConfig,
+    config_from_dict,
+    parse_config,
+)
+from fraclab.constants import critical_exponents, kappa_from_delta, kappa_from_params
 
 MINIMAL = {
     "params": {"alpha": 0.5, "d": 1, "p": 3.0},
@@ -29,6 +38,61 @@ def test_round_trip_identity():
     assert again == cfg
     assert again.to_json() == cfg.to_json()
     assert again.config_hash() == cfg.config_hash()
+
+
+@st.composite
+def config_docs(draw):
+    """Valid documents of every initial kind; params stay in the singular
+    regime, so the singular-profile kinds are admissible too."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    alpha = draw(st.floats(0.1, min(1.9, d - 0.1)))
+    p = critical_exponents(d, alpha)[1] + draw(st.floats(0.01, 3.0))
+    kind = draw(st.sampled_from(sorted(_INITIAL_KEYS)))
+    initial = {"kind": kind}
+    for key in sorted(_INITIAL_KEYS[kind]):
+        initial[key] = draw(st.floats(0.0 if key in ("b", "scale") else 0.01, 10.0))
+    t_end = draw(st.floats(0.5, 100.0))
+    schedule = draw(st.one_of(
+        st.just("dyadic"),
+        st.lists(st.floats(0.01, t_end), min_size=1, max_size=5).map(lambda ts: sorted(set(ts))),
+    ))
+    potential = {"kappa": draw(st.one_of(st.floats(0.0, 10.0), st.sampled_from(["from-p", "from-delta"])))}
+    delta = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
+    if delta is None and potential["kappa"] == "from-delta" and kind not in _DELTA_KINDS:
+        delta = 0.5
+    if delta is not None:
+        potential["delta"] = delta
+    cap = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
+    if cap is not None:
+        potential["cap_radius"] = cap
+    outputs = draw(st.fixed_dictionaries({}, optional={
+        "csv_path": st.just("run.csv"), "snapshot_dir": st.just("snaps"),
+        "snapshot_every": st.integers(0, 5),
+    }))
+    return {
+        "params": {"alpha": alpha, "d": d, "p": p},
+        "grid": {"n": 2 ** draw(st.integers(4, 12)), "L": draw(st.floats(1.0, 1000.0))},
+        "time": {
+            "t_end": t_end,
+            "eta": draw(st.floats(0.01, 1.0)),
+            "dt_max": draw(st.floats(0.01, 10.0)),
+            "blowup_sup_threshold": draw(st.floats(1.0, 1e12)),
+            "output_schedule": schedule,
+        },
+        "initial": initial,
+        "potential": potential,
+        "outputs": outputs,
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=config_docs())
+def test_config_round_trips_through_json(doc):
+    cfg = config_from_dict(doc)
+    again = config_from_dict(json.loads(cfg.to_json()))
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
+    assert set(cfg.to_dict()["initial"]) == _INITIAL_KEYS[cfg.initial.kind] | {"kind"}
 
 
 def test_hash_sensitivity():

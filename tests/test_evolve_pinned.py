@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fraclab.config import config_from_dict
-from fraclab.nonlinear_solver import BarrierMonitor, comparison_monitor, evolve
+from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
 
 RTOL = 1e-10
 
@@ -107,10 +107,11 @@ REFERENCE = {
 
 def _run(name):
     cfg = config_from_dict(CASES[name])
+    grid = cfg.build_grid()
     if name == "barrier_2d":
-        return evolve(cfg, monitors=(BarrierMonitor(cfg.build_grid(), cfg.params, r_max=4.0),))
+        return evolve(cfg, monitors=(BarrierMonitor(grid, cfg.params, r_max=4.0),))
     if name == "sandwich_2d":
-        return comparison_monitor(cfg, r_min=1.0, r_max=4.0)
+        return evolve(cfg, monitors=(SandwichMonitor(grid, cfg.params, r_min=1.0, r_max=4.0),))
     return evolve(cfg)
 
 

@@ -51,7 +51,7 @@ def test_runs_reject_a_mismatched_spec_dimension():
     with pytest.raises(ValueError, match="spec dimension"):
         kernel_ratio_probe(g, spec, [0.0], times, substeps_per_interval=2)
     with pytest.raises(ValueError, match="spec dimension"):
-        hypercontractivity_measure(f, spec, 2.0, 1.0, times, substeps_per_interval=2)
+        hypercontractivity_measure(f, spec, [(2.0, 1.0)], times, substeps_per_interval=2)
 
 
 def test_zero_kappa_reduces_to_heat():
@@ -221,7 +221,7 @@ def test_hypercontractivity_no_gain_at_equal_exponents():
     g = Grid(1, 64, 8.0)
     f = Field(g, np.full(g.shape, 0.7))
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
-    res = hypercontractivity_measure(f, spec, q=2.0, r=2.0, times=[1.0, 2.0, 4.0])
+    (res,) = hypercontractivity_measure(f, spec, pairs=[(2.0, 2.0)], times=[1.0, 2.0, 4.0])
     assert res.expected == 0.0
     assert abs(res.slope) < 1e-10
 
@@ -231,9 +231,30 @@ def test_hypercontractivity_domain_errors():
     f = sample(g, GaussianDatum())
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     with pytest.raises(ValueError):
-        hypercontractivity_measure(f, spec, q=1.0, r=2.0, times=[1.0, 2.0, 4.0])
+        hypercontractivity_measure(f, spec, pairs=[(1.0, 2.0)], times=[1.0, 2.0, 4.0])
     with pytest.raises(ValueError):
-        hypercontractivity_measure(f, spec, q=2.0, r=1.0, times=[1.0, 1.5])
+        hypercontractivity_measure(f, spec, pairs=[(2.0, 1.0)], times=[1.0, 1.5])
+    with pytest.raises(ValueError, match="at least one"):
+        hypercontractivity_measure(f, spec, pairs=[], times=[1.0, 2.0, 4.0])
+    # every pair is checked, not only the first
+    with pytest.raises(ValueError, match="1 <= r <= q"):
+        hypercontractivity_measure(f, spec, pairs=[(2.0, 1.0), (1.0, 2.0)], times=[1.0, 2.0, 4.0])
+
+
+def test_hypercontractivity_pairs_share_one_flow_bit_for_bit():
+    g = Grid(1, 4096, 512.0)
+    f = sample(g, GaussianDatum())
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
+    times = np.geomspace(2.0, 8.0, 5)
+    pairs = ((math.inf, 1.0), (2.0, 1.0), (math.inf, 2.0))
+    together = hypercontractivity_measure(f, spec, pairs, times, substeps_per_interval=4)
+    assert len(together) == len(pairs)
+    for pair, res in zip(pairs, together):
+        (alone,) = hypercontractivity_measure(f, spec, [pair], times, substeps_per_interval=4)
+        assert res.slope == alone.slope
+        assert res.expected == alone.expected
+        assert np.array_equal(res.norms, alone.norms)
+        assert np.array_equal(res.times, alone.times)
 
 
 def test_hypercontractivity_sup_gain_slope():
@@ -243,8 +264,8 @@ def test_hypercontractivity_sup_gain_slope():
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     t_max = (g.half_length / 8.0) ** 0.5
     times = np.geomspace(t_max / 10.0, t_max, 10)
-    res = hypercontractivity_measure(
-        f, spec, q=math.inf, r=1.0, times=times, substeps_per_interval=16
+    (res,) = hypercontractivity_measure(
+        f, spec, pairs=[(math.inf, 1.0)], times=times, substeps_per_interval=16
     )
     assert isinstance(res, HypercontractivityResult)
     assert res.expected == pytest.approx(-2.0)

@@ -14,7 +14,6 @@ from fraclab.nonlinear_solver import (
     NumericalFailure,
     SandwichMonitor,
     blowup_certificate,
-    comparison_monitor,
     evolve,
     reaction_exact,
 )
@@ -182,17 +181,18 @@ def test_overflowing_datum_rejected():
 def test_comparison_principle_at_matched_steps():
     # dt_max binds for both amplitudes, so the two runs take identical steps
     # and the discrete flow preserves pointwise order exactly.
-    runs = {}
+    runs, fields = {}, {}
     for a in (0.05, 0.1):
         cfg = make_config(
             grid={"n": 256, "L": 32.0},
             initial={"kind": "gaussian", "amplitude": a},
             time={"t_end": 4.0, "dt_max": 0.25, "output_schedule": [1.0, 2.0, 4.0]},
         )
-        runs[a] = evolve(cfg, keep_snapshots=True)
-    assert len(runs[0.05].snapshots) == len(runs[0.05].times)
+        fields[a] = []
+        runs[a] = evolve(cfg, on_output=lambda k, t, field, out=fields[a]: out.append(field))
+    assert len(fields[0.05]) == len(runs[0.05].times)
     cap = 1e-10 * runs[0.1].sup_norm[0]
-    for lo, hi in zip(runs[0.05].snapshots, runs[0.1].snapshots):
+    for lo, hi in zip(fields[0.05], fields[0.1]):
         assert float(np.max(lo.values - hi.values)) <= cap
 
 
@@ -212,6 +212,7 @@ def test_eta_refinement_stability():
 
 
 def test_snapshots_disabled_by_default():
+    # evolve holds no output; the field stays for readers of the record
     cfg = make_config(grid={"n": 64, "L": 8.0}, initial={"kind": "zero"})
     assert evolve(cfg).snapshots is None
 
@@ -262,17 +263,24 @@ def test_sandwich_monitor_three_layer_order():
     cfg = make_config(grid={"n": 1024, "L": 128.0},
                       initial={"kind": "truncated_singular", "delta": 0.9},
                       time={"t_end": 4.0})
-    rec = comparison_monitor(cfg)
+    rec = evolve(cfg, monitors=(SandwichMonitor(cfg.build_grid(), cfg.params),))
     assert isinstance(rec.status, Global)
     assert rec.monitor_maxima["sandwich_violation_lower"] < 1e-10
     assert rec.monitor_maxima["sandwich_violation_upper"] < 1e-10
 
 
 def test_sandwich_monitor_rejects_datum_above_steady_state():
+    # u_0 is the first observation, which evolve makes at t = 0
     grid = Grid(1, 256, 32.0)
     uinf = steady_state(grid, PARAMS)
+    mon = SandwichMonitor(grid, PARAMS)
     with pytest.raises(ValueError, match="below the steady state"):
-        SandwichMonitor(grid, PARAMS, 1.1 * uinf.values)
+        mon.observe(0.0, fold(1.1 * uinf.values))
+    cfg = make_config(grid={"n": 256, "L": 32.0},
+                      initial={"kind": "truncated_singular", "delta": 1.1})
+    with pytest.warns(UserWarning, match="sub-steady"):
+        with pytest.raises(ValueError, match="below the steady state"):
+            evolve(cfg, monitors=(SandwichMonitor(cfg.build_grid(), cfg.params),))
 
 
 # ---------------------------------------------------------------------------

@@ -337,8 +337,7 @@ def test_fft_workers_scope_and_sweep_share(monkeypatch):
     assert getattr(_FFT_SHARE, "workers", None) is None
 
     seen = []
-    monkeypatch.setattr(analysis, "evolve", lambda cfg, keep_snapshots=False: seen.append(
-        _FFT_SHARE.workers))
+    monkeypatch.setattr(analysis, "evolve", lambda cfg: seen.append(_FFT_SHARE.workers))
     cfg = _evolve_3d_config()
     analysis.run_sweep([cfg, cfg], threads=2)  # runs in turn, each with every worker
     analysis.run_sweep([cfg], threads=3)
