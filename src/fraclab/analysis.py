@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _DELTA_KINDS, ExperimentConfig
+from .config import _DELTA_KINDS, ExperimentConfig, _finite, _is_number
 from .constants import (
     ModelParams,
     kappa_from_delta,
@@ -146,6 +146,14 @@ def _verdict(record) -> str:
     return "Global" if isinstance(record.status, Global) else "Blowup"
 
 
+def _is_observation(entry) -> bool:
+    """Whether a state file entry is an [amplitude, verdict] pair."""
+    return (
+        isinstance(entry, list) and len(entry) == 2 and _is_number(entry[0])
+        and _finite(entry[0]) and entry[1] in ("Global", "Blowup")
+    )
+
+
 class _ObservationLog:
     """Amplitude -> verdict cache, optionally persisted as JSON so an
     interrupted bisection resumes instead of recomputing."""
@@ -157,12 +165,18 @@ class _ObservationLog:
         if path is not None and os.path.exists(path):
             with open(path) as fh:
                 state = json.load(fh)
+            observations = state.get("observations") if isinstance(state, dict) else None
+            if not isinstance(observations, list) or not all(map(_is_observation, observations)):
+                raise ValueError(
+                    f"state file {path} must be an object whose observations are "
+                    "[amplitude, 'Global' or 'Blowup'] pairs"
+                )
             if state.get("config_hash") != config_hash:
                 raise ValueError(
                     f"state file {path} belongs to config {state.get('config_hash')!r}, "
                     f"not {config_hash!r}"
                 )
-            self.seen = {float(lam): kind for lam, kind in state["observations"]}
+            self.seen = {float(lam): kind for lam, kind in observations}
 
     def record(self, lam: float, kind: str):
         self.seen[lam] = kind
@@ -194,6 +208,9 @@ class _ObservationLog:
             )
 
 
+_MAX_BISECTIONS = 40
+
+
 def classify_threshold(
     config: ExperimentConfig,
     lambda_lo: float,
@@ -201,7 +218,6 @@ def classify_threshold(
     tol: float = 0.1,
     state_path=None,
     threads=None,
-    max_iter: int = 40,
     reverify: bool = True,
 ) -> ThresholdBracket:
     """Geometric bisection of the datum amplitude until the bracket
@@ -242,7 +258,7 @@ def classify_threshold(
         raise ValueError(f"lambda_hi = {lambda_hi} classified {hi_kind}; bracket must straddle")
 
     lo, hi = lambda_lo, lambda_hi
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if hi / lo <= 1.0 + tol:
             break
         mid = math.sqrt(lo * hi)
@@ -252,7 +268,7 @@ def classify_threshold(
         else:
             hi = mid
     else:
-        raise RuntimeError(f"bracket ratio {hi / lo:.4g} after {max_iter} iterations")
+        raise RuntimeError(f"bracket ratio {hi / lo:.4g} after {_MAX_BISECTIONS} iterations")
 
     if reverify:
         timing = replace(config.time, eta=config.time.eta / 2.0)

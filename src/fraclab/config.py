@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -197,39 +197,32 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # parsing
 
+_POSITIVE = (False, lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (False, lambda v: v >= 0.0, "must be nonnegative")
 
-def _check_keys(section: dict, allowed, where, errors):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
-
-
-def _number(section, key, where, errors, default=None, required=False):
-    if key not in section:
-        if required:
-            errors.append(f"{where}: missing required key {key!r}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{where}.{key}: expected a number, got {value!r}")
-        return default
-    if not math.isfinite(value):  # json.loads reads Infinity and NaN
-        errors.append(f"{where}.{key}: must be finite, got {value}")
-        return default
-    return float(value)
-
-
-def _integer(section, key, where, errors, default=None, required=False):
-    if key not in section:
-        if required:
-            errors.append(f"{where}: missing required key {key!r}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{where}.{key}: expected an integer, got {value!r}")
-        return default
-    return value
-
+# section -> numeric key -> (integer, condition, phrase): each key's type and
+# range, declared once.  Range problems are reported in this order.
+_NUMBERS = {
+    "params": {
+        "alpha": (False, lambda v: 0.0 < v < 2.0, "must lie in (0, 2)"),
+        "d": (True, lambda v: v in (1, 2, 3), "must be 1, 2, or 3"),
+        "p": (False, lambda v: v > 1.0, "must exceed 1"),
+    },
+    "grid": {
+        "n": (True, lambda v: v >= 16 and not v & (v - 1), "must be a power of two >= 16"),
+        "L": _POSITIVE,
+    },
+    "time": {
+        "t_end": _POSITIVE,
+        "eta": (False, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+        "dt_max": _POSITIVE,
+        "blowup_sup_threshold": _POSITIVE,
+    },
+    "initial": dict.fromkeys(("amplitude", "width", "delta", "gamma0", "ell"), _POSITIVE)
+    | dict.fromkeys(("scale", "b"), _NONNEGATIVE),
+    "potential": {"delta": _POSITIVE, "cap_radius": _POSITIVE},
+    "outputs": {"snapshot_every": (True, lambda v: v >= 0, "must be nonnegative")},
+}
 
 _INITIAL_KEYS = {
     "zero": set(),
@@ -244,234 +237,176 @@ _INITIAL_KEYS = {
 _DELTA_KINDS = tuple(kind for kind, keys in _INITIAL_KEYS.items() if "delta" in keys)
 
 # kinds built from the singular steady profile, admissible only when it exists
-_SINGULAR_KINDS = (
-    "truncated_singular",
-    "power_tail",
-    "steady_deficit_tail",
-    "steady_deficit_bump",
-)
+_SINGULAR_KINDS = set(_INITIAL_KEYS) - {"zero", "gaussian"}
+
+
+def _fields(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _is_number(value, integer=False) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+
+
+def _finite(value) -> bool:
+    """Whether a JSON number, Infinity, NaN and huge integers included, is a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_keys(section: dict, allowed, where, errors):
+    errors += [f"{where}: unknown key {key!r}" for key in section if key not in allowed]
+
+
+def _section(doc, name, errors, allowed=None, required=False):
+    """doc[name], keys outside allowed reported; an optional section that
+    is missing or not an object reads as empty, a required one as None."""
+    sect = doc.get(name, None if required else {})
+    if isinstance(sect, dict):
+        if allowed is not None:
+            _check_keys(sect, allowed, name, errors)
+        return sect
+    if required:
+        errors.append(f"{name}: required section missing or not an object")
+        return None
+    errors.append(f"{name}: must be an object")
+    return {}
+
+
+def _numbers(sect, name, errors, defaults=None, range_errors=None):
+    """The _NUMBERS keys of section name, read in the order of defaults;
+    with no defaults every key is required.
+
+    A missing key takes its default; a wrong type or a non-finite number is
+    reported and takes the default.  A value out of range is kept and
+    reported, to range_errors when the caller has checks of its own first.
+    """
+    table = _NUMBERS[name]
+    values = {}
+    for key in table if defaults is None else defaults:
+        if key not in table:
+            continue
+        integer = table[key][0]
+        values[key] = None if defaults is None else defaults[key]
+        if key not in sect:
+            if defaults is None:
+                errors.append(f"{name}: missing required key {key!r}")
+        elif not _is_number(sect[key], integer):
+            kind = "an integer" if integer else "a number"
+            errors.append(f"{name}.{key}: expected {kind}, got {sect[key]!r}")
+        elif not integer and not _finite(sect[key]):
+            errors.append(f"{name}.{key}: must be finite, got {sect[key]}")
+        else:
+            values[key] = sect[key] if integer else float(sect[key])
+    for key, (_, ok, phrase) in table.items():
+        if values[key] is not None and not ok(values[key]):
+            (errors if range_errors is None else range_errors).append(
+                f"{name}.{key}: {phrase}, got {values[key]}"
+            )
+    return values
+
+
+def _schedule(sect, t_end, errors):
+    """time.output_schedule: "dyadic", or a tuple of positive increasing
+    times up to t_end."""
+    schedule = sect.get("output_schedule", "dyadic")
+    if isinstance(schedule, str):
+        if schedule != "dyadic":
+            errors.append(f"time.output_schedule: unknown named schedule {schedule!r}")
+    elif not isinstance(schedule, list):
+        errors.append("time.output_schedule: must be 'dyadic' or a number list")
+    elif not schedule or not all(_is_number(v) and _finite(v) for v in schedule):
+        errors.append("time.output_schedule: must be a nonempty list of finite numbers")
+    else:
+        schedule = tuple(float(v) for v in schedule)
+        if not all(b > a for a, b in zip(schedule, schedule[1:])) or schedule[0] <= 0.0:
+            errors.append("time.output_schedule: times must be positive and strictly increasing")
+        elif schedule[-1] > t_end * (1 + 1e-12):
+            errors.append(f"time.output_schedule: last time {schedule[-1]} exceeds t_end {t_end}")
+    return schedule
+
+
+def _kappa(sect, errors):
+    """potential.kappa: a nonnegative number or a binding name."""
+    kappa = sect.get("kappa", "from-p")
+    if kappa in ("from-p", "from-delta"):
+        return kappa
+    if isinstance(kappa, str):
+        problem = f"must be a number, 'from-p', or 'from-delta', got {kappa!r}"
+    elif not _is_number(kappa):
+        problem = f"expected number or binding, got {kappa!r}"
+    elif not _finite(kappa):
+        problem = f"must be finite, got {kappa}"
+    elif kappa < 0.0:
+        problem = f"must be nonnegative, got {kappa}"
+    else:
+        return float(kappa)
+    errors.append(f"potential.kappa: {problem}")
+    return kappa
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document; raises ConfigError listing every
     problem found, not just the first."""
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
-    _check_keys(doc, {"params", "grid", "time", "initial", "potential", "outputs"},
-                "top level", errors)
+    errors: list[str] = []
+    _check_keys(doc, _fields(ExperimentConfig), "top level", errors)
+    params = initial = None
 
-    # params (required)
-    params = None
-    alpha = d = p = None
-    sect = doc.get("params")
-    if not isinstance(sect, dict):
-        errors.append("params: required section missing or not an object")
-    else:
-        _check_keys(sect, {"alpha", "d", "p"}, "params", errors)
-        alpha = _number(sect, "alpha", "params", errors, required=True)
-        d = _integer(sect, "d", "params", errors, required=True)
-        p = _number(sect, "p", "params", errors, required=True)
-        if alpha is not None and not 0.0 < alpha < 2.0:
-            errors.append(f"params.alpha: must lie in (0, 2), got {alpha}")
-        if d is not None and d not in (1, 2, 3):
-            errors.append(f"params.d: must be 1, 2, or 3, got {d}")
-        if p is not None and not p > 1.0:
-            errors.append(f"params.p: must exceed 1, got {p}")
-        if not errors:
-            try:
-                params = ModelParams(alpha=alpha, d=d, p=p)
-            except ValueError as exc:
-                errors.append(f"params: {exc}")
+    sect = _section(doc, "params", errors, _NUMBERS["params"], required=True)
+    values = None if sect is None else _numbers(sect, "params", errors)
+    if not errors:  # the table's conditions are all that ModelParams checks
+        params = ModelParams(**values)
 
-    # grid
-    sect = doc.get("grid", {})
-    grid = GridSettings()
-    if not isinstance(sect, dict):
-        errors.append("grid: must be an object")
-    else:
-        _check_keys(sect, {"n", "L"}, "grid", errors)
-        n = _integer(sect, "n", "grid", errors, default=grid.n)
-        L = _number(sect, "L", "grid", errors, default=grid.half_length)
-        if n is not None and (n < 16 or n & (n - 1)):
-            errors.append(f"grid.n: must be a power of two >= 16, got {n}")
-        if L is not None and not L > 0.0:
-            errors.append(f"grid.L: must be positive, got {L}")
-        if n is not None and L is not None:
-            grid = GridSettings(n=n, half_length=L)
+    sect = _section(doc, "grid", errors, _NUMBERS["grid"])
+    values = _numbers(sect, "grid", errors, {"n": GridSettings.n, "L": GridSettings.half_length})
+    grid = GridSettings(n=values["n"], half_length=values["L"])
 
-    # time
-    sect = doc.get("time", {})
-    time = TimeSettings()
-    if not isinstance(sect, dict):
-        errors.append("time: must be an object")
-    else:
-        _check_keys(
-            sect,
-            {"t_end", "eta", "dt_max", "blowup_sup_threshold", "output_schedule"},
-            "time",
-            errors,
-        )
-        t_end = _number(sect, "t_end", "time", errors, default=time.t_end)
-        eta = _number(sect, "eta", "time", errors, default=time.eta)
-        dt_max = _number(sect, "dt_max", "time", errors, default=time.dt_max)
-        threshold = _number(
-            sect, "blowup_sup_threshold", "time", errors,
-            default=time.blowup_sup_threshold,
-        )
-        schedule = sect.get("output_schedule", "dyadic")
-        if t_end is not None and not t_end > 0.0:
-            errors.append(f"time.t_end: must be positive, got {t_end}")
-        if eta is not None and not 0.0 < eta <= 1.0:
-            errors.append(f"time.eta: must lie in (0, 1], got {eta}")
-        if dt_max is not None and not dt_max > 0.0:
-            errors.append(f"time.dt_max: must be positive, got {dt_max}")
-        if threshold is not None and not threshold > 0.0:
-            errors.append(f"time.blowup_sup_threshold: must be positive, got {threshold}")
-        if isinstance(schedule, str):
-            if schedule != "dyadic":
-                errors.append(
-                    f"time.output_schedule: unknown named schedule {schedule!r}"
-                )
-        elif isinstance(schedule, list):
-            ok = all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                for v in schedule
-            )
-            if not ok or len(schedule) == 0:
-                errors.append("time.output_schedule: must be a nonempty list of finite numbers")
-            else:
-                ts = [float(v) for v in schedule]
-                if not all(b > a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
-                    errors.append(
-                        "time.output_schedule: times must be positive and strictly increasing"
-                    )
-                elif t_end is not None and ts[-1] > t_end * (1 + 1e-12):
-                    errors.append(
-                        f"time.output_schedule: last time {ts[-1]} exceeds t_end {t_end}"
-                    )
-                else:
-                    schedule = tuple(ts)
-        else:
-            errors.append("time.output_schedule: must be 'dyadic' or a number list")
-        if not [e for e in errors if e.startswith("time")]:
-            time = TimeSettings(
-                t_end=t_end,
-                eta=eta,
-                dt_max=dt_max,
-                blowup_sup_threshold=threshold,
-                output_schedule=schedule if not isinstance(schedule, list) else tuple(schedule),
-            )
+    sect = _section(doc, "time", errors, _fields(TimeSettings))
+    values = _numbers(sect, "time", errors, vars(TimeSettings()))
+    time = TimeSettings(output_schedule=_schedule(sect, values["t_end"], errors), **values)
 
-    # initial (required)
-    initial = None
-    sect = doc.get("initial")
-    if not isinstance(sect, dict):
-        errors.append("initial: required section missing or not an object")
-    else:
+    sect = _section(doc, "initial", errors, required=True)
+    if sect is not None:
         kind = sect.get("kind")
-        if kind not in _INITIAL_KEYS:
-            errors.append(
-                f"initial.kind: must be one of {sorted(_INITIAL_KEYS)}, got {kind!r}"
-            )
+        if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+            errors.append(f"initial.kind: must be one of {sorted(_INITIAL_KEYS)}, got {kind!r}")
         else:
             _check_keys(sect, _INITIAL_KEYS[kind] | {"kind"}, "initial", errors)
-            defaults = InitialSpec(kind=kind)
-            amplitude = _number(sect, "amplitude", "initial", errors, defaults.amplitude)
-            width = _number(sect, "width", "initial", errors, defaults.width)
-            delta = _number(sect, "delta", "initial", errors, defaults.delta)
-            gamma0 = _number(sect, "gamma0", "initial", errors, defaults.gamma0)
-            b = _number(sect, "b", "initial", errors, defaults.b)
-            ell = _number(sect, "ell", "initial", errors, defaults.ell)
-            scale = _number(sect, "scale", "initial", errors, defaults.scale)
-            for name, value in (
-                ("amplitude", amplitude),
-                ("width", width),
-                ("delta", delta),
-                ("gamma0", gamma0),
-                ("ell", ell),
-            ):
-                if value is not None and not value > 0.0:
-                    errors.append(f"initial.{name}: must be positive, got {value}")
-            for name, value in (("scale", scale), ("b", b)):
-                if value is not None and value < 0.0:
-                    errors.append(f"initial.{name}: must be nonnegative, got {value}")
-            initial = InitialSpec(
-                kind=kind, amplitude=amplitude, width=width,
-                delta=delta, gamma0=gamma0, b=b, ell=ell, scale=scale,
-            )
-            if (
-                params is not None
-                and kind in _SINGULAR_KINDS
-                and not params.singular_regime
-            ):
+            values = _numbers(sect, "initial", errors, vars(InitialSpec(kind)))
+            initial = InitialSpec(kind, **values)
+            if params is not None and kind in _SINGULAR_KINDS and not params.singular_regime:
                 p_sg = critical_exponents(params.d, params.alpha)[1]
                 errors.append(
                     f"initial.kind {kind!r} needs the singular steady state, which "
                     f"requires p > 1 + alpha/(d - alpha) = {p_sg}; got p = {params.p}"
                 )
 
-    # potential
-    sect = doc.get("potential", {})
-    potential = PotentialSpec()
-    if not isinstance(sect, dict):
-        errors.append("potential: must be an object")
-    else:
-        _check_keys(sect, {"kappa", "delta", "cap_radius"}, "potential", errors)
-        kappa = sect.get("kappa", "from-p")
-        if isinstance(kappa, str):
-            if kappa not in ("from-p", "from-delta"):
-                errors.append(
-                    f"potential.kappa: must be a number, 'from-p', or 'from-delta', got {kappa!r}"
-                )
-        elif isinstance(kappa, bool) or not isinstance(kappa, (int, float)):
-            errors.append(f"potential.kappa: expected number or binding, got {kappa!r}")
-        elif not math.isfinite(kappa):
-            errors.append(f"potential.kappa: must be finite, got {kappa}")
-        elif kappa < 0.0:
-            errors.append(f"potential.kappa: must be nonnegative, got {kappa}")
-        else:
-            kappa = float(kappa)
-        delta = _number(sect, "delta", "potential", errors, default=None)
-        cap = _number(sect, "cap_radius", "potential", errors, default=None)
-        if delta is not None and not delta > 0.0:
-            errors.append(f"potential.delta: must be positive, got {delta}")
-        if cap is not None and not cap > 0.0:
-            errors.append(f"potential.cap_radius: must be positive, got {cap}")
-        if kappa == "from-delta" and delta is None:
-            if initial is None or initial.kind not in _DELTA_KINDS:
-                errors.append(
-                    "potential.kappa 'from-delta' needs potential.delta or a "
-                    "delta-bearing initial datum"
-                )
-        potential = PotentialSpec(kappa=kappa, delta=delta, cap_radius=cap)
-
-    # outputs
-    sect = doc.get("outputs", {})
-    outputs = OutputSettings()
-    if not isinstance(sect, dict):
-        errors.append("outputs: must be an object")
-    else:
-        _check_keys(sect, {"csv_path", "snapshot_dir", "snapshot_every"}, "outputs", errors)
-        csv_path = sect.get("csv_path")
-        snapshot_dir = sect.get("snapshot_dir")
-        snapshot_every = _integer(sect, "snapshot_every", "outputs", errors, default=0)
-        if csv_path is not None and not isinstance(csv_path, str):
-            errors.append("outputs.csv_path: must be a string")
-        if snapshot_dir is not None and not isinstance(snapshot_dir, str):
-            errors.append("outputs.snapshot_dir: must be a string")
-        if snapshot_every is not None and snapshot_every < 0:
-            errors.append(
-                f"outputs.snapshot_every: must be nonnegative, got {snapshot_every}"
-            )
-        outputs = OutputSettings(
-            csv_path=csv_path if isinstance(csv_path, str) else None,
-            snapshot_dir=snapshot_dir if isinstance(snapshot_dir, str) else None,
-            snapshot_every=snapshot_every or 0,
+    sect = _section(doc, "potential", errors, _fields(PotentialSpec))
+    kappa = _kappa(sect, errors)
+    values = _numbers(sect, "potential", errors, vars(PotentialSpec()))
+    if kappa == "from-delta" and values["delta"] is None and (
+        initial is None or initial.kind not in _DELTA_KINDS
+    ):
+        errors.append(
+            "potential.kappa 'from-delta' needs potential.delta or a delta-bearing initial datum"
         )
+    potential = PotentialSpec(kappa=kappa, **values)
 
-    if errors:
-        raise ConfigError(errors)
+    sect = _section(doc, "outputs", errors, _fields(OutputSettings))
+    late: list[str] = []
+    values = _numbers(sect, "outputs", errors, vars(OutputSettings()), late)
+    paths = {key: sect.get(key) for key in ("csv_path", "snapshot_dir")}
+    for key, path in paths.items():
+        if path is not None and not isinstance(path, str):
+            errors.append(f"outputs.{key}: must be a string")
+    outputs = OutputSettings(**paths, **values)
+
+    if errors or late:
+        raise ConfigError(errors + late)
     return ExperimentConfig(
         params=params, grid=grid, time=time,
         initial=initial, potential=potential, outputs=outputs,

@@ -230,13 +230,15 @@ def cell_delta(grid: Grid, y) -> tuple[Field, tuple]:
     return Field(grid, values), idx
 
 
+_SUPPORT_FLOOR = 1e-13
+
+
 def kernel_ratio_probe(
     grid: Grid,
     spec: HardyOperatorSpec,
     y,
     times,
     window_radius: float | None = None,
-    support_floor: float = 1e-13,
     substeps_per_interval: int = 32,
 ) -> RatioProbeResult:
     """Measure e^{-tH}(x, y) / (phi(x, t) phi(y, t) G_alpha(x - y, t)).
@@ -268,7 +270,7 @@ def kernel_ratio_probe(
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)
-        mask = in_window & off_origin & (free.values > support_floor * np.max(free.values))
+        mask = in_window & off_origin & (free.values > _SUPPORT_FLOOR * np.max(free.values))
         ratio = values[mask] / (phi[mask] * phi[idx] * free.values[mask])
         max_r.append(float(np.max(ratio)))
         med_r.append(float(np.median(ratio)))

@@ -39,7 +39,6 @@ class RadialProfile:
     values: np.ndarray
     d: int
     tail_exponent: float
-    core_rule: str = "constant"
     _interp: object = field(init=False, repr=False, default=None)
     _loglog: bool = field(init=False, repr=False, default=False)
 
@@ -52,8 +51,6 @@ class RadialProfile:
             raise ValueError("radii must be strictly increasing and positive")
         if not (isinstance(self.d, int) and self.d >= 2):
             raise ValueError(f"d must be an integer >= 2, got {self.d}")
-        if self.core_rule != "constant":
-            raise ValueError(f"unknown core_rule {self.core_rule!r}")
         self._loglog = bool(np.all(self.values > 0.0))
         if self._loglog:
             self._interp = _MonotoneCubic(np.log(self.radii), np.log(self.values))

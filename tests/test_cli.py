@@ -68,6 +68,13 @@ def test_non_finite_config_number_is_exit_two(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [["gaussian"], {}])
+def test_non_string_initial_kind_is_exit_two(tmp_path, capsys, kind):
+    path = run_config(tmp_path, initial={"kind": kind})
+    assert main(["evolve", "--config", str(path)]) == 2
+    assert "initial.kind: must be one of" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -386,6 +393,29 @@ def test_classify_monotonicity_violation_exits_three(tmp_path, capsys):
                                  "observations": [[5.0, "Global"]]}))
     assert main(args + ["--state", str(state)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        {"config_hash": "HASH"},  # no observations
+        [[0.5, "Global"]],  # not an object
+        {"config_hash": "HASH", "observations": [[0.5, "Global", 1]]},
+        {"config_hash": "HASH", "observations": [[0.5, "Global"], [1.7, "Maybe"]]},
+    ],
+)
+def test_classify_malformed_state_file_is_usage_error(tmp_path, capsys, state):
+    from fraclab.config import parse_config
+
+    args = classify_args(tmp_path)
+    chash = parse_config(open(args[args.index("--config") + 1]).read()).config_hash()
+    path = tmp_path / "state.json"
+    text = json.dumps(state).replace("HASH", chash)
+    path.write_text(text)
+    assert main(args + ["--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: state file {path} ") and "pairs" in err
+    assert path.read_text() == text
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,31 @@
+import dataclasses
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclab.config import (
     _DELTA_KINDS,
     _INITIAL_KEYS,
+    _NUMBERS,
     ConfigError,
     ExperimentConfig,
+    GridSettings,
+    InitialSpec,
+    OutputSettings,
+    PotentialSpec,
+    TimeSettings,
     config_from_dict,
     parse_config,
 )
-from fraclab.constants import critical_exponents, kappa_from_delta, kappa_from_params
+from fraclab.constants import (
+    ModelParams,
+    critical_exponents,
+    kappa_from_delta,
+    kappa_from_params,
+)
 
 MINIMAL = {
     "params": {"alpha": 0.5, "d": 1, "p": 3.0},
@@ -93,6 +105,83 @@ def test_config_round_trips_through_json(doc):
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
     assert set(cfg.to_dict()["initial"]) == _INITIAL_KEYS[cfg.initial.kind] | {"kind"}
+
+
+# values a sweep generator or a hand edit might leave where a number, a
+# string or a section belongs
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([10**400, -(10**400), 2**70]),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(sorted(_INITIAL_KEYS) + ["dyadic", "from-p", "from-delta"]),
+    st.lists(st.one_of(st.floats(), st.integers(-5, 5), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+SECTIONS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+KEYS = sorted(
+    {key for table in _NUMBERS.values() for key in table}
+    | {"kind", "output_schedule", "kappa", "csv_path", "snapshot_dir", "bogus"}
+)
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid document with one to four mutations: a key set to junk or
+    removed, a section dropped or replaced by junk, or an unknown key."""
+    doc = draw(config_docs())
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["set", "delete", "drop", "replace", "extra"]))
+        name = draw(st.sampled_from(SECTIONS))
+        sect = doc.get(name)
+        if op == "set" and isinstance(sect, dict):
+            sect[draw(st.sampled_from(KEYS))] = draw(JUNK)
+        elif op == "delete" and isinstance(sect, dict) and sect:
+            del sect[draw(st.sampled_from(sorted(sect)))]
+        elif op == "drop":
+            doc.pop(name, None)
+        elif op == "replace":
+            doc[name] = draw(JUNK)
+        elif op == "extra":
+            doc[draw(st.sampled_from(["bogus", "param", "output"]))] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=mutated_docs())
+@example(doc=dict(MINIMAL, initial={"kind": ["gaussian"]}))
+def test_mutated_documents_parse_or_raise_config_error(doc):
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as exc:
+        assert exc.errors and all(isinstance(e, str) for e in exc.errors)
+    else:
+        assert config_from_dict(json.loads(cfg.to_json())) == cfg
+
+
+@pytest.mark.parametrize(
+    "section, settings_class, special",
+    [
+        ("params", ModelParams, set()),
+        ("grid", GridSettings, set()),
+        ("time", TimeSettings, {"output_schedule"}),
+        ("initial", InitialSpec, {"kind"}),
+        ("potential", PotentialSpec, {"kappa"}),
+        ("outputs", OutputSettings, {"csv_path", "snapshot_dir"}),
+    ],
+)
+def test_every_settings_field_is_validated(section, settings_class, special):
+    # the document's grid.L is GridSettings.half_length
+    keys = {"half_length" if key == "L" else key for key in _NUMBERS[section]}
+    assert keys.isdisjoint(special)
+    assert keys | special == {f.name for f in dataclasses.fields(settings_class)}
+
+
+def test_number_table_covers_every_section_and_initial_key():
+    assert list(_NUMBERS) == SECTIONS
+    assert set().union(*_INITIAL_KEYS.values()) == set(_NUMBERS["initial"])
 
 
 def test_hash_sensitivity():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fraclab.constants import ModelParams, singular_amplitude
 from fraclab.field import (
@@ -288,6 +291,41 @@ def test_snapshot_rejects_corruption(tmp_path):
     bad_magic.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(SnapshotFormatError):
         read_snapshot(bad_magic)
+
+
+@st.composite
+def snapshots(draw):
+    """A field on a drawn grid, with any finite doubles, and its metadata."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    grid = Grid(d, draw(st.sampled_from([16, 32] if d < 3 else [16])), draw(st.floats(1e-3, 1e6)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, grid.shape, elements=finite))
+    meta = SnapshotMeta(alpha=draw(finite), p=draw(finite), t=draw(finite))
+    return Field(grid, values), meta
+
+
+@settings(max_examples=30, deadline=None)
+@given(snapshot=snapshots())
+def test_snapshot_round_trips_bit_for_bit(tmp_path_factory, snapshot):
+    field, meta = snapshot
+    path = tmp_path_factory.mktemp("frdf") / "field.frdf"
+    write_snapshot(field, path, meta)
+    back, got_meta = read_snapshot(path)
+    assert back.grid == field.grid
+    assert back.values.tobytes() == field.values.tobytes()  # -0.0 and subnormals too
+    assert got_meta == meta
+
+
+@settings(max_examples=30, deadline=None)
+@given(snapshot=snapshots(), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_every_snapshot_truncation_is_rejected(tmp_path_factory, snapshot, cut):
+    field, meta = snapshot
+    path = tmp_path_factory.mktemp("frdf") / "field.frdf"
+    write_snapshot(field, path, meta)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: int(cut * len(blob))])
+    with pytest.raises(SnapshotFormatError):
+        read_snapshot(path)
 
 
 def test_snapshot_rejects_future_version(tmp_path):
