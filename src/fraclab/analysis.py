@@ -162,9 +162,18 @@ class _ObservationLog:
         self.config_hash = config_hash
         self.path = path
         self.seen = {}
-        if path is not None and os.path.exists(path):
+        if path is None:
+            return
+        # checked before any run, whose verdict the state could not keep
+        folder = os.path.dirname(os.fspath(path))
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"state file {path}: directory {folder} does not exist")
+        if os.path.exists(path):
             with open(path) as fh:
-                state = json.load(fh)
+                try:
+                    state = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"state file {path} is not JSON: {exc}") from None
             observations = state.get("observations") if isinstance(state, dict) else None
             if not isinstance(observations, list) or not all(map(_is_observation, observations)):
                 raise ValueError(

@@ -227,10 +227,16 @@ class WeightSpec:
 def weight_values(grid: Grid, weight: WeightSpec) -> np.ndarray:
     """phi_sigma on the lattice; the radius is floored at h/2 so the origin
     cell carries the same regularization as the singular data it measures."""
-    if weight.t == 0.0:
-        return np.ones(grid.shape)
-    rc = grid.capped_radius()
-    return 1.0 + weight.t ** (weight.sigma / weight.alpha) * rc ** (-weight.sigma)
+    return _phi(weight, grid.capped_radius())
+
+
+def octant_weight_values(grid: Grid, weight: WeightSpec) -> np.ndarray:
+    """weight_values on the octant (see fold)."""
+    return _phi(weight, grid.octant_capped_radius())
+
+
+def _phi(weight: WeightSpec, capped: np.ndarray) -> np.ndarray:
+    return 1.0 + weight.t ** (weight.sigma / weight.alpha) * capped ** (-weight.sigma)
 
 
 def weighted_norm(field: Field, q: float, weight: WeightSpec | None = None) -> float:
@@ -239,22 +245,32 @@ def weighted_norm(field: Field, q: float, weight: WeightSpec | None = None) -> f
     With weight None (or t = 0) this is the plain discrete L^q norm.  At
     q = 2 the weight cancels algebraically and the plain L^2 norm returns.
     """
+    phi = None if weight is None else weight_values(field.grid, weight)
+    return _norm(field.values, q, phi, field.grid)
+
+
+def octant_norm(grid: Grid, octant: np.ndarray, q: float, phi: np.ndarray | None = None) -> float:
+    """weighted_norm of the even lattice field with this octant (see fold),
+    phi being its weight on the octant (octant_weight_values) or None:
+    each octant point counts with its multiplicity."""
+    return _norm(octant, q, phi, grid, multiplicity(grid))
+
+
+def _norm(v: np.ndarray, q: float, phi, grid: Grid, count=None) -> float:
+    """The discrete (sum count |v/phi|^q phi^2 h^d)^{1/q}, or max |v|/phi at
+    q = inf; count None counts every point once."""
     if not q >= 1.0:
         raise ValueError(f"q must lie in [1, inf], got {q}")
-    v = field.values
-    if weight is None:
-        phi = None
-    else:
-        phi = weight_values(field.grid, weight)
     if math.isinf(q):
         if phi is None:
             return float(np.max(np.abs(v)))
         return float(np.max(np.abs(v) / phi))
-    h_d = field.grid.h ** field.grid.d
+    h_d = grid.h ** grid.d
     if phi is None:
-        total = np.sum(np.abs(v) ** q)
+        terms = np.abs(v) ** q
     else:
-        total = np.sum(np.abs(v / phi) ** q * phi ** 2)
+        terms = np.abs(v / phi) ** q * phi ** 2
+    total = np.sum(terms) if count is None else np.vdot(count, terms)
     return float((total * h_d) ** (1.0 / q))
 
 
@@ -515,6 +531,62 @@ def _interleave(even, odd, n: int, workers: int) -> np.ndarray:
     return line
 
 
+# Octant lines of at most _DCT1_BASE + 1 points take their type-1 DCT as
+# one rfft of the unfolded line; longer ones halve first (see _dct1).
+_DCT1_BASE = 4096
+
+
+def _dct1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The unnormalized type-1 DCT of a line of N + 1 points, N a power of
+    two: rfft(unfold(x)).real, the spectrum of the even line whose octant
+    is x.  It is written to out (a new array if None), which is returned.
+
+    With M = N/2 the even outputs are the DCT-I of g_j = x_j + x_{N-j}
+    (j < M), g_M = 2 x_M, and the odd outputs the DCT-III of
+    h_j = x_j - x_{N-j} (j < M), done by _dct3 (Makhoul 1980).
+    """
+    n = x.size - 1
+    if out is None:
+        out = np.empty(n + 1)
+    if n <= _DCT1_BASE:
+        out[...] = np.fft.rfft(unfold(x)).real
+        return out
+    m = n // 2
+    head, tail = x[:m], x[n:m:-1]
+    g = np.empty(m + 1)
+    np.add(head, tail, out=g[:m])
+    g[m] = 2.0 * x[m]
+    _dct3(head - tail, out[1::2])
+    _dct1(g, out[0::2])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _dct3_twiddles(m: int) -> np.ndarray:
+    """e^{i pi k/(2m)} for k in [0, m/2]."""
+    w = np.exp((0.5j * np.pi / m) * np.arange(m // 2 + 1))
+    w.flags.writeable = False
+    return w
+
+
+def _dct3(h: np.ndarray, out: np.ndarray):
+    """Write to out scipy's unnormalized type-3 DCT of a line of m points,
+    m even: y_k = h_0 + 2 sum_{j >= 1} h_j cos(pi (2k + 1) j/(2m)).  One
+    irfft of m points does it (Makhoul 1980): the spectrum
+    e^{i pi k/(2m)} (h_k - i h_{m-k}), with h_m = 0, is Hermitian, and its
+    inverse v holds y_{2k} = v_k and y_{2k+1} = v_{m-1-k}."""
+    m = h.size
+    q = m // 2
+    spectrum = np.empty(q + 1, dtype=complex)
+    spectrum.real = h[: q + 1]
+    spectrum.imag[0] = 0.0
+    np.negative(h[: q - 1 : -1], out=spectrum.imag[1:])
+    spectrum *= _dct3_twiddles(m)
+    v = np.fft.irfft(spectrum, m, norm="forward")
+    out[0::2] = v[:q]
+    out[1::2] = v[: q - 1 : -1]
+
+
 class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
@@ -525,9 +597,10 @@ class SpectralPropagator:
     per worker when there are two, with the same bits for any worker
     count.  octant() carries the octant of a field that is even in every
     coordinate (see fold), whose DFT is the type-1 DCT of the octant
-    (Martucci 1994): scipy.fft's dctn/idctn with workers on d >= 2, and on
-    d = 1 the unfolded line through the full layout, since a DCT-I pads to
-    the full length there anyway.
+    (Martucci 1994): scipy.fft's dctn/idctn with workers on d >= 2; on
+    d = 1 a line of SPLIT_MIN points and more by _dct1 twice, which does
+    half the transform work of the full layout, and a shorter one as the
+    unfolded line through the full layout.
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
@@ -600,6 +673,12 @@ class SpectralPropagator:
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new octant array: the even field with this octant carried
         forward by time t, folded again."""
+        if self._split:  # the DCT-I is its own inverse up to 1/n
+            spectrum = _dct1(values)
+            spectrum *= self._multipliers(t, False)[0]
+            out = _dct1(spectrum)
+            out *= 1.0 / self._shape[0]
+            return out
         if self._fft is None:
             return self(np.concatenate((values, values[-2:0:-1])), t)[: values.size]
         mult = self._multipliers(t, False)[0]

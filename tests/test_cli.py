@@ -418,6 +418,26 @@ def test_classify_malformed_state_file_is_usage_error(tmp_path, capsys, state):
     assert path.read_text() == text
 
 
+def test_classify_state_in_a_missing_directory_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    import fraclab.analysis as analysis
+
+    runs = []
+    monkeypatch.setattr(analysis, "evolve", lambda cfg: runs.append(cfg))
+    path = tmp_path / "missing" / "st.json"
+    assert main(classify_args(tmp_path) + ["--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: state file {path}: ") and ".tmp" not in err
+    assert runs == [] and not path.parent.exists()
+
+
+def test_classify_state_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"config_hash": "ab')  # cut short
+    assert main(classify_args(tmp_path) + ["--state", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: state file {path} is not JSON: ")
+    assert path.read_text() == '{"config_hash": "ab'
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -6,6 +6,7 @@ two must agree bit for bit.  evolve builds no full-lattice array before its
 first output and one per output: Fields it hands out are read-only and
 never written again, the per-grid cache holds only octant arrays after a
 run, and the run's peak memory grows by less than four lattice arrays.
+The Hardy runs of an even datum cache only octant arrays too.
 """
 
 import json
@@ -15,21 +16,24 @@ import sys
 import textwrap
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclab.config import InitialSpec, config_from_dict
-from fraclab.constants import ModelParams, critical_exponents
+from fraclab.constants import ModelParams, critical_exponents, power_map_coeff_max
 from fraclab.field import (
     _GRID_CACHE,
     Field,
+    GaussianDatum,
     Grid,
     clear_grid_cache,
     fold,
     octant_steady_state,
+    sample,
     steady_state,
 )
-from fraclab.linear_propagators import HardyOperatorSpec
+from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hypercontractivity_measure
 from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -126,15 +130,43 @@ def test_public_field_constructor_copies():
     assert np.all(f.values == 1.0) and not f.values.flags.writeable
 
 
+def _cached_sizes() -> dict:
+    return {name: value.size for slot in _GRID_CACHE.values() for name, value in slot.items()
+            if isinstance(value, np.ndarray)}
+
+
 def test_evolve_caches_no_lattice_array():
     cfg = _config(3, 7.3)
     grid = cfg.build_grid()
     clear_grid_cache()
     monitors = (BarrierMonitor(grid, cfg.params), SandwichMonitor(grid, cfg.params, r_min=grid.h))
     evolve(cfg, monitors=monitors)
-    sizes = {name: value.size for slot in _GRID_CACHE.values() for name, value in slot.items()
-             if isinstance(value, np.ndarray)}
+    sizes = _cached_sizes()
     assert sizes and max(sizes.values()) < grid.n ** grid.d, sizes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_hardy_runs_cache_no_lattice_array(d):
+    grid = Grid(d, 32 if d < 3 else 16, 4.0)
+    spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
+    times = [0.1, 0.2, 0.4]
+    even = sample(grid, GaussianDatum())
+    runs = (
+        lambda w0: hardy_evolve(w0, spec, times, 2),
+        lambda w0: hypercontractivity_measure(w0, spec, [(2.0, 1.0)], times, 2),
+    )
+    for run in runs:
+        clear_grid_cache()
+        run(even)
+        sizes = _cached_sizes()
+        assert sizes and max(sizes.values()) < grid.n ** d, sizes
+    # a datum that is not even runs on the lattice and caches its potential
+    off = even.values.copy()
+    off[(1,) * d] += 0.5
+    for run in runs:
+        clear_grid_cache()
+        run(Field(grid, off))
+        assert max(_cached_sizes().values()) == grid.n ** d
 
 
 _PEAK_SCRIPT = textwrap.dedent("""

@@ -4,10 +4,13 @@ The propagator must conserve mass, compose as a semigroup, and agree with
 a plain numpy.fft evaluation of exp(-t |k|^alpha); its octant layout must
 agree with the full layout on mirror-even data; the fused-potential
 interval loop must agree with one Strang step at a time, and preserve
-order; the reaction flow must compose; and a run must not depend on the
-FFT worker count.
+order; the Hardy runs of an even datum, on its octant, must agree with
+the lattice flow, and those of any other datum keep its bits; evolve must
+preserve order at matched steps; the reaction flow must compose; and a
+run must not depend on the FFT worker count.
 Lines of SPLIT_MIN points and more are transformed as two half-length
-lines, whose half spectra must rebuild numpy's rfft and irfft.
+lines, whose half spectra must rebuild numpy's rfft and irfft, and their
+octants by a halving DCT-I that must equal the rfft of the unfolded line.
 """
 
 import math
@@ -16,7 +19,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclab.analysis as analysis
@@ -27,7 +30,9 @@ from fraclab.field import (
     Field,
     Grid,
     SpectralPropagator,
+    _DCT1_BASE,
     _FFT_SHARE,
+    _dct1,
     _halves,
     _interleave,
     fft_workers,
@@ -35,14 +40,17 @@ from fraclab.field import (
     multiplicity,
     propagator,
     unfold,
+    weighted_norm,
 )
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
+    _lattice_flow,
     dyadic_schedule,
     hardy_evolve,
     hardy_step,
+    hypercontractivity_measure,
 )
-from fraclab.nonlinear_solver import _flow, _reaction, evolve, reaction_exact
+from fraclab.nonlinear_solver import Global, _flow, _reaction, evolve, reaction_exact
 
 PROPERTY = settings(max_examples=25, deadline=None)
 LONG = settings(max_examples=8, deadline=None)  # lines of 2^17 points and more
@@ -141,8 +149,18 @@ def test_octant_propagator_matches_the_full_lattice(d, alpha, t, seed, line):
     octant = prop.octant(fold(v), t)
     full = prop(v, t)
     assert np.max(np.abs(unfold(octant) - full)) <= 1e-12 * np.max(np.abs(full))
-    if d == 1:  # the same transforms of the same line
+    if d == 1 and line < SPLIT_MIN:  # the same transforms of the same line
         assert np.array_equal(octant, fold(full))
+
+
+@PROPERTY
+@given(n=st.sampled_from([_DCT1_BASE // 4, _DCT1_BASE, 2 * _DCT1_BASE, 8 * _DCT1_BASE, SPLIT_MIN]),
+       seed=seeds)
+def test_dct1_is_the_spectrum_of_the_unfolded_line(n, seed):
+    # lines of N + 1 points on both sides of the recursion floor
+    x = np.random.default_rng(seed).standard_normal(n + 1)
+    spectrum = np.fft.rfft(unfold(x)).real
+    assert np.max(np.abs(_dct1(x) - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
 
 
 @PROPERTY
@@ -290,6 +308,58 @@ def test_hardy_evolve_preserves_order(d, alpha_frac, kappa_frac, substeps, stret
         assert np.min(v - w) >= -1e-12 * np.max(v)
 
 
+class _StepLog:
+    """A monitor that keeps the size of every step of a run."""
+
+    def __init__(self):
+        self.steps = []
+
+    def advance(self, dt):
+        self.steps.append(dt)
+
+    def observe(self, t, values):
+        pass
+
+    def maxima(self):
+        return {}
+
+
+def _gaussian_run(grid: Grid, alpha: float, p: float, dt: float, amplitude: float, width: float):
+    """evolve of a Gaussian to 3 dt with dt_max = dt: its status, its
+    output fields and its step sizes."""
+    config = config_from_dict({
+        "params": {"alpha": alpha, "d": grid.d, "p": p},
+        "grid": {"n": grid.n, "L": grid.half_length},
+        "time": {"t_end": 3.0 * dt, "dt_max": dt, "eta": 0.1,
+                 "output_schedule": [dt, 2.0 * dt, 3.0 * dt]},
+        "initial": {"kind": "gaussian", "amplitude": amplitude, "width": width},
+    })
+    fields, log = [], _StepLog()
+    record = evolve(config, monitors=(log,), on_output=lambda k, t, field: fields.append(field.values))
+    return record.status, fields, log.steps
+
+
+@PROPERTY
+@given(d=st.sampled_from([1, 2]), alpha=st.floats(0.3, 1.9), p=st.floats(1.5, 3.0),
+       size=st.floats(0.01, 1.0), width=st.floats(0.5, 2.0),
+       shrink=st.tuples(st.floats(0.01, 1.0), st.floats(0.5, 1.0)))
+def test_evolve_preserves_order(d, alpha, p, size, width, shrink):
+    # u0 = a exp(-|x|^2/v^2) <= v0 = b exp(-|x|^2/w^2) for a <= b, v <= w.
+    # Steps are dyadic_schedule's first resolved time dt = 4 h^alpha, from
+    # which the lattice kernel is positive.  b keeps the reaction's step
+    # eta/((p-1) sup^{p-1}) above dt while sup <= 2b, which holds to 3 dt,
+    # so dt_max binds and both runs take the same steps.
+    grid = _grid(d)
+    dt = 4.0 * grid.h**alpha
+    b = size * 0.5 * (0.1 / ((p - 1.0) * dt)) ** (1.0 / (p - 1.0))
+    u_status, u, u_steps = _gaussian_run(grid, alpha, p, dt, shrink[0] * b, shrink[1] * width)
+    v_status, v, v_steps = _gaussian_run(grid, alpha, p, dt, b, width)
+    assert isinstance(u_status, Global) and isinstance(v_status, Global)
+    assert u_steps == v_steps and len(u) == len(v) == 4
+    for lo, hi in zip(u, v):
+        assert np.max(lo - hi) <= 1e-12 * np.max(hi)
+
+
 @PROPERTY
 @given(p=st.sampled_from([2.0, 3.0, 1.5, 1.7, 2.5]), v=st.floats(-2.0, 2.0),
        s=st.floats(1e-4, 0.05), t=st.floats(1e-4, 0.05))
@@ -340,18 +410,94 @@ def test_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
 
-def test_long_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
+def _long_hardy_records(monkeypatch, centre: float):
+    """hardy_evolve of a Gaussian centred at x = centre on a 2 SPLIT_MIN
+    line, run with one FFT worker and with two."""
     grid = Grid(1, 2 * SPLIT_MIN, 512.0)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.2 * power_map_coeff_max(1, 0.5))
-    w0 = Field(grid, np.exp(-grid.axis() ** 2))
+    w0 = Field(grid, np.exp(-(grid.axis() - centre) ** 2))
     series = []
     for threads in ("1", "2"):
         monkeypatch.setenv("FRACLAB_THREADS", threads)
         series.append(hardy_evolve(w0, spec, [0.5, 1.0, 2.0], 4))
-    one, two = series
+    return series
+
+
+def _assert_same_records(one, two):
     for name in ("plain_q1", "plain_q2", "plain_qinf", "weighted_q1", "weighted_q2", "weighted_qinf"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
     assert np.array_equal(one.final.values, two.final.values)
+
+
+def test_long_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
+    # off centre, so the datum is not even and runs on the split lattice
+    _assert_same_records(*_long_hardy_records(monkeypatch, 0.3))
+
+
+def test_long_even_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
+    # centred, so the datum is even and runs on its octant
+    _assert_same_records(*_long_hardy_records(monkeypatch, 0.0))
+
+
+NORMS = [(q, weighted) for weighted in (False, True) for q in (1.0, 2.0, math.inf)]
+PAIRS = ((math.inf, 1.0), (2.0, 1.0), (1.0, 1.0))
+
+
+def _lattice_rows(w0: Field, spec, times, substeps: int, norms):
+    """The reference: norm rows and last values of the lattice flow, a
+    Field and its weighted_norm at each output time."""
+    rows = []
+    for t, values in _lattice_flow(w0.values, spec, w0.grid, times, substeps):
+        w, weight = Field(w0.grid, values), spec.weight(t)
+        rows.append([weighted_norm(w, q, weight if weighted else None) for q, weighted in norms])
+    return np.array(rows), w.values
+
+
+def _hardy_runs(w0: Field, spec, times, substeps: int):
+    """hardy_evolve's rows and final values beside the lattice reference,
+    and hypercontractivity_measure's norms beside theirs."""
+    series = hardy_evolve(w0, spec, times, substeps)
+    measured = hypercontractivity_measure(w0, spec, PAIRS, times, substeps)
+    rows, final = _lattice_rows(w0, spec, times, substeps, NORMS)
+    pair_rows, _ = _lattice_rows(w0, spec, times, substeps, [(q, True) for q, _ in PAIRS])
+    return (
+        (np.array(series.rows())[:, 1:], rows),
+        (series.final.values, final),
+        (np.array([result.norms for result in measured]).T, pair_rows),
+    )
+
+
+def _spec(d: int, alpha_frac: float, kappa_frac: float) -> HardyOperatorSpec:
+    alpha = alpha_frac * min(d, 2)  # the weighted theory needs alpha < d
+    return HardyOperatorSpec(alpha=alpha, d=d, kappa=kappa_frac * power_map_coeff_max(d, alpha))
+
+
+@PROPERTY
+@given(shape=st.sampled_from([(1, 64), (2, 16), (3, 16)]), alpha_frac=st.floats(0.15, 0.95),
+       kappa_frac=st.floats(0.0, 0.9), substeps=st.integers(1, 3), seed=seeds)
+@example(shape=(1, SPLIT_MIN), alpha_frac=0.5, kappa_frac=0.2, substeps=2, seed=3)
+def test_even_hardy_runs_match_the_lattice_flow(shape, alpha_frac, kappa_frac, substeps, seed):
+    d, n = shape
+    grid = Grid(d, n, 4.0 if n < SPLIT_MIN else 512.0)
+    w0 = Field(grid, np.abs(_even(grid, seed)))
+    runs = _hardy_runs(w0, _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4], substeps)
+    (rows, ref_rows), (final, ref_final), (pair_rows, ref_pair_rows) = runs
+    np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pair_rows, ref_pair_rows, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(final - ref_final)) <= 1e-12 * np.max(ref_final)
+
+
+@PROPERTY
+@given(d=dims, alpha_frac=st.floats(0.15, 0.95), kappa_frac=st.floats(0.0, 0.9),
+       substeps=st.integers(1, 3), seed=seeds)
+def test_hardy_runs_of_data_that_is_not_even_keep_the_lattice_bits(d, alpha_frac, kappa_frac,
+                                                                   substeps, seed):
+    grid = _grid(d)
+    values = np.abs(_even(grid, seed))
+    values[(1,) * d] += 0.5  # its mirror point keeps the old value
+    runs = _hardy_runs(Field(grid, values), _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4], substeps)
+    for got, reference in runs:
+        assert np.array_equal(got, reference)
 
 
 def test_fft_workers_scope_and_sweep_share(monkeypatch):
