@@ -186,7 +186,10 @@ def cmd_linear_evolve(args) -> int:
 
 
 def cmd_morrey(args) -> int:
-    field, meta = read_snapshot(args.snapshot)
+    try:
+        field, meta = read_snapshot(args.snapshot)
+    except SnapshotFormatError as exc:
+        raise SnapshotFormatError(f"snapshot {args.snapshot}: {exc}") from None
     radii = tuple(args.radii) if args.radii is not None else None
     query = MorreyQuery(s=args.s, q=args.q, radii=radii, center_stride=args.stride)
     estimate = morrey_estimate(field, query)

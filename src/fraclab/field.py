@@ -59,8 +59,9 @@ class Grid:
         return (self.n,) * self.d
 
     def axis(self) -> np.ndarray:
-        """Coordinates along one axis; x = 0 sits at index n/2."""
-        return -self.half_length + self.h * np.arange(self.n)
+        """Coordinates along one axis; x = 0 sits at index n/2, and the
+        points j and n - j are mirror images bit for bit."""
+        return self.h * (np.arange(self.n) - self.n // 2)
 
     def radius(self) -> np.ndarray:
         """|x| on the full lattice, shape (n,)*d."""
@@ -733,37 +734,42 @@ def write_snapshot(field: Field, path, meta: SnapshotMeta):
 def read_snapshot(path):
     """Read an FRDF v1 file; returns (Field, SnapshotMeta).
 
-    Any structural defect raises SnapshotFormatError before a Field is built.
+    The payload is read straight into the field's array.  Any structural
+    defect, or a value that is not finite, raises SnapshotFormatError
+    before a Field is built.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEAD.size:
-        raise SnapshotFormatError("truncated header: missing magic/version")
-    magic, version, d = _HEAD.unpack_from(blob, 0)
-    if magic != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}, expected {SNAPSHOT_MAGIC!r}")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(
-            f"unsupported snapshot version {version}, expected {SNAPSHOT_VERSION}"
-        )
-    if d not in (1, 2, 3):
-        raise SnapshotFormatError(f"bad dimension {d}")
-    body = _HEAD.size + 4 * d
-    if len(blob) < body + _TAIL.size:
-        raise SnapshotFormatError("truncated header: missing shape/metadata")
-    ns = struct.unpack_from(f"<{d}I", blob, _HEAD.size)
-    if len(set(ns)) != 1:
-        raise SnapshotFormatError(f"anisotropic shape {ns} not supported")
-    half_length, alpha, p, t = _TAIL.unpack_from(blob, body)
-    n = ns[0]
-    payload = blob[body + _TAIL.size:]
-    if len(payload) != 8 * n ** d:
-        raise SnapshotFormatError(
-            f"payload holds {len(payload)} bytes, expected {8 * n ** d}"
-        )
+        head = fh.read(_HEAD.size)
+        if len(head) < _HEAD.size:
+            raise SnapshotFormatError("truncated header: missing magic/version")
+        magic, version, d = _HEAD.unpack(head)
+        if magic != SNAPSHOT_MAGIC:
+            raise SnapshotFormatError(f"bad magic {magic!r}, expected {SNAPSHOT_MAGIC!r}")
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotFormatError(
+                f"unsupported snapshot version {version}, expected {SNAPSHOT_VERSION}"
+            )
+        if d not in (1, 2, 3):
+            raise SnapshotFormatError(f"bad dimension {d}")
+        shape_meta = fh.read(4 * d + _TAIL.size)
+        if len(shape_meta) < 4 * d + _TAIL.size:
+            raise SnapshotFormatError("truncated header: missing shape/metadata")
+        ns = struct.unpack_from(f"<{d}I", shape_meta)
+        if len(set(ns)) != 1:
+            raise SnapshotFormatError(f"anisotropic shape {ns} not supported")
+        half_length, alpha, p, t = _TAIL.unpack_from(shape_meta, 4 * d)
+        n = ns[0]
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * n ** d:
+            raise SnapshotFormatError(f"payload holds {size} bytes, expected {8 * n ** d}")
+        try:
+            grid = Grid(d, n, half_length)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"bad grid header: {exc}") from None
+        values = np.empty(grid.shape, dtype="<f8")
+        if fh.readinto(values) != size:
+            raise SnapshotFormatError("payload shrank while it was read")
     try:
-        grid = Grid(d, n, half_length)
+        return Field._adopt(grid, values), SnapshotMeta(alpha, p, t)
     except ValueError as exc:
-        raise SnapshotFormatError(f"bad grid header: {exc}") from None
-    values = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
-    return Field(grid, values), SnapshotMeta(alpha, p, t)
+        raise SnapshotFormatError(f"payload: {exc}") from None

@@ -66,13 +66,20 @@ class MorreyEstimate:
 
 
 def morrey_estimate(field: Field, query: MorreyQuery) -> MorreyEstimate:
-    """Estimator detail: the value plus where the sup was attained."""
+    """Estimator detail: the value plus where the sup was attained.
+
+    Besides the field it holds three lattice-sized arrays: the spectrum of
+    |u|^q, one complex and one real work array.  Each ball mask is built
+    in the real array from the 1-d axis, so no |x| lattice is made.
+    """
     grid = field.grid
     radii = query.resolve_radii(grid)
-    power = np.abs(field.values) ** query.q
-    spectrum = np.fft.rfftn(power)
-    r = grid.radius()
-    axes = tuple(range(grid.d))
+    real = np.abs(field.values)
+    real **= query.q
+    spectrum = np.fft.rfftn(real)
+    work = np.empty_like(spectrum)
+    squares = np.fft.ifftshift(grid.axis()) ** 2  # the ball about index 0
+    lines = [squares.reshape((-1,) + (1,) * k) for k in reversed(range(grid.d))]
     stride = query.center_stride
     h_d = grid.h ** grid.d
     expo = grid.d * (query.q / query.s - 1.0)
@@ -82,8 +89,15 @@ def morrey_estimate(field: Field, query: MorreyQuery) -> MorreyEstimate:
     best_radius = None
     per_radius = []
     for R in radii:
-        mask = np.fft.ifftshift(r <= R)
-        sums = np.fft.irfftn(spectrum * np.fft.rfftn(mask), s=grid.shape, axes=axes)
+        real[...] = lines[0]
+        for line in lines[1:]:
+            real += line
+        np.sqrt(real, out=real)
+        np.less_equal(real, R, out=real)
+        np.multiply(spectrum, np.fft.rfftn(real, out=work), out=work)
+        for k in range(grid.d - 1):
+            np.fft.ifft(work, axis=k, out=work)
+        sums = np.fft.irfft(work, grid.n, axis=-1, out=real)
         if stride > 1:
             sums = sums[(slice(None, None, stride),) * grid.d]
         top_idx = np.unravel_index(int(np.argmax(sums)), sums.shape)

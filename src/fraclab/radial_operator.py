@@ -15,6 +15,7 @@ power profile |x|^{-g} the result is power_map_coeff(g) * r^{-g-alpha} > 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,16 +125,29 @@ def _end_slope(h0, h1, m0, m1):
     return d
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """leggauss(n) as read-only arrays, built once per n."""
+    nodes, weights = leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
 def _angular_rule(d: int, n_angular: int):
     # Gauss-Legendre on theta in (0, pi); the sin^{d-2} weight is carried in
-    # the integrand and divided out by its exact integral.
-    tq, tw = leggauss(n_angular)
+    # the integrand and divided out by its exact integral.  Returns the
+    # squared chord 2(1 - cos theta), cancellation-free, and the weights.
+    tq, tw = _gauss_legendre(n_angular)
     theta = 0.5 * math.pi * (tq + 1.0)
     w = 0.5 * math.pi * tw * np.sin(theta) ** (d - 2)
     norm = math.exp(
         0.5 * math.log(math.pi) + log_gamma((d - 1) / 2.0) - log_gamma(d / 2.0)
     )
-    return theta, w / norm
+    w /= norm
+    half = 4.0 * np.sin(0.5 * theta) ** 2
+    half.flags.writeable = w.flags.writeable = False
+    return half, w
 
 
 def frac_lap_radial(
@@ -161,9 +175,8 @@ def frac_lap_radial(
             f"r_eval={r_eval} outside the resolved annulus [{lo}, {hi}] "
             "(one decade inside the profile grid)"
         )
-    theta, ang_w = _angular_rule(profile.d, n_angular)
-    half = 4.0 * np.sin(0.5 * theta) ** 2  # 2(1 - cos theta), cancellation-free
-    gq, gw = leggauss(n_radial)
+    half, ang_w = _angular_rule(profile.d, n_angular)
+    gq, gw = _gauss_legendre(n_radial)
     edges = r_eval * 2.0 ** np.arange(-n_octaves, n_octaves + 1, dtype=float)
     f_r = float(profile(np.array([r_eval]))[0])
     total = 0.0

@@ -353,6 +353,17 @@ def test_morrey_bad_snapshot_is_usage_error(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_morrey_snapshot_errors_name_the_file(tmp_path, capsys):
+    path = tmp_path / "field.frdf"
+    write_snapshot(Field(Grid(1, 16, 1.0), np.zeros(16)), path, SnapshotMeta(0.5, 3.0, 0.25))
+    blob = path.read_bytes()
+    for damaged, words in ((blob + b"\0", "payload holds"), (blob[:-8] + b"\xff" * 8, "finite")):
+        path.write_bytes(damaged)
+        assert main(["morrey", "--snapshot", str(path), "--s", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: snapshot {path}: ") and words in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 

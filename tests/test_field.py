@@ -293,6 +293,24 @@ def test_snapshot_rejects_corruption(tmp_path):
         read_snapshot(bad_magic)
 
 
+def test_snapshot_rejects_a_payload_one_byte_too_long(tmp_path):
+    path = tmp_path / "field.frdf"
+    write_snapshot(Field(Grid(1, 16, 1.0), np.arange(16.0)), path, SnapshotMeta(1.0, 2.0, 0.0))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(SnapshotFormatError, match="payload holds 129 bytes, expected 128"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_snapshot_rejects_values_that_are_not_finite(tmp_path, bad):
+    path = tmp_path / "field.frdf"
+    write_snapshot(Field(Grid(2, 16, 1.0), np.zeros((16, 16))), path, SnapshotMeta(1.0, 2.0, 0.0))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8 * 20] + np.array([bad], dtype="<f8").tobytes() + blob[-8 * 19:])
+    with pytest.raises(SnapshotFormatError, match="finite"):
+        read_snapshot(path)
+
+
 @st.composite
 def snapshots(draw):
     """A field on a drawn grid, with any finite doubles, and its metadata."""

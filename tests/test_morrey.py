@@ -1,8 +1,19 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fraclab.constants import ModelParams, singular_morrey_norm
-from fraclab.field import Field, Grid, steady_state
+from fraclab.field import (
+    Field,
+    Grid,
+    SnapshotMeta,
+    clear_grid_cache,
+    read_snapshot,
+    steady_state,
+    write_snapshot,
+)
 from fraclab.morrey import (
     MorreyQuery,
     morrey_estimate,
@@ -106,6 +117,63 @@ def test_center_decimation_bounds_the_full_sup():
     thin = morrey_norm(u, MorreyQuery(s=4.0, center_stride=4))
     assert thin <= full * (1.0 + 1e-12)
     assert thin > 0.5 * full
+
+
+@pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 16)])
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_estimate_matches_a_brute_force_ball_sum(d, n, q):
+    # h = 0.5 makes every lattice distance and radius exact, so the integer
+    # ball test below picks the same points as the estimator's mask
+    grid = Grid(d, n, n / 4.0)
+    u = np.random.default_rng(10 * d + int(2 * q)).standard_normal(grid.shape)
+    u[(3,) * d] = 20.0  # a spike makes the sup unique: at R = L in d = 1 every center ties
+    power = np.abs(u) ** q
+    offsets = np.array(list(itertools.product(range(-n // 2, n // 2), repeat=d)))
+    squared = (offsets ** 2).sum(axis=1)
+    s = 3.0 * q
+    radii = MorreyQuery(s=s, q=q).resolve_radii(grid)
+    ball_sums = [
+        sum(np.roll(power, tuple(o), axis=tuple(range(d)))
+            for o in offsets[squared <= (R / grid.h) ** 2])
+        for R in radii
+    ]
+    for stride in (1, 2):
+        est = morrey_estimate(Field(grid, u), MorreyQuery(s=s, q=q, center_stride=stride))
+        centers = [sums[(slice(None, None, stride),) * d] for sums in ball_sums]
+        want = [
+            (R ** (d * (q / s - 1.0)) * c.max() * grid.h ** d) ** (1.0 / q)
+            for R, c in zip(radii, centers)
+        ]
+        np.testing.assert_allclose(est.radius_values, want, rtol=1e-12, atol=0.0)
+        best = int(np.argmax(want))
+        top = np.unravel_index(int(np.argmax(centers[best])), centers[best].shape)
+        assert est.value == pytest.approx(want[best], rel=1e-12)
+        assert est.argmax_radius == radii[best]
+        assert est.argmax_center == tuple(float(grid.axis()[stride * i]) for i in top)
+
+
+def test_read_and_estimate_hold_few_lattice_arrays(tmp_path):
+    grid = Grid(2, 256, 64.0)
+    nbytes = 8 * grid.n ** 2
+    path = tmp_path / "field.frdf"
+    field = Field(grid, np.random.default_rng(1).random(grid.shape))
+    write_snapshot(field, path, SnapshotMeta(1.0, 2.0, 0.0))
+    small = Grid(2, 16, 4.0)
+    morrey_estimate(Field(small, np.ones(small.shape)), MorreyQuery(s=4.0))  # lazy imports
+    clear_grid_cache()
+    tracemalloc.start()
+    try:
+        field, _ = read_snapshot(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        morrey_estimate(field, MorreyQuery(s=4.0))
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read_peak <= 1.25 * nbytes
+    assert peak - before <= 3.5 * nbytes  # the field plus spectrum and two work arrays
+    assert after - before < 0.5 * nbytes  # no |x| lattice is left in the grid cache
 
 
 def test_smoothing_probe_critical_tail_datum():

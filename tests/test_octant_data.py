@@ -32,6 +32,7 @@ from fraclab.field import (
     octant_steady_state,
     sample,
     steady_state,
+    unfold,
 )
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hypercontractivity_measure
 from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
@@ -82,6 +83,14 @@ def test_octant_data_are_the_fold_of_the_lattice_data(d, L, scale, data):
     assert _same_bits(octant_steady_state(grid, params), fold(steady_state(grid, params).values))
     assert _same_bits(grid.octant_radius(), fold(grid.radius()))
     assert _same_bits(grid.octant_capped_radius(), fold(grid.capped_radius()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sampled_radial_data_are_even_bit_for_bit(d):
+    # at L = 7.3 the spacing h is inexact, yet x_j and x_{n-j} still mirror
+    grid = _grid(d, 7.3)
+    values = sample(grid, GaussianDatum(amplitude=0.7, width=1.3)).values
+    assert _same_bits(unfold(fold(values)), values)
 
 
 @PROPERTY
