@@ -106,6 +106,7 @@ def clear_grid_cache():
     with _CACHE_LOCK:
         _GRID_CACHE.clear()
     propagator.cache_clear()
+    _cosine_matrix.cache_clear()
 
 
 def _hypot(axes) -> np.ndarray:
@@ -473,9 +474,9 @@ SPLIT_MIN = 2 ** 17
 
 @functools.lru_cache(maxsize=None)
 def _helper():
-    """The thread that runs the second half of split transforms, started
-    on first use."""
-    from concurrent.futures import ThreadPoolExecutor  # deferred: only split lines need it
+    """The thread that runs the second half of split transforms and of
+    3-d cosine passes, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only those halves need it
 
     return ThreadPoolExecutor(1, thread_name_prefix="fraclab-fft")
 
@@ -588,20 +589,93 @@ def _dct3(h: np.ndarray, out: np.ndarray):
     out[1::2] = v[: q - 1 : -1]
 
 
+# Octants of d >= 2 whose axes have at most GEMM_MAX points (n <= 256)
+# take their DCT-I as one matrix product per axis (see _cosine_step), and
+# wider ones scipy's dctn/idctn.  On a 2-core x86-64 host with one BLAS
+# thread, a step (DCT-I, multiplier, DCT-I) took, min/median in ms:
+#   65^3:  GEMM 8.9/11.5 on one thread and 6.4/9.1 split over two; scipy
+#          11.9/19.1 with one worker and 7.0/13.6 with two;
+#   129^3: GEMM 103/127 and 68/83; scipy 109/155 and 79/91;
+#   129^2: GEMM 0.43/0.82 and scipy 0.41/0.85, level;
+#   257^2: GEMM 3.7/4.8 against scipy's 2.7/3.9.
+GEMM_MAX = 129
+# The two halves of a 3-d pass run on two threads when there are two
+# workers and the axes have at least _GEMM_PAIR_MIN points.  Same host, a
+# step on two threads against one: 65^3 7.9/9.4 against 9.0/13.1 ms, but
+# 33^3 0.76/1.09 against 0.44/0.53 ms, where the hand-offs cost more.
+_GEMM_PAIR_MIN = 65
+
+
+@functools.lru_cache(maxsize=None)
+def _cosine_matrix(m: int) -> np.ndarray:
+    """C[k, j] = w_j cos(pi (jk mod 2N)/N) for j, k in [0, N], N = m - 1,
+    with w_j = 1 at j = 0 and j = N and 2 elsewhere: y = C x is scipy's
+    unnormalized type-1 DCT of a line of m points.  clear_grid_cache
+    drops it."""
+    j = np.arange(m)
+    c = np.cos((np.pi / (m - 1)) * (np.multiply.outer(j, j) % (2 * (m - 1))))
+    c[:, 1:-1] *= 2.0
+    c.flags.writeable = False
+    return c
+
+
+def _cosine_pass(c: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int, rows: slice):
+    """Write to dst[rows] the rows `rows` (on the first axis) of the type-1
+    DCT of src along `axis`, c being its _cosine_matrix: one matmul."""
+    if axis == 0:
+        m = src.shape[0]
+        np.matmul(c[rows], src.reshape(m, -1), out=dst.reshape(m, -1)[rows])
+    elif axis == src.ndim - 1:
+        np.matmul(src[rows], c.T, out=dst[rows])
+    else:
+        np.matmul(c, src[rows], out=dst[rows])
+
+
+def _cosine_step(values: np.ndarray, mult: np.ndarray, workers: int) -> np.ndarray:
+    """A new octant array: the type-1 DCT of a 2-d or 3-d octant by
+    _cosine_pass on every axis, times mult, the DCT again and 1/n^d (the
+    DCT-I is its own inverse up to 1/n per axis).  The passes alternate
+    between two new arrays.  A 2-d pass is one matmul; a 3-d pass runs as
+    the same two halves of rows for any worker count, on two threads when
+    there are two workers (see _GEMM_PAIR_MIN)."""
+    m, d = values.shape[0], values.ndim
+    c, half = _cosine_matrix(m), m // 2
+    if m < _GEMM_PAIR_MIN:
+        workers = 1
+    buffers = np.empty(values.shape), np.empty(values.shape)
+    src = values
+    for k in range(2 * d):
+        if k == d:
+            src *= mult
+        dst = buffers[k % 2]
+        write_rows = functools.partial(_cosine_pass, c, src, dst, k % d)
+        if d == 2:
+            write_rows(slice(None))
+        else:
+            _in_pair(lambda: write_rows(slice(0, half)), lambda: write_rows(slice(half, m)), workers)
+        src = dst
+    src *= 1.0 / (2 * (m - 1)) ** d
+    return src
+
+
 class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
     Calling it carries a full lattice array by real FFTs: numpy's
     rfft/irfft on d = 1, which costs no import, and scipy.fft's
-    rfftn/irfftn with workers on d >= 2.  A line of at least SPLIT_MIN
-    points is carried by its half spectra instead (see _halves), one half
-    per worker when there are two, with the same bits for any worker
-    count.  octant() carries the octant of a field that is even in every
-    coordinate (see fold), whose DFT is the type-1 DCT of the octant
-    (Martucci 1994): scipy.fft's dctn/idctn with workers on d >= 2; on
-    d = 1 a line of SPLIT_MIN points and more by _dct1 twice, which does
-    half the transform work of the full layout, and a shorter one as the
-    unfolded line through the full layout.
+    rfftn/irfftn with workers on d >= 2, imported on first use.  A line of
+    at least SPLIT_MIN points is carried by its half spectra instead (see
+    _halves), one half per worker when there are two, with the same bits
+    for any worker count.  octant() carries the octant of a field that is
+    even in every coordinate (see fold), whose DFT is the type-1 DCT of
+    the octant (Martucci 1994).  On d >= 2 an octant of at most GEMM_MAX
+    points per axis takes it as one matrix product per axis with a cached
+    cosine matrix (see _cosine_step), in 3-d each pass in two fixed halves,
+    one per worker when there are two, so the bits do not depend on the
+    worker count; a wider one takes scipy.fft's dctn/idctn with workers.
+    On d = 1 a line of SPLIT_MIN points and more takes it by _dct1 twice,
+    which does half the transform work of the full layout, and a shorter
+    one goes unfolded through the full layout.
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
@@ -614,11 +688,6 @@ class SpectralPropagator:
     def __init__(self, grid: Grid, alpha: float):
         if not 0.0 < alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
-        self._fft = None
-        if grid.d > 1:
-            import scipy.fft  # deferred: only d >= 2 spectral steps load it
-
-            self._fft = scipy.fft
         self._symbol = _cached(grid, ("symbol", alpha), lambda g: _octant_freq_magnitude(g) ** alpha)
         self._shape = grid.shape
         self._split = grid.d == 1 and grid.n >= SPLIT_MIN
@@ -662,14 +731,16 @@ class SpectralPropagator:
             workers = _workers()
             e, wo = _halves(values, workers)
             return _interleave(lambda: a * e + b * wo, lambda: b * e + a * wo, values.size, workers)
-        if self._fft is None:
+        if len(self._shape) == 1:
             spectrum = np.fft.rfft(values)
             spectrum *= mult
             return np.fft.irfft(spectrum, self._shape[0])
+        import scipy.fft  # deferred: only these steps and wide octants load it
+
         workers = _workers()
-        spectrum = self._fft.rfftn(values, workers=workers)
+        spectrum = scipy.fft.rfftn(values, workers=workers)
         spectrum *= mult
-        return self._fft.irfftn(spectrum, self._shape, workers=workers)
+        return scipy.fft.irfftn(spectrum, self._shape, workers=workers)
 
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new octant array: the even field with this octant carried
@@ -680,13 +751,17 @@ class SpectralPropagator:
             out = _dct1(spectrum)
             out *= 1.0 / self._shape[0]
             return out
-        if self._fft is None:
+        if values.ndim == 1:
             return self(np.concatenate((values, values[-2:0:-1])), t)[: values.size]
         mult = self._multipliers(t, False)[0]
         workers = _workers()
-        spectrum = self._fft.dctn(values, type=1, workers=workers)
+        if values.shape[0] <= GEMM_MAX:
+            return _cosine_step(values, mult, workers)
+        import scipy.fft
+
+        spectrum = scipy.fft.dctn(values, type=1, workers=workers)
         spectrum *= mult
-        return self._fft.idctn(spectrum, type=1, workers=workers, overwrite_x=True)
+        return scipy.fft.idctn(spectrum, type=1, workers=workers, overwrite_x=True)
 
 
 def _workers() -> int:

@@ -9,7 +9,7 @@ import pytest
 
 import fraclab.cli as cli
 from fraclab.cli import main
-from fraclab.field import Field, Grid, SnapshotMeta, write_snapshot
+from fraclab.field import GEMM_MAX, Field, Grid, SnapshotMeta, write_snapshot
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
 
@@ -292,10 +292,20 @@ def test_one_dimensional_commands_load_no_scipy(tmp_path):
         assert _scipy_modules_after(argv) == (0, "[]"), argv[0]
 
 
-def test_three_dimensional_evolve_loads_scipy_fft(tmp_path):
+def test_three_dimensional_evolve_loads_no_scipy(tmp_path):
     cfg = run_config(tmp_path, params={"alpha": 1.0, "d": 3, "p": 2.0},
                      grid={"n": 16, "L": 8.0},
                      time={"t_end": 0.5, "output_schedule": [0.25, 0.5]})
+    assert _scipy_modules_after(
+        ["evolve", "--config", str(cfg), "--csv", str(tmp_path / "out.csv")]) == (0, "[]")
+
+
+def test_wide_two_dimensional_evolve_loads_scipy_fft(tmp_path):
+    # a 257-point octant axis is past GEMM_MAX, so scipy's dctn carries it
+    assert 512 // 2 + 1 > GEMM_MAX
+    cfg = run_config(tmp_path, params={"alpha": 1.0, "d": 2, "p": 2.0},
+                     grid={"n": 512, "L": 8.0},
+                     time={"t_end": 0.01, "output_schedule": [0.01]})
     rc, modules = _scipy_modules_after(
         ["evolve", "--config", str(cfg), "--csv", str(tmp_path / "out.csv")])
     assert rc == 0

@@ -11,6 +11,9 @@ run must not depend on the FFT worker count.
 Lines of SPLIT_MIN points and more are transformed as two half-length
 lines, whose half spectra must rebuild numpy's rfft and irfft, and their
 octants by a halving DCT-I that must equal the rfft of the unfolded line.
+Octants of d >= 2 up to GEMM_MAX points per axis take their DCT-I by
+cosine matrices, which must match scipy's dctn/idctn and keep the zero
+mode.
 """
 
 import math
@@ -19,6 +22,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,15 +30,18 @@ import fraclab.analysis as analysis
 from fraclab.config import config_from_dict
 from fraclab.constants import power_map_coeff_max
 from fraclab.field import (
+    GEMM_MAX,
     SPLIT_MIN,
     Field,
     Grid,
     SpectralPropagator,
     _DCT1_BASE,
     _FFT_SHARE,
+    _cosine_matrix,
     _dct1,
     _halves,
     _interleave,
+    clear_grid_cache,
     fft_workers,
     fold,
     multiplicity,
@@ -174,6 +181,54 @@ def test_octant_propagator_does_not_depend_on_fft_workers(d, alpha, t, seed):
         with fft_workers(workers):
             outs.append(prop.octant(octant, t))
     assert np.array_equal(*outs)
+
+
+def _octant_multiplier(grid: Grid, t: float, alpha: float) -> np.ndarray:
+    """exp(-t |k|^alpha) on the rfftfreq half axis of every dimension,
+    freshly built."""
+    half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.h)
+    k2 = sum(axis ** 2 for axis in np.meshgrid(*[half] * grid.d, indexing="ij"))
+    return np.exp(-t * np.sqrt(k2) ** alpha)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cosine_octant_step_matches_scipy_dct1(d, n):
+    assert n // 2 + 1 <= GEMM_MAX  # every size here takes the matrix path
+    grid = Grid(d, n, 4.0)
+    x = np.random.default_rng(n + d).standard_normal((n // 2 + 1,) * d)
+    mult = _octant_multiplier(grid, 0.05, 1.3)
+    expected = scipy.fft.idctn(scipy.fft.dctn(x, type=1) * mult, type=1)
+    prop = SpectralPropagator(grid, 1.3)
+    outs = []
+    for workers in (1, 2):
+        with fft_workers(workers):
+            outs.append(prop.octant(x, 0.05))
+    assert np.max(np.abs(outs[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(*outs)
+
+
+@PROPERTY
+@given(d=st.sampled_from([2, 3]), n=st.sampled_from([16, 32, 64, 128]), alpha=alphas, t=times,
+       seed=seeds)
+def test_cosine_octant_step_keeps_the_zero_mode(d, n, alpha, t, seed):
+    # the zero mode of the octant's DCT-I is its mass: the multiplicity-weighted sum
+    grid = Grid(d, n, 4.0)
+    x = np.random.default_rng(seed).standard_normal((n // 2 + 1,) * d)
+    out = propagator(grid, alpha).octant(x, t)
+    weights = multiplicity(grid)
+    assert math.isclose(np.vdot(weights, out), np.vdot(weights, x),
+                        rel_tol=0.0, abs_tol=1e-12 * np.vdot(weights, np.abs(x)))
+
+
+def test_clear_grid_cache_drops_the_cosine_matrices():
+    m = GEMM_MAX
+    c = _cosine_matrix(m)
+    assert c.shape == (m, m) and not c.flags.writeable
+    assert _cosine_matrix(m) is c
+    clear_grid_cache()
+    assert _cosine_matrix.cache_info().currsize == 0
+    assert _cosine_matrix(m) is not c
 
 
 def _split_rfft(x: np.ndarray, workers: int) -> np.ndarray:
@@ -399,15 +454,29 @@ def _evolve_3d_config():
     })
 
 
-def test_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
+def _assert_evolve_records_do_not_depend_on_fft_workers(monkeypatch, cfg):
     records = []
     for threads in ("1", "2"):
         monkeypatch.setenv("FRACLAB_THREADS", threads)
-        records.append(evolve(_evolve_3d_config()))
+        records.append(evolve(cfg))
     one, two = records
     assert one.status == two.status
     for name in ("times", "sup_norm", "l2_norm", "mass", "min_value", "dt"):
         assert np.array_equal(getattr(one, name), getattr(two, name)), name
+
+
+def test_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
+    _assert_evolve_records_do_not_depend_on_fft_workers(monkeypatch, _evolve_3d_config())
+
+
+def test_evolve_records_at_128_do_not_depend_on_fft_workers(monkeypatch):
+    # a 65^3 octant, whose matrix passes run their halves on two threads
+    _assert_evolve_records_do_not_depend_on_fft_workers(monkeypatch, config_from_dict({
+        "params": {"alpha": 1.0, "d": 3, "p": 2.0},
+        "grid": {"n": 128, "L": 8.0},
+        "time": {"t_end": 0.2, "output_schedule": [0.05, 0.1, 0.2]},
+        "initial": {"kind": "gaussian", "amplitude": 2.0},
+    }))
 
 
 def _long_hardy_records(monkeypatch, centre: float):
