@@ -3,209 +3,51 @@ u_t = -(-Delta)^{alpha/2} u + |u|^{p-1} u on a periodic box, with the
 singular steady state, Hardy-potential semigroups, Morrey norms, and
 blowup/decay experiment harnesses."""
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .constants import (
-    ModelParams,
-    RegimeReport,
-    critical_exponents,
-    frac_lap_constant,
-    hardy_constant,
-    jl_condition,
-    kappa_from_delta,
-    kappa_from_params,
-    log_gamma,
-    power_map_coeff,
-    power_map_coeff_max,
-    regime_report,
-    singular_amplitude,
-    singular_morrey_norm,
-    solve_sigma,
-    sigma_upper,
-)
-from .field import (
-    Field,
-    GaussianDatum,
-    Grid,
-    PowerTailDatum,
-    SnapshotFormatError,
-    SnapshotMeta,
-    SteadyBumpDeficitDatum,
-    SteadyTailDeficitDatum,
-    TruncatedSingularDatum,
-    WeightSpec,
-    heat_propagate,
-    read_snapshot,
-    sample,
-    steady_state,
-    weight_values,
-    weighted_norm,
-    write_snapshot,
-)
-from .radial_operator import (
-    RadialProfile,
-    frac_lap_radial,
-    steady_profile,
-    steady_residual,
-)
-from .linear_propagators import (
-    HardyOperatorSpec,
-    HypercontractivityResult,
-    NormSeries,
-    RatioProbeResult,
-    cell_delta,
-    dyadic_schedule,
-    hardy_evolve,
-    hardy_step,
-    hypercontractivity_measure,
-    kernel_ratio_probe,
-)
-from .morrey import (
-    MorreyEstimate,
-    MorreyQuery,
-    morrey_estimate,
-    morrey_norm,
-    morrey_smoothing_probe,
-)
-from .nonlinear_solver import (
-    BarrierMonitor,
-    Blowup,
-    CertificateResult,
-    Global,
-    NumericalFailure,
-    RunRecord,
-    SandwichMonitor,
-    blowup_certificate,
-    evolve,
-    reaction_exact,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    GridSettings,
-    InitialSpec,
-    OutputSettings,
-    PotentialSpec,
-    TimeSettings,
-    config_from_dict,
-    parse_config,
-)
-from .analysis import (
-    ConvergenceRates,
-    DeficitEvolution,
-    EnvelopeMax,
-    FitResult,
-    MonotonicityError,
-    ThresholdBracket,
-    classify_threshold,
-    default_fit_window,
-    deficit_evolution,
-    envelope_max,
-    fit_power_law,
-    image_safe_horizon,
-    l2_stability_check,
-    run_sweep,
-    singular_convergence_rates,
-    thread_count,
-    weighted_decay_check,
-)
+# Each public name, declared once beside its module; the modules are
+# imported eagerly, in this order, and __all__ follows the table.
+_PUBLIC = {
+    "constants": """
+        ModelParams RegimeReport critical_exponents frac_lap_constant hardy_constant
+        jl_condition kappa_from_delta kappa_from_params log_gamma power_map_coeff
+        power_map_coeff_max regime_report singular_amplitude singular_morrey_norm
+        solve_sigma sigma_upper
+    """.split(),
+    "field": """
+        Field GaussianDatum Grid PowerTailDatum SnapshotFormatError SnapshotMeta
+        SteadyBumpDeficitDatum SteadyTailDeficitDatum TruncatedSingularDatum WeightSpec
+        heat_propagate read_snapshot sample steady_state weight_values weighted_norm
+        write_snapshot
+    """.split(),
+    "radial_operator": "RadialProfile frac_lap_radial steady_profile steady_residual".split(),
+    "linear_propagators": """
+        HardyOperatorSpec HypercontractivityResult NormSeries RatioProbeResult cell_delta
+        dyadic_schedule hardy_evolve hardy_step hypercontractivity_measure
+        kernel_ratio_probe
+    """.split(),
+    "morrey": "MorreyEstimate MorreyQuery morrey_estimate morrey_norm morrey_smoothing_probe".split(),
+    "nonlinear_solver": """
+        BarrierMonitor Blowup CertificateResult Global NumericalFailure RunRecord
+        SandwichMonitor blowup_certificate evolve reaction_exact
+    """.split(),
+    "config": """
+        ConfigError ExperimentConfig GridSettings InitialSpec OutputSettings PotentialSpec
+        TimeSettings config_from_dict parse_config
+    """.split(),
+    "analysis": """
+        ConvergenceRates DeficitEvolution EnvelopeMax FitResult MonotonicityError
+        ThresholdBracket classify_threshold default_fit_window deficit_evolution
+        envelope_max fit_power_law image_safe_horizon l2_stability_check run_sweep
+        singular_convergence_rates thread_count weighted_decay_check
+    """.split(),
+}
 
-__all__ = [
-    "__version__",
-    # constants
-    "ModelParams",
-    "RegimeReport",
-    "critical_exponents",
-    "frac_lap_constant",
-    "hardy_constant",
-    "jl_condition",
-    "kappa_from_delta",
-    "kappa_from_params",
-    "log_gamma",
-    "power_map_coeff",
-    "power_map_coeff_max",
-    "regime_report",
-    "singular_amplitude",
-    "singular_morrey_norm",
-    "solve_sigma",
-    "sigma_upper",
-    # field
-    "Field",
-    "GaussianDatum",
-    "Grid",
-    "PowerTailDatum",
-    "SnapshotFormatError",
-    "SnapshotMeta",
-    "SteadyBumpDeficitDatum",
-    "SteadyTailDeficitDatum",
-    "TruncatedSingularDatum",
-    "WeightSpec",
-    "heat_propagate",
-    "read_snapshot",
-    "sample",
-    "steady_state",
-    "weight_values",
-    "weighted_norm",
-    "write_snapshot",
-    # radial operator
-    "RadialProfile",
-    "frac_lap_radial",
-    "steady_profile",
-    "steady_residual",
-    # linear propagators
-    "HardyOperatorSpec",
-    "HypercontractivityResult",
-    "NormSeries",
-    "RatioProbeResult",
-    "cell_delta",
-    "dyadic_schedule",
-    "hardy_evolve",
-    "hardy_step",
-    "hypercontractivity_measure",
-    "kernel_ratio_probe",
-    # morrey
-    "MorreyEstimate",
-    "MorreyQuery",
-    "morrey_estimate",
-    "morrey_norm",
-    "morrey_smoothing_probe",
-    # nonlinear solver
-    "BarrierMonitor",
-    "Blowup",
-    "CertificateResult",
-    "Global",
-    "NumericalFailure",
-    "RunRecord",
-    "SandwichMonitor",
-    "blowup_certificate",
-    "evolve",
-    "reaction_exact",
-    # config
-    "ConfigError",
-    "ExperimentConfig",
-    "GridSettings",
-    "InitialSpec",
-    "OutputSettings",
-    "PotentialSpec",
-    "TimeSettings",
-    "config_from_dict",
-    "parse_config",
-    # analysis
-    "ConvergenceRates",
-    "DeficitEvolution",
-    "EnvelopeMax",
-    "FitResult",
-    "MonotonicityError",
-    "ThresholdBracket",
-    "classify_threshold",
-    "default_fit_window",
-    "deficit_evolution",
-    "envelope_max",
-    "fit_power_law",
-    "image_safe_horizon",
-    "l2_stability_check",
-    "run_sweep",
-    "singular_convergence_rates",
-    "thread_count",
-    "weighted_decay_check",
-]
+__all__ = ["__version__"]
+for _module, _names in _PUBLIC.items():
+    _source = importlib.import_module(f".{_module}", __name__)
+    globals().update((name, getattr(_source, name)) for name in _names)
+    __all__ += _names
+del importlib, _module, _names, _source

@@ -464,75 +464,13 @@ def fft_workers(n: int):
         _FFT_SHARE.workers = previous
 
 
-# Lines of at least SPLIT_MIN points are transformed as two half-length
-# lines (see _halves).  With two FFT workers the halves run on two threads,
-# which beats numpy's single rfft/irfft pair from 2^17 points on a 2-core
-# x86-64 host (a 2^16 line breaks even); below that the thread hand-offs
-# cost more than they save.
+# 1-d octants of at least SPLIT_MIN lattice points take their DCT-I by
+# halving (see _dct1), which does half the transform work of the full
+# line.  Shorter ones go unfolded through the full line's rfft/irfft pair,
+# so their steps equal the fold of the lattice step bit for bit; a cosine
+# matrix would round differently and move the brackets of classify runs
+# on 256-point grids.
 SPLIT_MIN = 2 ** 17
-
-
-@functools.lru_cache(maxsize=None)
-def _helper():
-    """The thread that runs the second half of split transforms and of
-    3-d cosine passes, started on first use."""
-    from concurrent.futures import ThreadPoolExecutor  # deferred: only those halves need it
-
-    return ThreadPoolExecutor(1, thread_name_prefix="fraclab-fft")
-
-
-def _in_pair(first, second, workers: int):
-    """(first(), second()), with second() on the helper thread when
-    workers >= 2.  Either way each runs the same arithmetic."""
-    if workers < 2:
-        return first(), second()
-    future = _helper().submit(second)
-    return first(), future.result()
-
-
-@functools.lru_cache(maxsize=None)
-def _twiddles(n: int):
-    """W^j and its conjugate for j in [0, n/4], W = e^{-2 pi i/n}."""
-    w = np.exp((-2j * np.pi / n) * np.arange(n // 4 + 1))
-    w_bar = w.conj()
-    w.flags.writeable = w_bar.flags.writeable = False
-    return w, w_bar
-
-
-def _halves(x: np.ndarray, workers: int):
-    """The half spectra of a real line x of n points: E, the rfft of the
-    even samples, and W^j O, the twiddled rfft of the odd samples, for j
-    in [0, n/4].  The rfft of x is X[j] = E[j] + W^j O[j] and
-    X[n/2 - j] = conj(E[j] - W^j O[j]) (radix-2 decimation in time,
-    Cooley & Tukey 1965)."""
-    w = _twiddles(x.size)[0]
-
-    def odd():
-        spectrum = np.fft.rfft(x[1::2])
-        spectrum *= w
-        return spectrum
-
-    return _in_pair(lambda: np.fft.rfft(x[0::2]), odd, workers)
-
-
-def _interleave(even, odd, n: int, workers: int) -> np.ndarray:
-    """The real line of n points whose half spectra (see _halves) are
-    even() and odd(); each half is computed and inverted on its thread."""
-    line = np.empty(n)
-    w_bar = _twiddles(n)[1]
-
-    def fill_even():
-        line[0::2] = np.fft.irfft(even(), n // 2)
-
-    def fill_odd():
-        spectrum = odd()
-        spectrum *= w_bar
-        line[1::2] = np.fft.irfft(spectrum, n // 2)
-
-    _in_pair(fill_even, fill_odd, workers)
-    return line
-
-
 # Octant lines of at most _DCT1_BASE + 1 points take their type-1 DCT as
 # one rfft of the unfolded line; longer ones halve first (see _dct1).
 _DCT1_BASE = 4096
@@ -564,7 +502,7 @@ def _dct1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _dct3_twiddles(m: int) -> np.ndarray:
+def _dct3_phases(m: int) -> np.ndarray:
     """e^{i pi k/(2m)} for k in [0, m/2]."""
     w = np.exp((0.5j * np.pi / m) * np.arange(m // 2 + 1))
     w.flags.writeable = False
@@ -583,7 +521,7 @@ def _dct3(h: np.ndarray, out: np.ndarray):
     spectrum.real = h[: q + 1]
     spectrum.imag[0] = 0.0
     np.negative(h[: q - 1 : -1], out=spectrum.imag[1:])
-    spectrum *= _dct3_twiddles(m)
+    spectrum *= _dct3_phases(m)
     v = np.fft.irfft(spectrum, m, norm="forward")
     out[0::2] = v[:q]
     out[1::2] = v[: q - 1 : -1]
@@ -631,6 +569,24 @@ def _cosine_pass(c: np.ndarray, src: np.ndarray, dst: np.ndarray, axis: int, row
         np.matmul(c, src[rows], out=dst[rows])
 
 
+@functools.lru_cache(maxsize=None)
+def _helper():
+    """The thread that runs the second half of each 3-d cosine pass (see
+    _cosine_step), started on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only those halves need it
+
+    return ThreadPoolExecutor(1, thread_name_prefix="fraclab-fft")
+
+
+def _in_pair(first, second, workers: int):
+    """(first(), second()), with second() on the helper thread when
+    workers >= 2.  Either way each runs the same arithmetic."""
+    if workers < 2:
+        return first(), second()
+    future = _helper().submit(second)
+    return first(), future.result()
+
+
 def _cosine_step(values: np.ndarray, mult: np.ndarray, workers: int) -> np.ndarray:
     """A new octant array: the type-1 DCT of a 2-d or 3-d octant by
     _cosine_pass on every axis, times mult, the DCT again and 1/n^d (the
@@ -662,20 +618,17 @@ class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
     Calling it carries a full lattice array by real FFTs: numpy's
-    rfft/irfft on d = 1, which costs no import, and scipy.fft's
-    rfftn/irfftn with workers on d >= 2, imported on first use.  A line of
-    at least SPLIT_MIN points is carried by its half spectra instead (see
-    _halves), one half per worker when there are two, with the same bits
-    for any worker count.  octant() carries the octant of a field that is
-    even in every coordinate (see fold), whose DFT is the type-1 DCT of
-    the octant (Martucci 1994).  On d >= 2 an octant of at most GEMM_MAX
-    points per axis takes it as one matrix product per axis with a cached
-    cosine matrix (see _cosine_step), in 3-d each pass in two fixed halves,
-    one per worker when there are two, so the bits do not depend on the
-    worker count; a wider one takes scipy.fft's dctn/idctn with workers.
-    On d = 1 a line of SPLIT_MIN points and more takes it by _dct1 twice,
-    which does half the transform work of the full layout, and a shorter
-    one goes unfolded through the full layout.
+    rfft/irfft on d = 1, which costs no import and runs on one thread, and
+    scipy.fft's rfftn/irfftn with workers on d >= 2, imported on first
+    use.  octant() carries the octant of a field that is even in every
+    coordinate (see fold), whose DFT is the type-1 DCT of the octant
+    (Martucci 1994).  On d >= 2 an octant of at most GEMM_MAX points per
+    axis takes it as one matrix product per axis with a cached cosine
+    matrix (see _cosine_step), in 3-d each pass in two fixed halves, one
+    per worker when there are two, so the bits do not depend on the worker
+    count; a wider one takes scipy.fft's dctn/idctn with workers.  On
+    d = 1 a line of SPLIT_MIN points and more takes it by _dct1 twice, and
+    a shorter one goes unfolded through the full layout.
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
@@ -690,7 +643,6 @@ class SpectralPropagator:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
         self._symbol = _cached(grid, ("symbol", alpha), lambda g: _octant_freq_magnitude(g) ** alpha)
         self._shape = grid.shape
-        self._split = grid.d == 1 and grid.n >= SPLIT_MIN
         self._last = (None, None, None)  # t, octant multiplier, full-layout multiplier
 
     def _multipliers(self, t: float, full: bool):
@@ -700,37 +652,17 @@ class SpectralPropagator:
             np.exp(octant, out=octant)
             whole = None
         if full and whole is None:
-            whole = self._full_layout(octant)
+            whole = octant if octant.ndim == 1 else _mirror(octant, octant.ndim - 1)
         self._last = (t, octant, whole)
         return octant, whole
 
-    def _full_layout(self, octant: np.ndarray):
-        """The multiplier as the full layout applies it: the octant
-        reflected on all axes but the last, or on a split line the pair
-        (a, b) with a = (m[j] + m[n/2 - j])/2 and b = (m[j] - m[n/2 - j])/2
-        for j in [0, n/4], which takes half spectra E, W^j O to
-        a E + b W^j O, b E + a W^j O."""
-        if octant.ndim > 1:
-            return _mirror(octant, octant.ndim - 1)
-        if not self._split:
-            return octant
-        q = octant.size // 2
-        low, high = octant[: q + 1], octant[q:][::-1]
-        return 0.5 * (low + high), 0.5 * (low - high)
-
     def multiplier(self, t: float) -> np.ndarray:
         """e^{-t|k|^alpha} in the rfftn layout of the full lattice."""
-        octant, whole = self._multipliers(t, True)
-        return octant if octant.ndim == 1 else whole
+        return self._multipliers(t, True)[1]
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new full lattice array: values carried forward by time t."""
-        mult = self._multipliers(t, True)[1]
-        if self._split:
-            a, b = mult
-            workers = _workers()
-            e, wo = _halves(values, workers)
-            return _interleave(lambda: a * e + b * wo, lambda: b * e + a * wo, values.size, workers)
+        mult = self.multiplier(t)
         if len(self._shape) == 1:
             spectrum = np.fft.rfft(values)
             spectrum *= mult
@@ -745,14 +677,14 @@ class SpectralPropagator:
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new octant array: the even field with this octant carried
         forward by time t, folded again."""
-        if self._split:  # the DCT-I is its own inverse up to 1/n
-            spectrum = _dct1(values)
+        if values.ndim == 1:
+            if self._shape[0] < SPLIT_MIN:
+                return self(unfold(values), t)[: values.size]
+            spectrum = _dct1(values)  # the DCT-I is its own inverse up to 1/n
             spectrum *= self._multipliers(t, False)[0]
             out = _dct1(spectrum)
             out *= 1.0 / self._shape[0]
             return out
-        if values.ndim == 1:
-            return self(np.concatenate((values, values[-2:0:-1])), t)[: values.size]
         mult = self._multipliers(t, False)[0]
         workers = _workers()
         if values.shape[0] <= GEMM_MAX:

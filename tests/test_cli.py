@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import fraclab
 import fraclab.cli as cli
 from fraclab.cli import main
 from fraclab.field import GEMM_MAX, Field, Grid, SnapshotMeta, write_snapshot
@@ -276,6 +278,16 @@ def _scipy_modules_after(argv):
 
 def test_import_cli_leaves_scipy_unloaded():
     assert _scipy_modules_after(["--version"]) == (0, "[]")
+
+
+def test_every_public_name_is_declared_once_by_its_module():
+    names = fraclab.__all__
+    assert names[0] == "__version__" and len(set(names)) == len(names)
+    assert names[1:] == [name for declared in fraclab._PUBLIC.values() for name in declared]
+    for module, declared in fraclab._PUBLIC.items():
+        source = importlib.import_module(f"fraclab.{module}")
+        for name in declared:
+            assert getattr(fraclab, name) is getattr(source, name), name
 
 
 def test_one_dimensional_commands_load_no_scipy(tmp_path):

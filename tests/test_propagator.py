@@ -8,12 +8,12 @@ order; the Hardy runs of an even datum, on its octant, must agree with
 the lattice flow, and those of any other datum keep its bits; evolve must
 preserve order at matched steps; the reaction flow must compose; and a
 run must not depend on the FFT worker count.
-Lines of SPLIT_MIN points and more are transformed as two half-length
-lines, whose half spectra must rebuild numpy's rfft and irfft, and their
-octants by a halving DCT-I that must equal the rfft of the unfolded line.
-Octants of d >= 2 up to GEMM_MAX points per axis take their DCT-I by
-cosine matrices, which must match scipy's dctn/idctn and keep the zero
-mode.
+A 1-d lattice step is numpy's rfft/irfft pair on the calling thread at
+every length; a 1-d octant of SPLIT_MIN points and more takes a halving
+DCT-I that must equal the rfft of the unfolded line.  Octants of d >= 2
+up to GEMM_MAX points per axis take their DCT-I by cosine matrices, which
+must match scipy's dctn/idctn, keep the zero mode, and give the same bits
+when one propagator is shared by threads.
 """
 
 import math
@@ -39,8 +39,6 @@ from fraclab.field import (
     _FFT_SHARE,
     _cosine_matrix,
     _dct1,
-    _halves,
-    _interleave,
     clear_grid_cache,
     fft_workers,
     fold,
@@ -60,13 +58,11 @@ from fraclab.linear_propagators import (
 from fraclab.nonlinear_solver import Global, _flow, _reaction, evolve, reaction_exact
 
 PROPERTY = settings(max_examples=25, deadline=None)
-LONG = settings(max_examples=8, deadline=None)  # lines of 2^17 points and more
 
 dims = st.sampled_from([1, 2, 3])
 alphas = st.floats(0.2, 2.0)
 times = st.floats(1e-3, 2.0)
 seeds = st.integers(0, 2**32 - 1)
-long_lines = st.sampled_from([SPLIT_MIN, 2 * SPLIT_MIN, 4 * SPLIT_MIN])
 
 
 def _grid(d: int) -> Grid:
@@ -231,69 +227,23 @@ def test_clear_grid_cache_drops_the_cosine_matrices():
     assert _cosine_matrix(m) is not c
 
 
-def _split_rfft(x: np.ndarray, workers: int) -> np.ndarray:
-    """rfft of x joined from its half spectra: X[j] = E[j] + W^j O[j] and
-    X[n/2 - j] = conj(E[j] - W^j O[j]) for j in [0, n/4]."""
-    e, wo = _halves(x, workers)
-    return np.concatenate((e + wo, np.conjugate(e - wo)[-2::-1]))
-
-
-def _split_irfft(spectrum: np.ndarray, n: int, workers: int) -> np.ndarray:
-    """irfft(spectrum, n) from the half spectra E = (X[j] + conj X[n/2 - j])/2
-    and W^j O = (X[j] - conj X[n/2 - j])/2."""
-    q = n // 4
-    low, high = spectrum[: q + 1], np.conjugate(spectrum[q:][::-1])
-    return _interleave(lambda: (low + high) * 0.5, lambda: (low - high) * 0.5, n, workers)
-
-
-@LONG
-@given(n=long_lines, seed=seeds)
-def test_split_transforms_match_numpy_fft(n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    # any spectrum, as a multiplied one is: irfft reads only the real
-    # parts of its first and last entries
-    noise = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
-    spectrum, line = np.fft.rfft(x), np.fft.irfft(noise, n)
-    outs = []
-    for workers in (1, 2):
-        forward, inverse = _split_rfft(x, workers), _split_irfft(noise, n, workers)
-        assert np.max(np.abs(forward - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
-        assert np.max(np.abs(inverse - line)) <= 1e-12 * np.max(np.abs(line))
-        outs.append((forward, inverse))
-    assert all(np.array_equal(one, two) for one, two in zip(*outs))
-
-
-@LONG
-@given(n=long_lines, alpha=alphas, t=times, seed=seeds)
-def test_split_propagator_does_not_depend_on_fft_workers(n, alpha, t, seed):
-    grid = Grid(1, n, 512.0)
-    v = _values(grid, seed)
-    prop = SpectralPropagator(grid, alpha)
-    outs = []
-    for workers in (1, 2):
-        with fft_workers(workers):
-            outs.append(prop(v, t))
-    assert np.array_equal(*outs)
-    assert np.max(np.abs(outs[0] - _reference(v, grid, t, alpha))) <= 1e-12 * np.max(np.abs(v))
-
-
 def test_split_propagator_shared_across_threads():
     # callers in four threads share one propagator, its cache of the last
-    # t and the helper thread; a short switch interval interleaves them
-    grid = Grid(1, SPLIT_MIN, 512.0)
+    # t and the helper thread, which runs the second half of each split
+    # pass of a 65^3 octant; a short switch interval interleaves them
+    grid = Grid(3, 128, 8.0)
     prop = SpectralPropagator(grid, 0.7)
-    v = _values(grid, 7)
+    octant = np.random.default_rng(7).standard_normal((grid.n // 2 + 1,) * 3)
     steps = [0.1 * (k + 1) for k in range(4)]
     with fft_workers(1):
-        expected = [prop(v, t) for t in steps]
+        expected = [prop.octant(octant, t) for t in steps]
     results, errors = {}, []
 
     def run(k):
         try:
             with fft_workers(2):
                 for _ in range(3):
-                    results.setdefault(k, []).append(prop(v, steps[k]).copy())
+                    results.setdefault(k, []).append(prop.octant(octant, steps[k]))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -311,6 +261,23 @@ def test_split_propagator_shared_across_threads():
     for k, outs in results.items():
         assert len(outs) == 3 and all(np.array_equal(out, expected[k]) for out in outs)
     assert sorted(results) == [0, 1, 2, 3]
+
+
+def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
+    # a long line takes numpy's single pair, and its octant the halving
+    # DCT-I, with two workers as with one: neither reaches the helper
+    def no_helper():
+        raise AssertionError("a 1-d step reached the helper thread")
+
+    monkeypatch.setattr("fraclab.field._helper", no_helper)
+    grid = Grid(1, 2 * SPLIT_MIN, 512.0)
+    prop = SpectralPropagator(grid, 0.7)
+    v = _even(grid, 5)
+    with fft_workers(2):
+        full = prop(v, 0.3)
+        octant = prop.octant(fold(v), 0.3)
+    assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop.multiplier(0.3), grid.n))
+    assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_propagator_reuses_the_multiplier_of_the_last_time():
@@ -499,7 +466,7 @@ def _assert_same_records(one, two):
 
 
 def test_long_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
-    # off centre, so the datum is not even and runs on the split lattice
+    # off centre, so the datum is not even and runs on the lattice
     _assert_same_records(*_long_hardy_records(monkeypatch, 0.3))
 
 
