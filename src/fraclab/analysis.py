@@ -460,7 +460,7 @@ def singular_convergence_rates(config: ExperimentConfig, sigma=None) -> Converge
     )
 
 
-def l2_stability_check(config: ExperimentConfig, sigma=None) -> FitResult:
+def l2_stability_check(config: ExperimentConfig) -> FitResult:
     """Fit the L^2 decay of a bump deficit; the expected slope is
     -(d - 2 sigma)/(2 alpha).
 

@@ -29,7 +29,7 @@ from .field import (
     SteadyTailDeficitDatum,
     TruncatedSingularDatum,
     octant_sample,
-    sample,
+    unfold,
 )
 
 
@@ -87,18 +87,11 @@ class InitialSpec:
         raise ValueError(f"unknown initial kind {self.kind!r}")
 
     def build(self, grid: Grid, params: ModelParams) -> Field:
-        """The scaled datum on the lattice."""
-        datum = self.datum(params)
-        if datum is None:
-            return Field._adopt(grid, np.zeros(grid.shape))
-        out = sample(grid, datum)
-        if self.scale == 1.0:
-            return out
-        return Field._adopt(grid, self.scale * out.values)
+        """The scaled datum on the lattice: the unfold of build_octant."""
+        return Field._adopt(grid, unfold(self.build_octant(grid, params)))
 
     def build_octant(self, grid: Grid, params: ModelParams) -> np.ndarray:
-        """build on the octant (see field.fold), as a new array equal to
-        the fold of build's values bit for bit."""
+        """The scaled datum on the octant (see field.fold), as a new array."""
         datum = self.datum(params)
         if datum is None:
             return np.zeros((grid.n // 2 + 1,) * grid.d)

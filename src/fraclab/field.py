@@ -64,17 +64,15 @@ class Grid:
         return self.h * (np.arange(self.n) - self.n // 2)
 
     def radius(self) -> np.ndarray:
-        """|x| on the full lattice, shape (n,)*d."""
-        return _cached(self, "radius", lambda g: _hypot([g.axis()] * g.d))
+        """|x| on the full lattice, shape (n,)*d: the unfold of octant_radius()."""
+        return _cached(self, "radius", lambda g: unfold(g.octant_radius()))
 
     def capped_radius(self) -> np.ndarray:
-        """max(|x|, h/2): the half-cell floor used by all singular factors."""
-        return _cached(self, "capped_radius", lambda g: np.maximum(g.radius(), 0.5 * g.h))
+        """max(|x|, h/2), the half-cell floor of all singular factors, on the lattice."""
+        return _cached(self, "capped_radius", lambda g: unfold(g.octant_capped_radius()))
 
     def octant_radius(self) -> np.ndarray:
-        """|x| on the octant (see fold), shape (n/2+1,)*d: the arithmetic of
-        radius() on the leading coordinates of each axis, so it equals the
-        fold of radius() bit for bit."""
+        """|x| on the octant (see fold), shape (n/2+1,)*d."""
         return _cached(self, "octant_radius", lambda g: _hypot([g.axis()[: g.n // 2 + 1]] * g.d))
 
     def octant_capped_radius(self) -> np.ndarray:
@@ -107,6 +105,7 @@ def clear_grid_cache():
         _GRID_CACHE.clear()
     propagator.cache_clear()
     _cosine_matrix.cache_clear()
+    _dct3_phases.cache_clear()
 
 
 def _hypot(axes) -> np.ndarray:
@@ -227,17 +226,14 @@ class WeightSpec:
 
 
 def weight_values(grid: Grid, weight: WeightSpec) -> np.ndarray:
-    """phi_sigma on the lattice; the radius is floored at h/2 so the origin
-    cell carries the same regularization as the singular data it measures."""
-    return _phi(weight, grid.capped_radius())
+    """phi_sigma on the lattice: the unfold of octant_weight_values."""
+    return unfold(octant_weight_values(grid, weight))
 
 
 def octant_weight_values(grid: Grid, weight: WeightSpec) -> np.ndarray:
-    """weight_values on the octant (see fold)."""
-    return _phi(weight, grid.octant_capped_radius())
-
-
-def _phi(weight: WeightSpec, capped: np.ndarray) -> np.ndarray:
+    """phi_sigma on the octant (see fold), its radius floored at h/2 so the
+    origin cell carries the regularization of the singular data it measures."""
+    capped = grid.octant_capped_radius()
     return 1.0 + weight.t ** (weight.sigma / weight.alpha) * capped ** (-weight.sigma)
 
 
@@ -369,61 +365,55 @@ class SteadyBumpDeficitDatum:
             raise ValueError(f"width must be positive, got {self.width}")
 
 
-def _radial_values(datum, radius, capped) -> np.ndarray:
-    """A new array of the datum at the points whose |x| is radius() and
-    whose half-cell capped |x| is capped(): the one formula of each datum,
-    for the lattice and for its octant."""
+def octant_sample(grid: Grid, datum) -> np.ndarray:
+    """A new octant array (see fold) of an initial datum, nonnegative: the
+    one formula of each datum, which sample unfolds."""
     if isinstance(datum, GaussianDatum):
-        return datum.amplitude * np.exp(-((radius() / datum.width) ** 2))
+        return datum.amplitude * np.exp(-((grid.octant_radius() / datum.width) ** 2))
+    capped = grid.octant_capped_radius()
     if isinstance(datum, TruncatedSingularDatum):
         if datum.delta >= 1.0:
             warnings.warn(
                 f"delta = {datum.delta} >= 1: datum is not a strict sub-steady state",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         return _steady_values(datum.params, capped, datum.delta)
     if isinstance(datum, PowerTailDatum):
         return np.minimum(
-            datum.amplitude * capped() ** (-datum.gamma0),
+            datum.amplitude * capped ** (-datum.gamma0),
             _steady_values(datum.params, capped, datum.delta),
         )
     if isinstance(datum, SteadyTailDeficitDatum):
         base = _steady_values(datum.params, capped)
-        return np.maximum(base - datum.b * capped() ** (-datum.ell), 0.0)
+        return np.maximum(base - datum.b * capped ** (-datum.ell), 0.0)
     if isinstance(datum, SteadyBumpDeficitDatum):
         base = _steady_values(datum.params, capped)
-        dent = datum.b * np.exp(-((radius() / datum.width) ** 2))
+        dent = datum.b * np.exp(-((grid.octant_radius() / datum.width) ** 2))
         return np.maximum(base - dent, 0.0)
     raise TypeError(f"unsupported datum type {type(datum).__name__}")
 
 
-def _steady_values(params: ModelParams, capped, factor: float = 1.0) -> np.ndarray:
+def _steady_values(params: ModelParams, capped: np.ndarray, factor: float = 1.0) -> np.ndarray:
     """factor * s |x|^{-alpha/(p-1)} at the capped radii."""
     s = singular_amplitude(params)
     m = params.alpha / (params.p - 1.0)
-    return factor * s * capped() ** (-m)
+    return factor * s * capped ** (-m)
 
 
 def sample(grid: Grid, datum) -> Field:
-    """Evaluate an initial datum on the lattice; values are nonnegative."""
-    return Field._adopt(grid, _radial_values(datum, grid.radius, grid.capped_radius))
-
-
-def octant_sample(grid: Grid, datum) -> np.ndarray:
-    """sample on the octant (see fold), as a new array equal to the fold
-    of the lattice sample bit for bit."""
-    return _radial_values(datum, grid.octant_radius, grid.octant_capped_radius)
+    """Evaluate an initial datum on the lattice: the unfold of octant_sample."""
+    return Field._adopt(grid, unfold(octant_sample(grid, datum)))
 
 
 def steady_state(grid: Grid, params: ModelParams) -> Field:
-    """The scale-invariant steady profile s |x|^{-alpha/(p-1)}, half-cell capped."""
-    return Field._adopt(grid, _steady_values(params, grid.capped_radius))
+    """The steady profile s |x|^{-alpha/(p-1)}, half-cell capped, on the lattice."""
+    return Field._adopt(grid, unfold(octant_steady_state(grid, params)))
 
 
 def octant_steady_state(grid: Grid, params: ModelParams) -> np.ndarray:
     """steady_state on the octant, as a new array."""
-    return _steady_values(params, grid.octant_capped_radius)
+    return _steady_values(params, grid.octant_capped_radius())
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +454,6 @@ def fft_workers(n: int):
         _FFT_SHARE.workers = previous
 
 
-# 1-d octants of at least SPLIT_MIN lattice points take their DCT-I by
-# halving (see _dct1), which does half the transform work of the full
-# line.  Shorter ones go unfolded through the full line's rfft/irfft pair,
-# so their steps equal the fold of the lattice step bit for bit; a cosine
-# matrix would round differently and move the brackets of classify runs
-# on 256-point grids.
-SPLIT_MIN = 2 ** 17
 # Octant lines of at most _DCT1_BASE + 1 points take their type-1 DCT as
 # one rfft of the unfolded line; longer ones halve first (see _dct1).
 _DCT1_BASE = 4096
@@ -527,10 +510,11 @@ def _dct3(h: np.ndarray, out: np.ndarray):
     out[1::2] = v[: q - 1 : -1]
 
 
-# Octants of d >= 2 whose axes have at most GEMM_MAX points (n <= 256)
-# take their DCT-I as one matrix product per axis (see _cosine_step), and
-# wider ones scipy's dctn/idctn.  On a 2-core x86-64 host with one BLAS
-# thread, a step (DCT-I, multiplier, DCT-I) took, min/median in ms:
+# Octants with at most GEMM_MAX points per axis (n <= 256) take their DCT-I
+# as one matrix product per axis (see _cosine_step), wider ones _dct1 on
+# d = 1 and scipy's dctn/idctn on d >= 2.  On a 2-core x86-64 host with one
+# BLAS thread, a step (DCT-I, multiplier, DCT-I) took, min/median in ms:
+#   129:   GEMM 0.018/0.025 against 0.026/0.039 for the unfolded line's pair;
 #   65^3:  GEMM 8.9/11.5 on one thread and 6.4/9.1 split over two; scipy
 #          11.9/19.1 with one worker and 7.0/13.6 with two;
 #   129^3: GEMM 103/127 and 68/83; scipy 109/155 and 79/91;
@@ -588,12 +572,12 @@ def _in_pair(first, second, workers: int):
 
 
 def _cosine_step(values: np.ndarray, mult: np.ndarray, workers: int) -> np.ndarray:
-    """A new octant array: the type-1 DCT of a 2-d or 3-d octant by
-    _cosine_pass on every axis, times mult, the DCT again and 1/n^d (the
-    DCT-I is its own inverse up to 1/n per axis).  The passes alternate
-    between two new arrays.  A 2-d pass is one matmul; a 3-d pass runs as
-    the same two halves of rows for any worker count, on two threads when
-    there are two workers (see _GEMM_PAIR_MIN)."""
+    """A new octant array: the type-1 DCT of an octant by _cosine_pass on
+    every axis, times mult, the DCT again and 1/n^d (the DCT-I is its own
+    inverse up to 1/n per axis).  The passes alternate between two new
+    arrays.  A 1-d or 2-d pass is one matmul on the calling thread; a 3-d
+    pass runs as the same two halves of rows for any worker count, on two
+    threads when there are two workers (see _GEMM_PAIR_MIN)."""
     m, d = values.shape[0], values.ndim
     c, half = _cosine_matrix(m), m // 2
     if m < _GEMM_PAIR_MIN:
@@ -605,7 +589,7 @@ def _cosine_step(values: np.ndarray, mult: np.ndarray, workers: int) -> np.ndarr
             src *= mult
         dst = buffers[k % 2]
         write_rows = functools.partial(_cosine_pass, c, src, dst, k % d)
-        if d == 2:
+        if d < 3:
             write_rows(slice(None))
         else:
             _in_pair(lambda: write_rows(slice(0, half)), lambda: write_rows(slice(half, m)), workers)
@@ -622,13 +606,12 @@ class SpectralPropagator:
     scipy.fft's rfftn/irfftn with workers on d >= 2, imported on first
     use.  octant() carries the octant of a field that is even in every
     coordinate (see fold), whose DFT is the type-1 DCT of the octant
-    (Martucci 1994).  On d >= 2 an octant of at most GEMM_MAX points per
-    axis takes it as one matrix product per axis with a cached cosine
-    matrix (see _cosine_step), in 3-d each pass in two fixed halves, one
-    per worker when there are two, so the bits do not depend on the worker
-    count; a wider one takes scipy.fft's dctn/idctn with workers.  On
-    d = 1 a line of SPLIT_MIN points and more takes it by _dct1 twice, and
-    a shorter one goes unfolded through the full layout.
+    (Martucci 1994).  An octant of at most GEMM_MAX points per axis takes
+    it as one matrix product per axis with a cached cosine matrix (see
+    _cosine_step), in 3-d each pass in two fixed halves, one per worker
+    when there are two, so the bits do not depend on the worker count.  A
+    wider one takes _dct1 twice on d = 1, and scipy.fft's dctn/idctn with
+    workers on d >= 2.
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
@@ -677,22 +660,21 @@ class SpectralPropagator:
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new octant array: the even field with this octant carried
         forward by time t, folded again."""
+        if values.shape[0] <= GEMM_MAX:
+            return _cosine_step(values, self._multipliers(t, False)[0], _workers())
+        # The multiplier is made after the first transform: made first, it lay below
+        # that transform's work arrays, and glibc trimmed and regrew the heap each step.
         if values.ndim == 1:
-            if self._shape[0] < SPLIT_MIN:
-                return self(unfold(values), t)[: values.size]
             spectrum = _dct1(values)  # the DCT-I is its own inverse up to 1/n
             spectrum *= self._multipliers(t, False)[0]
             out = _dct1(spectrum)
             out *= 1.0 / self._shape[0]
             return out
-        mult = self._multipliers(t, False)[0]
-        workers = _workers()
-        if values.shape[0] <= GEMM_MAX:
-            return _cosine_step(values, mult, workers)
         import scipy.fft
 
+        workers = _workers()
         spectrum = scipy.fft.dctn(values, type=1, workers=workers)
-        spectrum *= mult
+        spectrum *= self._multipliers(t, False)[0]
         return scipy.fft.idctn(spectrum, type=1, workers=workers, overwrite_x=True)
 
 

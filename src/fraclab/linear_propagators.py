@@ -60,20 +60,20 @@ class HardyOperatorSpec:
         return 0.5 * grid.h
 
     def potential(self, grid: Grid) -> np.ndarray:
-        """kappa * max(|x|, cap)^{-alpha} on the lattice (cached per grid)."""
-        return self._potential(grid, "potential", grid.radius)
+        """octant_potential unfolded to the lattice (cached per grid)."""
+        octant = self.octant_potential(grid)
+        key = ("potential", self.alpha, self.kappa, self.cap_radius(grid))
+        return _cached(grid, key, lambda g: unfold(octant))
 
     def octant_potential(self, grid: Grid) -> np.ndarray:
-        """potential on the octant (see field.fold), equal to its fold bit
-        for bit (cached per grid)."""
-        return self._potential(grid, "octant_potential", grid.octant_radius)
-
-    def _potential(self, grid: Grid, name: str, radius) -> np.ndarray:
+        """kappa * max(|x|, cap)^{-alpha} on the octant (see field.fold), cached per grid."""
         if self.d != grid.d:
             raise ValueError(f"spec dimension {self.d} does not match grid {grid.d}")
         cap = self.cap_radius(grid)
-        key = (name, self.alpha, self.kappa, cap)
-        return _cached(grid, key, lambda g: self.kappa * np.maximum(radius(), cap) ** (-self.alpha))
+        key = ("octant_potential", self.alpha, self.kappa, cap)
+        return _cached(
+            grid, key, lambda g: self.kappa * np.maximum(g.octant_radius(), cap) ** (-self.alpha)
+        )
 
     def sigma(self) -> float:
         """Weight exponent: the smaller root of the power-map equation.

@@ -46,7 +46,7 @@ class MorreyQuery:
 
     def resolve_radii(self, grid: Grid) -> np.ndarray:
         if self.radii is None:
-            count = int(round(math.log2(grid.n))) if grid.n > 1 else 1
+            count = int(round(math.log2(grid.n)))
             return grid.h * 2.0 ** np.arange(count)  # last entry is L exactly
         radii = np.array(self.radii)
         if np.any(radii < grid.h * (1.0 - 1e-12)) or np.any(

@@ -4,8 +4,8 @@ The references were recorded with the solver that stepped every lattice
 point through rfftn/irfftn, before evolve moved to the mirror octant and
 the DCT-I.  The octant changes rounding only, so status kinds must agree
 exactly and rows, t_star and monitor maxima to rtol 1e-10.  n = 32 keeps
-each run well under a second; L = 7.3 is not dyadic, so its lattice is
-mirror-symmetric only to rounding.
+each run well under a second; L = 7.3 is not dyadic, so its spacing h is
+inexact, yet its lattice is mirror-symmetric bit for bit.
 """
 
 import numpy as np

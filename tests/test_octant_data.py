@@ -1,8 +1,9 @@
 """The octant data path of evolve.
 
-Radial data, the steady profile and the Hardy potential are evaluated on
-the octant (see fold) by the same formulas as on the full lattice, so the
-two must agree bit for bit.  evolve builds no full-lattice array before its
+Radial data, the steady profile, the weight and the Hardy potential each
+have one formula, evaluated on the octant (see fold); their lattice arrays
+are its unfold, so each lattice array must be even bit for bit and fold
+back to the octant array.  evolve builds no full-lattice array before its
 first output and one per output: Fields it hands out are read-only and
 never written again, the per-grid cache holds only octant arrays after a
 run, and the run's peak memory grows by less than four lattice arrays.
@@ -27,12 +28,14 @@ from fraclab.field import (
     Field,
     GaussianDatum,
     Grid,
+    WeightSpec,
     clear_grid_cache,
     fold,
     octant_steady_state,
     sample,
     steady_state,
     unfold,
+    weight_values,
 )
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hypercontractivity_measure
 from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
@@ -40,7 +43,7 @@ from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
 PROPERTY = settings(max_examples=25, deadline=None)
 
 dims = st.sampled_from([1, 2, 3])
-lengths = st.sampled_from([4.0, 7.3])  # dyadic, and one whose lattice is even only to rounding
+lengths = st.sampled_from([4.0, 7.3])  # dyadic, and one whose spacing h is inexact
 scales = st.floats(0.3, 3.0).filter(lambda s: s != 1.0)
 
 
@@ -89,8 +92,18 @@ def test_octant_data_are_the_fold_of_the_lattice_data(d, L, scale, data):
 def test_sampled_radial_data_are_even_bit_for_bit(d):
     # at L = 7.3 the spacing h is inexact, yet x_j and x_{n-j} still mirror
     grid = _grid(d, 7.3)
-    values = sample(grid, GaussianDatum(amplitude=0.7, width=1.3)).values
-    assert _same_bits(unfold(fold(values)), values)
+    params = ModelParams(alpha=0.5, d=d, p=critical_exponents(d, 0.5)[1] + 1.0)
+    arrays = [spec.build(grid, params).values for spec in _specs(1.7)]
+    arrays += [
+        sample(grid, GaussianDatum(amplitude=0.7, width=1.3)).values,
+        steady_state(grid, params).values,
+        weight_values(grid, WeightSpec(sigma=0.3, t=0.5, alpha=0.5)),
+        HardyOperatorSpec(0.5, d, 0.4).potential(grid),
+        grid.radius(),
+        grid.capped_radius(),
+    ]
+    for values in arrays:
+        assert _same_bits(unfold(fold(values)), values)
 
 
 @PROPERTY

@@ -9,11 +9,12 @@ the lattice flow, and those of any other datum keep its bits; evolve must
 preserve order at matched steps; the reaction flow must compose; and a
 run must not depend on the FFT worker count.
 A 1-d lattice step is numpy's rfft/irfft pair on the calling thread at
-every length; a 1-d octant of SPLIT_MIN points and more takes a halving
-DCT-I that must equal the rfft of the unfolded line.  Octants of d >= 2
-up to GEMM_MAX points per axis take their DCT-I by cosine matrices, which
-must match scipy's dctn/idctn, keep the zero mode, and give the same bits
-when one propagator is shared by threads.
+every length.  Octants of up to GEMM_MAX points per axis take their DCT-I
+by cosine matrices in every dimension, which must match scipy's
+dctn/idctn, keep the zero mode, and give the same bits when one
+propagator is shared by threads; 1-d ones stay on the calling thread.  A
+wider 1-d octant takes a halving DCT-I that must equal the rfft of the
+unfolded line.  Every octant step agrees with the full layout to 1e-12.
 """
 
 import math
@@ -31,7 +32,6 @@ from fraclab.config import config_from_dict
 from fraclab.constants import power_map_coeff_max
 from fraclab.field import (
     GEMM_MAX,
-    SPLIT_MIN,
     Field,
     Grid,
     SpectralPropagator,
@@ -39,6 +39,7 @@ from fraclab.field import (
     _FFT_SHARE,
     _cosine_matrix,
     _dct1,
+    _dct3_phases,
     clear_grid_cache,
     fft_workers,
     fold,
@@ -58,6 +59,8 @@ from fraclab.linear_propagators import (
 from fraclab.nonlinear_solver import Global, _flow, _reaction, evolve, reaction_exact
 
 PROPERTY = settings(max_examples=25, deadline=None)
+
+LONG = 2 ** 17  # a 1-d line whose octant halves its DCT-I several times
 
 dims = st.sampled_from([1, 2, 3])
 alphas = st.floats(0.2, 2.0)
@@ -144,7 +147,8 @@ def test_weighted_octant_sums_are_lattice_sums(d, seed):
 
 
 @PROPERTY
-@given(d=dims, alpha=alphas, t=times, seed=seeds, line=st.sampled_from([64, SPLIT_MIN, 2 * SPLIT_MIN]))
+# 1-d lines of the cosine step, of _dct1's base case and of its halving
+@given(d=dims, alpha=alphas, t=times, seed=seeds, line=st.sampled_from([64, 256, 4096, 2 ** 14, LONG]))
 def test_octant_propagator_matches_the_full_lattice(d, alpha, t, seed, line):
     grid = Grid(1, line, 4.0) if d == 1 else _grid(d)
     v = _even(grid, seed)
@@ -152,12 +156,10 @@ def test_octant_propagator_matches_the_full_lattice(d, alpha, t, seed, line):
     octant = prop.octant(fold(v), t)
     full = prop(v, t)
     assert np.max(np.abs(unfold(octant) - full)) <= 1e-12 * np.max(np.abs(full))
-    if d == 1 and line < SPLIT_MIN:  # the same transforms of the same line
-        assert np.array_equal(octant, fold(full))
 
 
 @PROPERTY
-@given(n=st.sampled_from([_DCT1_BASE // 4, _DCT1_BASE, 2 * _DCT1_BASE, 8 * _DCT1_BASE, SPLIT_MIN]),
+@given(n=st.sampled_from([_DCT1_BASE // 4, _DCT1_BASE, 2 * _DCT1_BASE, 8 * _DCT1_BASE, LONG]),
        seed=seeds)
 def test_dct1_is_the_spectrum_of_the_unfolded_line(n, seed):
     # lines of N + 1 points on both sides of the recursion floor
@@ -188,7 +190,7 @@ def _octant_multiplier(grid: Grid, t: float, alpha: float) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_cosine_octant_step_matches_scipy_dct1(d, n):
     assert n // 2 + 1 <= GEMM_MAX  # every size here takes the matrix path
     grid = Grid(d, n, 4.0)
@@ -205,8 +207,7 @@ def test_cosine_octant_step_matches_scipy_dct1(d, n):
 
 
 @PROPERTY
-@given(d=st.sampled_from([2, 3]), n=st.sampled_from([16, 32, 64, 128]), alpha=alphas, t=times,
-       seed=seeds)
+@given(d=dims, n=st.sampled_from([16, 32, 64, 128]), alpha=alphas, t=times, seed=seeds)
 def test_cosine_octant_step_keeps_the_zero_mode(d, n, alpha, t, seed):
     # the zero mode of the octant's DCT-I is its mass: the multiplicity-weighted sum
     grid = Grid(d, n, 4.0)
@@ -225,6 +226,12 @@ def test_clear_grid_cache_drops_the_cosine_matrices():
     clear_grid_cache()
     assert _cosine_matrix.cache_info().currsize == 0
     assert _cosine_matrix(m) is not c
+    # and the phase factors of the halving DCT-I of a long octant
+    grid = Grid(1, LONG, 512.0)
+    propagator(grid, 0.7).octant(fold(_even(grid, 3)), 0.3)
+    assert _dct3_phases.cache_info().currsize > 0
+    clear_grid_cache()
+    assert _dct3_phases.cache_info().currsize == 0
 
 
 def test_split_propagator_shared_across_threads():
@@ -265,19 +272,21 @@ def test_split_propagator_shared_across_threads():
 
 def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
     # a long line takes numpy's single pair, and its octant the halving
-    # DCT-I, with two workers as with one: neither reaches the helper
+    # DCT-I, with two workers as with one; a 129-point octant takes one
+    # cosine matmul per pass: none of them reaches the helper
     def no_helper():
         raise AssertionError("a 1-d step reached the helper thread")
 
     monkeypatch.setattr("fraclab.field._helper", no_helper)
-    grid = Grid(1, 2 * SPLIT_MIN, 512.0)
-    prop = SpectralPropagator(grid, 0.7)
-    v = _even(grid, 5)
-    with fft_workers(2):
-        full = prop(v, 0.3)
-        octant = prop.octant(fold(v), 0.3)
-    assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop.multiplier(0.3), grid.n))
-    assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
+    for n in (2 * LONG, 256):
+        grid = Grid(1, n, 512.0)
+        prop = SpectralPropagator(grid, 0.7)
+        v = _even(grid, 5)
+        with fft_workers(2):
+            full = prop(v, 0.3)
+            octant = prop.octant(fold(v), 0.3)
+        assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop.multiplier(0.3), grid.n))
+        assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_propagator_reuses_the_multiplier_of_the_last_time():
@@ -447,9 +456,9 @@ def test_evolve_records_at_128_do_not_depend_on_fft_workers(monkeypatch):
 
 
 def _long_hardy_records(monkeypatch, centre: float):
-    """hardy_evolve of a Gaussian centred at x = centre on a 2 SPLIT_MIN
-    line, run with one FFT worker and with two."""
-    grid = Grid(1, 2 * SPLIT_MIN, 512.0)
+    """hardy_evolve of a Gaussian centred at x = centre on a 2 LONG line,
+    run with one FFT worker and with two."""
+    grid = Grid(1, 2 * LONG, 512.0)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.2 * power_map_coeff_max(1, 0.5))
     w0 = Field(grid, np.exp(-(grid.axis() - centre) ** 2))
     series = []
@@ -511,10 +520,10 @@ def _spec(d: int, alpha_frac: float, kappa_frac: float) -> HardyOperatorSpec:
 @PROPERTY
 @given(shape=st.sampled_from([(1, 64), (2, 16), (3, 16)]), alpha_frac=st.floats(0.15, 0.95),
        kappa_frac=st.floats(0.0, 0.9), substeps=st.integers(1, 3), seed=seeds)
-@example(shape=(1, SPLIT_MIN), alpha_frac=0.5, kappa_frac=0.2, substeps=2, seed=3)
+@example(shape=(1, LONG), alpha_frac=0.5, kappa_frac=0.2, substeps=2, seed=3)
 def test_even_hardy_runs_match_the_lattice_flow(shape, alpha_frac, kappa_frac, substeps, seed):
     d, n = shape
-    grid = Grid(d, n, 4.0 if n < SPLIT_MIN else 512.0)
+    grid = Grid(d, n, 4.0 if n < LONG else 512.0)
     w0 = Field(grid, np.abs(_even(grid, seed)))
     runs = _hardy_runs(w0, _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4], substeps)
     (rows, ref_rows), (final, ref_final), (pair_rows, ref_pair_rows) = runs
