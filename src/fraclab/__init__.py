@@ -17,10 +17,8 @@ _PUBLIC = {
         solve_sigma sigma_upper
     """.split(),
     "field": """
-        Field GaussianDatum Grid PowerTailDatum SnapshotFormatError SnapshotMeta
-        SteadyBumpDeficitDatum SteadyTailDeficitDatum TruncatedSingularDatum WeightSpec
-        heat_propagate read_snapshot sample steady_state weight_values weighted_norm
-        write_snapshot
+        Field Grid SnapshotFormatError SnapshotMeta WeightSpec heat_propagate
+        read_snapshot steady_state weight_values weighted_norm write_snapshot
     """.split(),
     "radial_operator": "RadialProfile frac_lap_radial steady_profile steady_residual".split(),
     "linear_propagators": """

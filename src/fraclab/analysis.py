@@ -15,14 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _DELTA_KINDS, ExperimentConfig, _finite, _is_number
+from .config import ExperimentConfig, _finite, _is_number
 from .constants import (
     ModelParams,
     kappa_from_delta,
     singular_amplitude,
     solve_sigma,
 )
-from .field import WeightSpec, fft_workers, steady_state, thread_count, weighted_norm
+from .field import WeightSpec, fft_workers, octant_steady_state, steady_state, thread_count, weighted_norm
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -64,6 +64,11 @@ def default_fit_window(times, grid, alpha: float) -> tuple:
     return (hi / 10.0, hi)
 
 
+def _in_window(times: np.ndarray, window) -> np.ndarray:
+    """Mask of the times inside window = (lo, hi), its ends widened by rounding."""
+    return (times >= window[0] * (1.0 - 1e-12)) & (times <= window[1] * (1.0 + 1e-12))
+
+
 def fit_power_law(times, values, window=None) -> FitResult:
     """Fit value = C t^a on the window; returns the slope a with its
     standard error from the fit residuals.
@@ -82,7 +87,7 @@ def fit_power_law(times, values, window=None) -> FitResult:
     lo, hi = float(window[0]), float(window[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"window must satisfy 0 < t_min < t_max, got ({lo}, {hi})")
-    sel = (times >= lo * (1.0 - 1e-12)) & (times <= hi * (1.0 + 1e-12))
+    sel = _in_window(times, (lo, hi))
     ts = times[sel]
     vs = values[sel]
     if ts.size < 5:
@@ -434,10 +439,8 @@ def singular_convergence_rates(config: ExperimentConfig, sigma=None) -> Converge
         outer_sup[i] = np.max(w[outer])
 
     window = default_fit_window(run.times, grid, params.alpha)
-    in_window = (run.times >= window[0] * (1.0 - 1e-12)) & (
-        run.times <= window[1] * (1.0 + 1e-12)
-    )
-    floor = 1e-13 * float(np.max(steady_state(grid, params).values))
+    in_window = _in_window(run.times, window)
+    floor = 1e-13 * float(np.max(octant_steady_state(grid, params)))
     at_floor = max(inner_sup.max(), outer_sup.max()) <= floor
     degenerate = abs(ell - sigma) <= 1e-12
     if at_floor or degenerate:
@@ -479,7 +482,7 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
     values = np.array([math.sqrt(np.sum(w**2) * h_d) for w in run.deficits])
 
     peak = max(float(np.max(np.abs(w))) for w in run.deficits)
-    floor = 1e-13 * float(np.max(steady_state(grid, config.params).values))
+    floor = 1e-13 * float(np.max(octant_steady_state(grid, config.params)))
     if peak <= floor:
         raise ValueError("deficit at the rounding floor; no rate to fit")
     worst = min(float(np.min(w)) for w in run.deficits)
@@ -489,9 +492,7 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
             "the run overtook its reference"
         )
     window = default_fit_window(run.times, grid, config.params.alpha)
-    in_window = (run.times >= window[0] * (1.0 - 1e-12)) & (
-        run.times <= window[1] * (1.0 + 1e-12)
-    )
+    in_window = _in_window(run.times, window)
     if not _monotone(values[in_window]):
         raise RuntimeError("L2 deficit is not monotone non-increasing on the fit window")
     return fit_power_law(run.times, values, window)
@@ -510,11 +511,7 @@ def weighted_decay_check(config: ExperimentConfig, qs=(1.0, 2.0, math.inf)) -> d
     section, falling back to the initial section where it has one.
     """
     params = config.params
-    delta = config.potential.delta
-    if delta is None and config.initial.kind in _DELTA_KINDS:
-        delta = config.initial.delta
-    if delta is None:
-        raise ValueError("needs delta (potential section) to form the barrier class")
+    delta = config.potential.barrier_delta(config.initial)
     sigma = solve_sigma(kappa_from_delta(params, delta), params.d, params.alpha)
 
     grid = config.build_grid()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -20,17 +21,7 @@ from .constants import (
     kappa_from_delta,
     kappa_from_params,
 )
-from .field import (
-    Field,
-    GaussianDatum,
-    Grid,
-    PowerTailDatum,
-    SteadyBumpDeficitDatum,
-    SteadyTailDeficitDatum,
-    TruncatedSingularDatum,
-    octant_sample,
-    unfold,
-)
+from .field import Field, Grid, _steady_values, unfold
 
 
 class ConfigError(ValueError):
@@ -68,34 +59,51 @@ class InitialSpec:
     ell: float = 0.5
     scale: float = 1.0
 
-    def datum(self, params: ModelParams):
-        """The field datum of this kind, None for "zero"."""
-        if self.kind == "zero":
-            return None
-        if self.kind == "gaussian":
-            return GaussianDatum(amplitude=self.amplitude, width=self.width)
-        if self.kind == "truncated_singular":
-            return TruncatedSingularDatum(params, delta=self.delta)
-        if self.kind == "power_tail":
-            return PowerTailDatum(
-                params, amplitude=self.amplitude, gamma0=self.gamma0, delta=self.delta
-            )
-        if self.kind == "steady_deficit_tail":
-            return SteadyTailDeficitDatum(params, b=self.b, ell=self.ell)
-        if self.kind == "steady_deficit_bump":
-            return SteadyBumpDeficitDatum(params, b=self.b, width=self.width)
-        raise ValueError(f"unknown initial kind {self.kind!r}")
-
     def build(self, grid: Grid, params: ModelParams) -> Field:
         """The scaled datum on the lattice: the unfold of build_octant."""
         return Field._adopt(grid, unfold(self.build_octant(grid, params)))
 
     def build_octant(self, grid: Grid, params: ModelParams) -> np.ndarray:
-        """The scaled datum on the octant (see field.fold), as a new array."""
-        datum = self.datum(params)
-        if datum is None:
+        """The scaled datum on the octant (see field.fold), as a new
+        nonnegative array; ValueError if a number the kind reads lies
+        outside its range in _NUMBERS["initial"].
+
+        gaussian is A exp(-|x|^2/w^2).  The other kinds are built from
+        u_inf = s |x|^{-alpha/(p-1)} at the half-cell capped radius:
+        truncated_singular is delta u_inf (delta >= 1 warns: not strictly
+        sub-steady), power_tail is min(A |x|^{-gamma0}, delta u_inf), and
+        steady_deficit_tail / _bump are u_inf less b |x|^{-ell} / less
+        b exp(-|x|^2/w^2), clipped at zero.
+        """
+        if self.kind not in _INITIAL_KEYS:
+            raise ValueError(f"unknown initial kind {self.kind!r}")
+        for key in sorted(_INITIAL_KEYS[self.kind]):
+            _, ok, phrase = _NUMBERS["initial"][key]
+            if not ok(getattr(self, key)):
+                raise ValueError(f"initial.{key}: {phrase}, got {getattr(self, key)}")
+        if self.kind == "zero":
             return np.zeros((grid.n // 2 + 1,) * grid.d)
-        values = octant_sample(grid, datum)
+        capped = grid.octant_capped_radius() if self.kind in _SINGULAR_KINDS else None
+        if self.kind == "gaussian":
+            values = self.amplitude * np.exp(-((grid.octant_radius() / self.width) ** 2))
+        elif self.kind == "truncated_singular":
+            if self.delta >= 1.0:
+                warnings.warn(
+                    f"delta = {self.delta} >= 1: datum is not a strict sub-steady state",
+                    UserWarning,
+                    stacklevel=2,
+                )
+            values = _steady_values(params, capped, self.delta)
+        elif self.kind == "power_tail":
+            values = np.minimum(
+                self.amplitude * capped ** (-self.gamma0),
+                _steady_values(params, capped, self.delta),
+            )
+        elif self.kind == "steady_deficit_tail":
+            values = np.maximum(_steady_values(params, capped) - self.b * capped ** (-self.ell), 0.0)
+        else:
+            dent = self.b * np.exp(-((grid.octant_radius() / self.width) ** 2))
+            values = np.maximum(_steady_values(params, capped) - dent, 0.0)
         if self.scale != 1.0:
             values *= self.scale
         return values
@@ -113,14 +121,18 @@ class PotentialSpec:
             if self.kappa == "from-p":
                 return kappa_from_params(params)
             if self.kappa == "from-delta":
-                delta = self.delta
-                if delta is None and initial is not None and initial.kind in _DELTA_KINDS:
-                    delta = initial.delta
-                if delta is None:
-                    raise ValueError("potential 'from-delta' needs a delta")
-                return kappa_from_delta(params, delta)
+                return kappa_from_delta(params, self.barrier_delta(initial))
             raise ValueError(f"unknown potential binding {self.kappa!r}")
         return float(self.kappa)
+
+    def barrier_delta(self, initial: InitialSpec | None = None) -> float:
+        """The delta of the barrier delta * u_inf: potential.delta, else
+        the delta of a delta-bearing initial datum."""
+        if self.delta is not None:
+            return self.delta
+        if initial is not None and initial.kind in _DELTA_KINDS:
+            return initial.delta
+        raise ValueError("needs a delta: potential.delta or a delta-bearing initial datum")
 
 
 @dataclass(frozen=True)

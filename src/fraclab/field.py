@@ -14,7 +14,6 @@ import math
 import os
 import struct
 import threading
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -273,125 +272,7 @@ def _norm(v: np.ndarray, q: float, phi, grid: Grid, count=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# initial data
-
-
-@dataclass(frozen=True)
-class GaussianDatum:
-    """A * exp(-|x|^2 / w^2)."""
-
-    amplitude: float = 1.0
-    width: float = 1.0
-
-    def __post_init__(self):
-        if not self.width > 0.0:
-            raise ValueError(f"width must be positive, got {self.width}")
-
-
-@dataclass(frozen=True)
-class TruncatedSingularDatum:
-    """delta * u_inf with the core frozen at its half-cell value.
-
-    delta < 1 gives a strict sub-steady datum; delta >= 1 is allowed but
-    flagged with a warning at sampling time.
-    """
-
-    params: ModelParams
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class PowerTailDatum:
-    """min(K |x|^{-gamma0}, delta * u_inf), capped at the half-cell radius.
-
-    For gamma0 below the steady exponent alpha/(p-1) the K-branch forms the
-    core and the steady branch the tail; they meet where the two powers are
-    equal, at |x| = (delta*s/K)^{1/(alpha/(p-1) - gamma0)}.
-    """
-
-    params: ModelParams
-    amplitude: float
-    gamma0: float
-    delta: float
-
-    def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        if not self.gamma0 > 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-
-
-@dataclass(frozen=True)
-class SteadyTailDeficitDatum:
-    """u_inf minus a power tail b |x|^{-ell}, clipped at zero.
-
-    Starts below the steady state with a deficit of prescribed spatial decay,
-    the shape whose approach rate to u_inf is exponent-predictable.
-    """
-
-    params: ModelParams
-    b: float
-    ell: float
-
-    def __post_init__(self):
-        if self.b < 0.0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
-        if not self.ell > 0.0:
-            raise ValueError(f"ell must be positive, got {self.ell}")
-
-
-@dataclass(frozen=True)
-class SteadyBumpDeficitDatum:
-    """u_inf minus a Gaussian dent b exp(-|x|^2/w^2), clipped at zero.
-
-    The deficit is integrable and localized, the datum class for L2-rate
-    checks where the dent spreads at the semigroup's own rate.
-    """
-
-    params: ModelParams
-    b: float
-    width: float = 1.0
-
-    def __post_init__(self):
-        if self.b < 0.0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
-        if not self.width > 0.0:
-            raise ValueError(f"width must be positive, got {self.width}")
-
-
-def octant_sample(grid: Grid, datum) -> np.ndarray:
-    """A new octant array (see fold) of an initial datum, nonnegative: the
-    one formula of each datum, which sample unfolds."""
-    if isinstance(datum, GaussianDatum):
-        return datum.amplitude * np.exp(-((grid.octant_radius() / datum.width) ** 2))
-    capped = grid.octant_capped_radius()
-    if isinstance(datum, TruncatedSingularDatum):
-        if datum.delta >= 1.0:
-            warnings.warn(
-                f"delta = {datum.delta} >= 1: datum is not a strict sub-steady state",
-                UserWarning,
-                stacklevel=2,
-            )
-        return _steady_values(datum.params, capped, datum.delta)
-    if isinstance(datum, PowerTailDatum):
-        return np.minimum(
-            datum.amplitude * capped ** (-datum.gamma0),
-            _steady_values(datum.params, capped, datum.delta),
-        )
-    if isinstance(datum, SteadyTailDeficitDatum):
-        base = _steady_values(datum.params, capped)
-        return np.maximum(base - datum.b * capped ** (-datum.ell), 0.0)
-    if isinstance(datum, SteadyBumpDeficitDatum):
-        base = _steady_values(datum.params, capped)
-        dent = datum.b * np.exp(-((grid.octant_radius() / datum.width) ** 2))
-        return np.maximum(base - dent, 0.0)
-    raise TypeError(f"unsupported datum type {type(datum).__name__}")
+# steady profile (also the base of the singular initial data, see config)
 
 
 def _steady_values(params: ModelParams, capped: np.ndarray, factor: float = 1.0) -> np.ndarray:
@@ -399,11 +280,6 @@ def _steady_values(params: ModelParams, capped: np.ndarray, factor: float = 1.0)
     s = singular_amplitude(params)
     m = params.alpha / (params.p - 1.0)
     return factor * s * capped ** (-m)
-
-
-def sample(grid: Grid, datum) -> Field:
-    """Evaluate an initial datum on the lattice: the unfold of octant_sample."""
-    return Field._adopt(grid, unfold(octant_sample(grid, datum)))
 
 
 def steady_state(grid: Grid, params: ModelParams) -> Field:

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, InitialSpec
 from .constants import ModelParams, kappa_from_params
 from .field import (
     Field,
     Grid,
-    PowerTailDatum,
     heat_propagate,
     multiplicity,
     propagator,
-    octant_sample,
     octant_steady_state,
     unfold,
 )
@@ -154,17 +152,19 @@ def _barrier_values(grid: Grid, params: ModelParams, barrier) -> np.ndarray:
     """The barrier on the octant."""
     if barrier == "singular":
         return octant_steady_state(grid, params)
-    if isinstance(barrier, PowerTailDatum):
-        return octant_sample(grid, barrier)
-    raise TypeError(f"barrier must be 'singular' or a PowerTailDatum, got {barrier!r}")
+    if isinstance(barrier, InitialSpec):
+        return barrier.build_octant(grid, params)
+    raise TypeError(f"barrier must be 'singular' or an InitialSpec, got {barrier!r}")
 
 
 class BarrierMonitor:
     """Accumulates the worst relative barrier exceedance along a run.
 
-    Radii beyond r_max are excluded: on a torus the far field picks up
-    mass from periodic images that the barrier does not account for.
-    The default keeps |x| <= L/4.
+    The barrier is "singular", the steady state u_inf, or an InitialSpec,
+    whose datum on the grid is the barrier (a power_tail one gives the
+    two-branch min(A |x|^{-gamma0}, delta u_inf)).  Radii beyond r_max are
+    excluded: on a torus the far field picks up mass from periodic images
+    that the barrier does not account for.  The default keeps |x| <= L/4.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, barrier="singular",

@@ -29,11 +29,10 @@ from .constants import frac_lap_constant, log_gamma, sphere_area, singular_ampli
 class RadialProfile:
     """Radial function sampled on a strictly increasing logarithmic grid.
 
-    Between nodes, positive values are interpolated monotone-cubically in
-    (log r, log value); profiles with non-positive values fall back to
-    linear interpolation in log r.  Below the first node the value is the
-    constant values[0] (capped core); beyond the last node the profile
-    continues as a power tail values[-1] * (r / radii[-1])^{-tail_exponent}.
+    The values must be positive.  Between nodes they are interpolated
+    monotone-cubically in (log r, log value).  Below the first node the
+    value is the constant values[0] (capped core); beyond the last node the
+    profile continues as a power tail values[-1] * (r / radii[-1])^{-tail_exponent}.
     """
 
     radii: np.ndarray
@@ -41,7 +40,6 @@ class RadialProfile:
     d: int
     tail_exponent: float
     _interp: object = field(init=False, repr=False, default=None)
-    _loglog: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
@@ -52,11 +50,9 @@ class RadialProfile:
             raise ValueError("radii must be strictly increasing and positive")
         if not (isinstance(self.d, int) and self.d >= 2):
             raise ValueError(f"d must be an integer >= 2, got {self.d}")
-        self._loglog = bool(np.all(self.values > 0.0))
-        if self._loglog:
-            self._interp = _MonotoneCubic(np.log(self.radii), np.log(self.values))
-        else:
-            self._interp = None
+        if not np.all(self.values > 0.0):
+            raise ValueError("values must be positive")
+        self._interp = _MonotoneCubic(np.log(self.radii), np.log(self.values))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -69,10 +65,7 @@ class RadialProfile:
             out[above] = self.values[-1] * (r[above] / self.radii[-1]) ** (
                 -self.tail_exponent
             )
-        if self._loglog:
-            out[mid] = np.exp(self._interp(np.log(r[mid])))
-        else:
-            out[mid] = np.interp(np.log(r[mid]), np.log(self.radii), self.values)
+        out[mid] = np.exp(self._interp(np.log(r[mid])))
         return out
 
 

@@ -28,7 +28,7 @@ from fraclab.analysis import (
     envelope_max,
     fit_power_law,
 )
-from fraclab.config import config_from_dict
+from fraclab.config import InitialSpec, config_from_dict
 from fraclab.constants import (
     ModelParams,
     hardy_constant,
@@ -42,14 +42,7 @@ from fraclab.constants import (
     solve_sigma,
 )
 from fraclab.constants import ball_volume
-from fraclab.field import (
-    Field,
-    GaussianDatum,
-    Grid,
-    PowerTailDatum,
-    sample,
-    steady_state,
-)
+from fraclab.field import Field, Grid, steady_state
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     hardy_evolve,
@@ -390,8 +383,7 @@ def test_06_barrier_preservation():
 
     # two-branch barrier: the datum starts strictly below it (factor 0.9),
     # matching the strict inequality the preservation statement needs
-    pars = ModelParams(alpha=0.5, d=1, p=3.0)
-    barrier = PowerTailDatum(pars, amplitude=0.3, gamma0=0.2, delta=0.9)
+    barrier = InitialSpec("power_tail", amplitude=0.3, gamma0=0.2, delta=0.9)
     cfg = _config(
         grid={"n": 4096, "L": 512.0},
         time={"t_end": 8.0},
@@ -422,7 +414,8 @@ def test_07_linear_hardy_decay():
     # image-safe and the weight has settled there
     grid = Grid(d=1, n=262144, half_length=32768.0)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.2 * CMAX_1D)
-    w0 = sample(grid, GaussianDatum(amplitude=1.0, width=1.0))
+    params = ModelParams(alpha=0.5, d=1, p=3.0)
+    w0 = InitialSpec("gaussian", amplitude=1.0, width=1.0).build(grid, params)
     t_max = (grid.half_length / 8.0) ** spec.alpha
     times = np.geomspace(t_max / 10.0, t_max, 10)
     pairs = ((math.inf, 1.0), (2.0, 1.0))

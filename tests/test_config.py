@@ -26,6 +26,7 @@ from fraclab.constants import (
     kappa_from_delta,
     kappa_from_params,
 )
+from fraclab.field import Grid
 
 MINIMAL = {
     "params": {"alpha": 0.5, "d": 1, "p": 3.0},
@@ -181,7 +182,8 @@ def test_every_settings_field_is_validated(section, settings_class, special):
 
 def test_number_table_covers_every_section_and_initial_key():
     assert list(_NUMBERS) == SECTIONS
-    assert set().union(*_INITIAL_KEYS.values()) == set(_NUMBERS["initial"])
+    fields = {f.name for f in dataclasses.fields(InitialSpec)} - {"kind"}
+    assert set(_NUMBERS["initial"]) == set().union(*_INITIAL_KEYS.values()) == fields
 
 
 def test_hash_sensitivity():
@@ -290,6 +292,23 @@ def test_initial_field_scaling():
     cfg = config_from_dict(doc)
     f = cfg.initial_field()
     assert f.values[32] == pytest.approx(2.5)
+
+
+# an out-of-range value of each initial number: each positive one at its
+# bound 0, each nonnegative one just below 0
+OUT_OF_RANGE = dict.fromkeys(("amplitude", "width", "delta", "gamma0", "ell"), 0.0) | {
+    "b": -0.1,
+    "scale": -0.1,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, keys in _INITIAL_KEYS.items() for key in sorted(keys)]
+)
+def test_build_rejects_each_out_of_range_number(kind, key):
+    spec = InitialSpec(kind, **{key: OUT_OF_RANGE[key]})
+    with pytest.raises(ValueError, match=f"initial.{key}: must be"):
+        spec.build(Grid(1, 16, 4.0), ModelParams(alpha=0.5, d=1, p=3.0))
 
 
 @pytest.mark.parametrize(

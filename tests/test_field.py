@@ -6,23 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fraclab.config import InitialSpec
 from fraclab.constants import ModelParams, singular_amplitude
 from fraclab.field import (
     Field,
-    GaussianDatum,
     Grid,
-    PowerTailDatum,
     SnapshotFormatError,
     SnapshotMeta,
-    TruncatedSingularDatum,
     WeightSpec,
     heat_propagate,
     read_snapshot,
-    sample,
     weight_values,
     weighted_norm,
     write_snapshot,
 )
+
+
+# the gaussian datum's formula reads none of the model parameters
+GAUSSIAN_PARAMS = ModelParams(alpha=1.0, d=1, p=2.0)
 
 
 def _rng(seed=0):
@@ -87,7 +88,7 @@ def test_field_values_read_only():
 
 def test_gaussian_datum_center_value():
     g = Grid(1, 32, 4.0)
-    f = sample(g, GaussianDatum(amplitude=1.0, width=1.0))
+    f = InitialSpec("gaussian", amplitude=1.0, width=1.0).build(g, GAUSSIAN_PARAMS)
     assert f.values[16] == 1.0
     assert np.all(f.values >= 0.0)
 
@@ -95,7 +96,7 @@ def test_gaussian_datum_center_value():
 def test_truncated_singular_values():
     params = ModelParams(alpha=1.0, d=3, p=2.0)
     g = Grid(3, 16, 4.0)
-    f = sample(g, TruncatedSingularDatum(params, delta=0.5))
+    f = InitialSpec("truncated_singular", delta=0.5).build(g, params)
     s = singular_amplitude(params)
     assert s == pytest.approx(2.0 / math.pi, rel=1e-14)
     # |x| = 1 at lattice point (1, 0, 0)
@@ -110,7 +111,7 @@ def test_truncated_singular_warns_at_delta_one():
     params = ModelParams(alpha=1.0, d=3, p=2.0)
     g = Grid(1, 64, 8.0)
     with pytest.warns(UserWarning):
-        sample(g, TruncatedSingularDatum(params, delta=1.0))
+        InitialSpec("truncated_singular", delta=1.0).build(g, params)
 
 
 def test_power_tail_branches():
@@ -121,7 +122,7 @@ def test_power_tail_branches():
     # branches K r^{-gamma0} and delta s r^{-m} meet where the powers agree
     r_cross = (delta * s / K) ** (1.0 / (m - gamma0))
     g = Grid(1, 512, 64.0)
-    f = sample(g, PowerTailDatum(params, amplitude=K, gamma0=gamma0, delta=delta))
+    f = InitialSpec("power_tail", amplitude=K, gamma0=gamma0, delta=delta).build(g, params)
     r = g.radius()
     inner = (r > 0.5) & (r < 0.5 * r_cross)
     outer = (r > 2.0 * r_cross) & (r < 32.0)
@@ -132,9 +133,9 @@ def test_power_tail_branches():
     )
 
 
-def test_sample_rejects_unknown_datum():
-    with pytest.raises(TypeError):
-        sample(Grid(1, 16, 1.0), object())
+def test_build_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown initial kind"):
+        InitialSpec("cauchy").build(Grid(1, 16, 1.0), GAUSSIAN_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_sample_rejects_unknown_datum():
 
 def test_heat_identity_and_domain():
     g = Grid(1, 64, 8.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, GAUSSIAN_PARAMS)
     assert heat_propagate(f, 0.0, 1.0) is f
     with pytest.raises(ValueError):
         heat_propagate(f, -1.0, 1.0)
@@ -198,7 +199,7 @@ def test_alpha_two_matches_gaussian_semigroup():
 def test_bump_sup_decay_rate():
     # kernel scaling: sup of the evolved bump falls like t^{-d/alpha}
     g = Grid(1, 4096, 256.0)
-    f = sample(g, GaussianDatum(amplitude=1.0, width=1.0))
+    f = InitialSpec("gaussian", amplitude=1.0, width=1.0).build(g, GAUSSIAN_PARAMS)
     ts = np.geomspace(4.0, 40.0, 8)
     sups = [heat_propagate(f, t, 1.0).sup() for t in ts]
     slope = _fit_slope(ts, sups)

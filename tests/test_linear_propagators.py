@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fraclab.constants import power_map_coeff_max
-from fraclab.field import Field, GaussianDatum, Grid, heat_propagate, sample
+from fraclab.config import InitialSpec
+from fraclab.constants import ModelParams, power_map_coeff_max
+from fraclab.field import Field, Grid, heat_propagate
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     HypercontractivityResult,
@@ -17,6 +18,8 @@ from fraclab.linear_propagators import (
 )
 
 CMAX_1D_HALF = power_map_coeff_max(1, 0.5)
+# the gaussian datum's formula reads none of the model parameters
+PARAMS = ModelParams(alpha=1.0, d=1, p=2.0)
 
 
 def test_spec_validation():
@@ -33,7 +36,7 @@ def test_spec_validation():
 
 def test_step_domain_errors():
     g = Grid(1, 64, 8.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.1)
     with pytest.raises(ValueError):
         hardy_step(f, 0.0, spec)
@@ -43,7 +46,7 @@ def test_step_domain_errors():
 
 def test_runs_reject_a_mismatched_spec_dimension():
     g = Grid(1, 64, 8.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=2, kappa=0.1)
     times = [0.5, 1.0, 2.0]
     with pytest.raises(ValueError, match="spec dimension"):
@@ -56,7 +59,7 @@ def test_runs_reject_a_mismatched_spec_dimension():
 
 def test_zero_kappa_reduces_to_heat():
     g = Grid(1, 128, 16.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     out = hardy_step(f, 0.7, spec)
     ref = heat_propagate(f, 0.7, 1.0)
@@ -65,7 +68,7 @@ def test_zero_kappa_reduces_to_heat():
 
 def test_positivity_preserved():
     g = Grid(1, 512, 64.0)
-    f = sample(g, GaussianDatum(amplitude=2.0, width=3.0))
+    f = InitialSpec("gaussian", amplitude=2.0, width=3.0).build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     w = f
     for _ in range(10):
@@ -76,7 +79,7 @@ def test_positivity_preserved():
 def test_second_order_self_convergence():
     # global Strang error over a fixed horizon scales as dt^2
     g = Grid(1, 256, 32.0)
-    f = sample(g, GaussianDatum(width=2.0))
+    f = InitialSpec("gaussian", width=2.0).build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.3)
     horizon = 1.0
 
@@ -94,7 +97,7 @@ def test_second_order_self_convergence():
 
 def test_potential_amplifies_over_free_flow():
     g = Grid(1, 1024, 64.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     w = f
     for _ in range(32):
@@ -105,7 +108,7 @@ def test_potential_amplifies_over_free_flow():
 
 def test_monotone_in_kappa():
     g = Grid(1, 1024, 64.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     evolved = []
     for frac in (0.2, 0.6):
         spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=frac * CMAX_1D_HALF)
@@ -128,7 +131,7 @@ def test_dyadic_schedule():
 
 def test_evolve_input_validation():
     g = Grid(1, 64, 8.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.1)
     with pytest.raises(ValueError):
         hardy_evolve(f, spec, [])
@@ -143,7 +146,7 @@ def test_evolve_input_validation():
 
 def test_evolve_records_consistent_norms():
     g = Grid(1, 256, 32.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.3 * CMAX_1D_HALF)
     series = hardy_evolve(f, spec, [0.5, 1.0, 2.0], substeps_per_interval=8)
     # q = 2 weight cancels; plain and weighted L2 agree
@@ -158,7 +161,7 @@ def test_evolve_records_consistent_norms():
 
 def test_zero_kappa_weighted_equals_plain():
     g = Grid(1, 256, 32.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     series = hardy_evolve(f, spec, [1.0, 2.0], substeps_per_interval=4)
     assert series.sigma == 0.0
@@ -168,7 +171,7 @@ def test_zero_kappa_weighted_equals_plain():
 
 def test_free_bump_sup_slope():
     g = Grid(1, 2048, 256.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     ts = np.geomspace(4.0, 40.0, 8)
     series = hardy_evolve(f, spec, ts, substeps_per_interval=2)
@@ -228,7 +231,7 @@ def test_hypercontractivity_no_gain_at_equal_exponents():
 
 def test_hypercontractivity_domain_errors():
     g = Grid(1, 64, 8.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     with pytest.raises(ValueError):
         hypercontractivity_measure(f, spec, pairs=[(1.0, 2.0)], times=[1.0, 2.0, 4.0])
@@ -243,7 +246,7 @@ def test_hypercontractivity_domain_errors():
 
 def test_hypercontractivity_pairs_share_one_flow_bit_for_bit():
     g = Grid(1, 4096, 512.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     times = np.geomspace(2.0, 8.0, 5)
     pairs = ((math.inf, 1.0), (2.0, 1.0), (math.inf, 2.0))
@@ -260,7 +263,7 @@ def test_hypercontractivity_pairs_share_one_flow_bit_for_bit():
 def test_hypercontractivity_sup_gain_slope():
     # (q, r) = (inf, 1): expected exponent -d/alpha = -2
     g = Grid(1, 65536, 8192.0)
-    f = sample(g, GaussianDatum())
+    f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     t_max = (g.half_length / 8.0) ** 0.5
     times = np.geomspace(t_max / 10.0, t_max, 10)

@@ -26,13 +26,11 @@ from fraclab.constants import ModelParams, critical_exponents, power_map_coeff_m
 from fraclab.field import (
     _GRID_CACHE,
     Field,
-    GaussianDatum,
     Grid,
     WeightSpec,
     clear_grid_cache,
     fold,
     octant_steady_state,
-    sample,
     steady_state,
     unfold,
     weight_values,
@@ -95,7 +93,7 @@ def test_sampled_radial_data_are_even_bit_for_bit(d):
     params = ModelParams(alpha=0.5, d=d, p=critical_exponents(d, 0.5)[1] + 1.0)
     arrays = [spec.build(grid, params).values for spec in _specs(1.7)]
     arrays += [
-        sample(grid, GaussianDatum(amplitude=0.7, width=1.3)).values,
+        InitialSpec("gaussian", amplitude=0.7, width=1.3).build(grid, params).values,
         steady_state(grid, params).values,
         weight_values(grid, WeightSpec(sigma=0.3, t=0.5, alpha=0.5)),
         HardyOperatorSpec(0.5, d, 0.4).potential(grid),
@@ -172,7 +170,7 @@ def test_even_hardy_runs_cache_no_lattice_array(d):
     grid = Grid(d, 32 if d < 3 else 16, 4.0)
     spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
     times = [0.1, 0.2, 0.4]
-    even = sample(grid, GaussianDatum())
+    even = InitialSpec("gaussian").build(grid, ModelParams(alpha=0.5, d=d, p=3.0))
     runs = (
         lambda w0: hardy_evolve(w0, spec, times, 2),
         lambda w0: hypercontractivity_measure(w0, spec, [(2.0, 1.0)], times, 2),

@@ -142,6 +142,10 @@ def test_malformed_positive_profiles_rejected():
         RadialProfile(np.array([1.0, 2.0]), np.array([1.0, np.inf]), 3, tail_exponent=1.0)
     with pytest.raises(ValueError):
         RadialProfile(np.array([1.0, np.inf]), np.array([1.0, 1.0]), 3, tail_exponent=1.0)
+    with pytest.raises(ValueError, match="positive"):
+        RadialProfile(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 3, tail_exponent=1.0)
+    with pytest.raises(ValueError, match="positive"):
+        RadialProfile(np.array([1.0, 2.0]), np.array([-1.0, 1.0]), 3, tail_exponent=1.0)
 
 
 @st.composite
