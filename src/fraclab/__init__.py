@@ -17,14 +17,14 @@ _PUBLIC = {
         solve_sigma sigma_upper
     """.split(),
     "field": """
-        Field Grid SnapshotFormatError SnapshotMeta WeightSpec heat_propagate
-        read_snapshot steady_state weight_values weighted_norm write_snapshot
+        Field Grid SnapshotFormatError SnapshotMeta WeightSpec dyadic_schedule
+        heat_propagate image_safe_horizon read_snapshot steady_state weight_values
+        weighted_norm write_snapshot
     """.split(),
     "radial_operator": "RadialProfile frac_lap_radial steady_profile steady_residual".split(),
     "linear_propagators": """
         HardyOperatorSpec HypercontractivityResult NormSeries RatioProbeResult cell_delta
-        dyadic_schedule hardy_evolve hardy_step hypercontractivity_measure
-        kernel_ratio_probe
+        hardy_evolve hardy_step hypercontractivity_measure kernel_ratio_probe
     """.split(),
     "morrey": "MorreyEstimate MorreyQuery morrey_estimate morrey_norm morrey_smoothing_probe".split(),
     "nonlinear_solver": """
@@ -38,8 +38,8 @@ _PUBLIC = {
     "analysis": """
         ConvergenceRates DeficitEvolution EnvelopeMax FitResult MonotonicityError
         ThresholdBracket classify_threshold default_fit_window deficit_evolution
-        envelope_max fit_power_law image_safe_horizon l2_stability_check run_sweep
-        singular_convergence_rates thread_count weighted_decay_check
+        envelope_max fit_power_law l2_stability_check run_sweep singular_convergence_rates
+        thread_count weighted_decay_check
     """.split(),
 }
 

@@ -22,7 +22,9 @@ from .constants import (
     singular_amplitude,
     solve_sigma,
 )
-from .field import WeightSpec, fft_workers, octant_steady_state, steady_state, thread_count, weighted_norm
+# thread_count stays imported while perfbench's tracer reads it from here
+from .field import (WeightSpec, image_safe_horizon, octant_steady_state, steady_state,
+                    thread_count, weighted_norm)
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -43,12 +45,6 @@ class FitResult:
     stderr: float
     window: tuple
     n_points: int
-
-
-def image_safe_horizon(grid, alpha: float) -> float:
-    """Largest time with the self-similar scale t^{1/alpha} at L/8, one
-    octave inside the periodic images."""
-    return (grid.half_length / 8.0) ** alpha
 
 
 def default_fit_window(times, grid, alpha: float) -> tuple:
@@ -108,16 +104,15 @@ def fit_power_law(times, values, window=None) -> FitResult:
 # sweep executor
 
 
-def run_sweep(configs, threads=None) -> list:
-    """Evolve configs in order, each with thread_count(threads) FFT workers.
+def run_sweep(configs) -> list:
+    """Evolve configs in order, with the caller's FFT workers (fft_workers).
 
     Runs are deterministic per config, so any worker count yields the
     same records.  They run one after another: a small 1-d run is Python
     work that holds the interpreter lock, so a pool of runs would take
     turns.
     """
-    with fft_workers(thread_count(threads)):
-        return [evolve(cfg) for cfg in configs]
+    return [evolve(cfg) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +226,6 @@ def classify_threshold(
     lambda_hi: float,
     tol: float = 0.1,
     state_path=None,
-    threads=None,
     reverify: bool = True,
 ) -> ThresholdBracket:
     """Geometric bisection of the datum amplitude until the bracket
@@ -260,7 +254,7 @@ def classify_threshold(
 
     def observe(lams):
         missing = [lam for lam in lams if lam not in log.seen]
-        records = run_sweep([_scaled(config, lam) for lam in missing], threads)
+        records = run_sweep([_scaled(config, lam) for lam in missing])
         for lam, rec in zip(missing, records):
             log.record(lam, _verdict(rec))
         return [log.seen[lam] for lam in lams]
@@ -287,7 +281,7 @@ def classify_threshold(
     if reverify:
         timing = replace(config.time, eta=config.time.eta / 2.0)
         fine = replace(config, time=timing)
-        checks = run_sweep([_scaled(fine, lo), _scaled(fine, hi)], threads)
+        checks = run_sweep([_scaled(fine, lo), _scaled(fine, hi)])
         kinds = [_verdict(rec) for rec in checks]
         if kinds != ["Global", "Blowup"]:
             raise RuntimeError(
@@ -325,6 +319,28 @@ class DeficitEvolution:
     reference_drift: float
 
 
+def _horizon_run(config: ExperimentConfig, reduce, label: str = "run"):
+    """Evolve config; return the output times in (0, image-safe horizon]
+    as an array, and the list of reduce(t, field) at those outputs.
+
+    The run must stay Global and reach at least one such output.
+    """
+    horizon = image_safe_horizon(config.build_grid(), config.params.alpha)
+    times, reduced = [], []
+
+    def hook(k, t, field):
+        if 0.0 < t <= horizon * (1.0 + 1e-12):
+            times.append(t)
+            reduced.append(reduce(t, field))
+
+    record = evolve(config, on_output=hook)
+    if not isinstance(record.status, Global):
+        raise RuntimeError(f"{label} did not stay global: {record.status_dict()}")
+    if not times:
+        raise ValueError("no schedule times inside the image-safe horizon")
+    return np.array(times), reduced
+
+
 def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
     """Run the b = 0 twin of config, then config; returns w(t) = u_ref(t) - u(t).
 
@@ -337,34 +353,14 @@ def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
         raise ValueError(
             f"needs a steady-deficit initial datum, got {config.initial.kind!r}"
         )
-    grid = config.build_grid()
-    horizon = image_safe_horizon(grid, config.params.alpha)
-    sample = steady_state(grid, config.params).values
+    sample = steady_state(config.build_grid(), config.params).values
     sample_sup = float(np.max(sample))
-
-    held, times, deficits = {}, [], []
-    drift = 0.0
-
-    def hold(k, t, ref):
-        nonlocal drift
-        if 0.0 < t <= horizon * (1.0 + 1e-12):
-            held[k] = ref.values
-            drift = max(drift, float(np.max(np.abs(ref.values - sample))) / sample_sup)
-
-    def subtract(k, t, u):
-        ref = held.pop(k, None)
-        if ref is not None:
-            times.append(t)
-            deficits.append(ref - u.values)
-
     reference = replace(config, initial=replace(config.initial, b=0.0))
-    for cfg, hook, label in ((reference, hold, "reference run"), (config, subtract, "deficit run")):
-        rec = evolve(cfg, on_output=hook)
-        if not isinstance(rec.status, Global):
-            raise RuntimeError(f"{label} did not stay global: {rec.status_dict()}")
-    if not times:
-        raise ValueError("no schedule times inside the image-safe horizon")
-    return DeficitEvolution(np.asarray(times), tuple(deficits), drift)
+    _, held = _horizon_run(reference, lambda t, ref: ref.values, "reference run")
+    drift = max(float(np.max(np.abs(ref - sample))) / sample_sup for ref in held)
+    held.reverse()  # popped in output order, each as the deficit run subtracts it
+    times, deficits = _horizon_run(config, lambda t, u: held.pop() - u.values, "deficit run")
+    return DeficitEvolution(times, tuple(deficits), drift)
 
 
 def _resolve_sigma(config: ExperimentConfig, sigma) -> float:
@@ -523,21 +519,11 @@ def weighted_decay_check(config: ExperimentConfig, qs=(1.0, 2.0, math.inf)) -> d
             f"datum exceeds delta * u_inf by {excess:.3g}; outside the barrier class"
         )
 
-    horizon = image_safe_horizon(grid, params.alpha)
-    times, norms = [], []
+    def measure(t, field):
+        weight = WeightSpec(sigma, t, params.alpha)
+        return [weighted_norm(field, q, weight) for q in qs]
 
-    def measure(k, t, field):
-        if 0.0 < t <= horizon * (1.0 + 1e-12):
-            times.append(t)
-            weight = WeightSpec(sigma, t, params.alpha)
-            norms.append([weighted_norm(field, q, weight) for q in qs])
-
-    record = evolve(config, on_output=measure)
-    if not isinstance(record.status, Global):
-        raise RuntimeError(f"run did not stay global: {record.status_dict()}")
-    if not times:
-        raise ValueError("no schedule times inside the image-safe horizon")
-    times = np.array(times)
+    times, norms = _horizon_run(config, measure)
     window = default_fit_window(times, grid, params.alpha)
     return {q: fit_power_law(times, series, window) for q, series in zip(qs, zip(*norms))}
 

@@ -31,7 +31,7 @@ from .constants import (
     singular_morrey_norm,
     solve_sigma,
 )
-from .field import SnapshotFormatError, SnapshotMeta, read_snapshot, write_snapshot
+from .field import SnapshotFormatError, SnapshotMeta, fft_workers, read_snapshot, thread_count, write_snapshot
 from .linear_propagators import HardyOperatorSpec, hardy_evolve
 from .morrey import MorreyQuery, morrey_estimate
 from .nonlinear_solver import NumericalFailure, evolve
@@ -62,6 +62,18 @@ def _emit(lines, dest=None):
 
 def _cell(x) -> str:
     return repr(float(x))
+
+
+def _write_series(config, columns: str, rows, footer: dict, dest):
+    """A run's CSV: a '#' line with the version and config hash, the
+    column line, one line per row, and a '#' JSON footer that also holds
+    the hash and the version."""
+    chash = config.config_hash()
+    lines = [f"# fraclab {__version__} config {chash}", columns]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    footer = dict(footer, config_hash=chash, version=__version__)
+    lines.append("# " + json.dumps(footer, sort_keys=True))
+    _emit(lines, dest)
 
 
 def _print_result(payload: dict, as_json: bool):
@@ -143,18 +155,9 @@ def cmd_evolve(args) -> int:
         record = evolve(config, on_output=write_every)
     else:
         record = evolve(config)
-    chash = config.config_hash()
-
-    lines = [f"# fraclab {__version__} config {chash}", "t,sup_norm,l2_norm,mass,min_value,dt"]
-    lines += [",".join(_cell(v) for v in row) for row in record.rows()]
-    footer = {
-        "status": record.status_dict(),
-        "monitor_maxima": record.monitor_maxima,
-        "config_hash": chash,
-        "version": __version__,
-    }
-    lines.append("# " + json.dumps(footer, sort_keys=True))
-    _emit(lines, outputs.csv_path)
+    footer = {"status": record.status_dict(), "monitor_maxima": record.monitor_maxima}
+    _write_series(config, "t,sup_norm,l2_norm,mass,min_value,dt", record.rows(), footer,
+                  outputs.csv_path)
     return 3 if isinstance(record.status, NumericalFailure) else 0
 
 
@@ -168,20 +171,8 @@ def cmd_linear_evolve(args) -> int:
         potential_cap_radius=config.potential.cap_radius,
     )
     series = hardy_evolve(config.initial_field(), spec, config.output_times(), args.substeps)
-    chash = config.config_hash()
-    lines = [
-        f"# fraclab {__version__} config {chash}",
-        "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf",
-    ]
-    lines += [",".join(_cell(v) for v in row) for row in series.rows()]
-    footer = {
-        "sigma": series.sigma,
-        "kappa": spec.kappa,
-        "config_hash": chash,
-        "version": __version__,
-    }
-    lines.append("# " + json.dumps(footer, sort_keys=True))
-    _emit(lines, dest)
+    columns = "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf"
+    _write_series(config, columns, series.rows(), {"sigma": series.sigma, "kappa": spec.kappa}, dest)
     return 0
 
 
@@ -208,14 +199,10 @@ def cmd_morrey(args) -> int:
 
 def cmd_classify(args) -> int:
     config = _load_config(args.config)
-    bracket = classify_threshold(
-        config,
-        args.lambda_min,
-        args.lambda_max,
-        tol=args.tol,
-        state_path=args.state,
-        threads=args.threads,
-    )
+    with fft_workers(thread_count(args.threads)):
+        bracket = classify_threshold(
+            config, args.lambda_min, args.lambda_max, tol=args.tol, state_path=args.state
+        )
     context = (
         singular_morrey_norm(config.params) if config.params.singular_regime else None
     )

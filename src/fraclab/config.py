@@ -21,7 +21,7 @@ from .constants import (
     kappa_from_delta,
     kappa_from_params,
 )
-from .field import Field, Grid, _steady_values, unfold
+from .field import Field, Grid, _steady_values, dyadic_schedule, unfold
 
 
 class ConfigError(ValueError):
@@ -162,10 +162,7 @@ class ExperimentConfig:
 
     def output_times(self, grid: Grid | None = None) -> np.ndarray:
         if isinstance(self.time.output_schedule, str):
-            from .linear_propagators import dyadic_schedule
-
-            grid = grid or self.build_grid()
-            return dyadic_schedule(grid, self.params.alpha, self.time.t_end)
+            return dyadic_schedule(grid or self.build_grid(), self.params.alpha, self.time.t_end)
         return np.asarray(self.time.output_schedule, dtype=float)
 
     def to_dict(self) -> dict:

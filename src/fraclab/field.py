@@ -81,6 +81,25 @@ class Grid:
         )
 
 
+def dyadic_schedule(grid: Grid, alpha: float, horizon: float) -> np.ndarray:
+    """Output times {t0 * 2^k} up to the horizon, t0 = 4 h^alpha.
+
+    Below t0 the discrete kernel is under-resolved, so nothing is recorded
+    there.
+    """
+    t0 = 4.0 * grid.h ** alpha
+    if horizon < t0:
+        raise ValueError(f"horizon {horizon} is below the first resolved dyadic time {t0}")
+    count = int(math.floor(math.log2(horizon / t0))) + 1
+    return t0 * 2.0 ** np.arange(count)
+
+
+def image_safe_horizon(grid: Grid, alpha: float) -> float:
+    """Largest time with the self-similar scale t^{1/alpha} at L/8, one
+    octave inside the periodic images."""
+    return (grid.half_length / 8.0) ** alpha
+
+
 # per-grid arrays are pure functions of (d, n, L); benign to race, cheap to share
 _CACHE_LOCK = threading.Lock()
 _GRID_CACHE: dict = {}

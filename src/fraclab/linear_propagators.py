@@ -3,7 +3,7 @@
 V_h is the inverse-power potential |x|^{-alpha} floored at the half-cell
 radius.  Steps use Strang splitting (potential, diffusion, potential).  The
 potential substep is positive, but the lattice diffusion kernel is not:
-below the first resolved time 4 h^alpha of dyadic_schedule it rings, and
+below the first resolved time 4 h^alpha of field.dyadic_schedule it rings, and
 order and nonnegativity fail by percents (2.7% of the sup at 0.01 of that
 time).  From that time on both hold, which the order property in
 tests/test_propagator.py checks.  Runs over distinct fields share nothing
@@ -126,19 +126,6 @@ def hardy_step(w: Field, dt: float, spec: HardyOperatorSpec) -> Field:
         raise ValueError(f"dt must be positive, got {dt}")
     ((_, values),) = _lattice_flow(w.values, spec, w.grid, (dt,), 1)
     return Field(w.grid, values)
-
-
-def dyadic_schedule(grid: Grid, alpha: float, horizon: float) -> np.ndarray:
-    """Output times {t0 * 2^k} up to the horizon, t0 = 4 h^alpha.
-
-    Below t0 the discrete kernel is under-resolved, so nothing is recorded
-    there.
-    """
-    t0 = 4.0 * grid.h ** alpha
-    if horizon < t0:
-        raise ValueError(f"horizon {horizon} is below the first resolved time {t0}")
-    count = int(math.floor(math.log2(horizon / t0))) + 1
-    return t0 * 2.0 ** np.arange(count)
 
 
 @dataclass(frozen=True)
@@ -293,22 +280,15 @@ def kernel_ratio_probe(
     in_window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
     off_origin = grid.radius() > 0.0
 
-    max_r, med_r, min_r = [], [], []
+    rows = []  # (max, median, min) of the ratio at each output
     for t_out, values in _lattice_flow(delta.values, spec, grid, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)
         mask = in_window & off_origin & (free.values > _SUPPORT_FLOOR * np.max(free.values))
         ratio = values[mask] / (phi[mask] * phi[idx] * free.values[mask])
-        max_r.append(float(np.max(ratio)))
-        med_r.append(float(np.median(ratio)))
-        min_r.append(float(np.min(ratio)))
-    return RatioProbeResult(
-        times=times,
-        max_ratio=np.array(max_r),
-        median_ratio=np.array(med_r),
-        min_ratio=np.array(min_r),
-    )
+        rows.append((np.max(ratio), np.median(ratio), np.min(ratio)))
+    return RatioProbeResult(times, *np.array(rows).T)
 
 
 # ---------------------------------------------------------------------------

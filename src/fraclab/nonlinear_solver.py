@@ -9,7 +9,7 @@ size tracks the reaction's own time scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,16 +18,17 @@ from .constants import ModelParams, kappa_from_params
 from .field import (
     Field,
     Grid,
+    dyadic_schedule,
     heat_propagate,
-    multiplicity,
-    propagator,
+    image_safe_horizon,
+    octant_norm,
     octant_steady_state,
+    propagator,
     unfold,
 )
 from .linear_propagators import HardyOperatorSpec, _strang_intervals
 
 DT_UNDERFLOW = 1e-12
-ETA_DEFAULT = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,11 @@ class NumericalFailure:
 
 @dataclass
 class RunRecord:
-    """Norm trajectories at the output schedule plus the run's verdict."""
+    """Norm trajectories at the output schedule plus the run's verdict.
+
+    evolve records one row (t, sup, L2, mass, min, dt) per output, t = 0
+    first; the six arrays are that table's columns.
+    """
 
     times: np.ndarray
     sup_norm: np.ndarray
@@ -67,18 +72,10 @@ class RunRecord:
     snapshots: list | None = None
 
     def status_dict(self) -> dict:
-        if isinstance(self.status, Global):
-            body = {"kind": "Global", "horizon": self.status.horizon}
-        elif isinstance(self.status, Blowup):
-            body = {"kind": "Blowup", "t_star": self.status.t_star}
-        else:
-            body = {"kind": "NumericalFailure", "reason": self.status.reason}
-        return body
+        return {"kind": type(self.status).__name__, **asdict(self.status)}
 
     def rows(self):
-        cols = (self.times, self.sup_norm, self.l2_norm,
-                self.mass, self.min_value, self.dt)
-        return list(zip(*cols))
+        return list(zip(self.times, self.sup_norm, self.l2_norm, self.mass, self.min_value, self.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +264,18 @@ def evolve(
     dt = min(dt_max, eta / ((p-1) sup^{p-1})) tracks the reaction time
     scale; classification is Blowup on a reaction pole, on sup passing the
     configured threshold, or on dt underflow.  Diffusion ringing below
-    zero is clipped to keep the state nonnegative; the pre-clip minimum
-    lands in the record.  on_output(k, t, field) is called at the k-th
-    recorded time and is the one way to see the field: a caller writes,
-    reduces or keeps each output as it is reached.
+    zero is clipped to keep the state nonnegative.  At t = 0 and at each
+    output time reached, one row goes into the record: t, sup, L2 norm and
+    mass (octant_norm), the pre-clip minimum and the step that landed
+    there.  on_output(k, t, field) is called with the k-th row and is the
+    one way to see the field: a caller writes, reduces or keeps each
+    output as it is reached.
 
     Every datum is radial, so the state is its octant (see fold): the
     datum is evaluated there, the diffusion is the propagator's octant
-    layout, norms weigh each point by its multiplicity, and monitors
-    observe the octant.  Each output unfolds the state once into a new
-    read-only lattice Field, and no lattice array is built otherwise.
+    layout, and monitors observe the octant.  Each output unfolds the
+    state once into a new read-only lattice Field, and no lattice array is
+    built otherwise.
     """
     params = config.params
     p, alpha = params.p, params.alpha
@@ -292,20 +291,13 @@ def evolve(
     sup_threshold = config.time.blowup_sup_threshold
     out_times = config.output_times(grid)
 
-    h_d = grid.h ** grid.d
-    weights = multiplicity(grid)
-
-    times, sups, l2s, masses, mins, dts = [], [], [], [], [], []
+    rows = []
 
     def record(t, dt_used, min_raw):
-        times.append(t)
-        sups.append(float(np.max(values)))
-        l2s.append(float(np.sqrt(np.vdot(weights, values * values) * h_d)))
-        masses.append(float(np.vdot(weights, values) * h_d))
-        mins.append(min_raw)
-        dts.append(dt_used)
+        l2, mass = octant_norm(grid, values, 2.0), octant_norm(grid, values, 1.0)
+        rows.append((t, float(np.max(values)), l2, mass, min_raw, dt_used))
         if on_output is not None:
-            on_output(len(times) - 1, t, Field._adopt(grid, unfold(values)))
+            on_output(len(rows) - 1, t, Field._adopt(grid, unfold(values)))
 
     record(0.0, 0.0, float(np.min(values)))
     for mon in monitors:
@@ -367,15 +359,7 @@ def evolve(
     for mon in monitors:
         maxima.update(mon.maxima())
     return RunRecord(
-        times=np.array(times),
-        sup_norm=np.array(sups),
-        l2_norm=np.array(l2s),
-        mass=np.array(masses),
-        min_value=np.array(mins),
-        dt=np.array(dts),
-        status=status,
-        monitor_maxima=maxima,
-        config_hash=config.config_hash(),
+        *np.array(rows).T, status=status, monitor_maxima=maxima, config_hash=config.config_hash()
     )
 
 
@@ -401,12 +385,7 @@ def blowup_certificate(u0: Field, params: ModelParams, horizon: float) -> Certif
     if not params.p > fujita:
         raise ValueError(f"certificate needs p > {fujita}, got p = {params.p}")
     grid = u0.grid
-    t0 = 4.0 * grid.h ** params.alpha
-    t_cap = min(horizon, (grid.half_length / 8.0) ** params.alpha)
-    if t_cap < t0:
-        raise ValueError(f"horizon {horizon} leaves no resolved dyadic times")
-    count = int(math.floor(math.log2(t_cap / t0))) + 1
-    ts = t0 * 2.0 ** np.arange(count)
+    ts = dyadic_schedule(grid, params.alpha, min(horizon, image_safe_horizon(grid, params.alpha)))
     exponent = 1.0 / (params.p - 1.0)
     vals = np.array(
         [t ** exponent * heat_propagate(u0, t, params.alpha).sup() for t in ts]

@@ -18,7 +18,6 @@ from fraclab.analysis import (
     deficit_evolution,
     envelope_max,
     fit_power_law,
-    image_safe_horizon,
     l2_stability_check,
     run_sweep,
     singular_convergence_rates,
@@ -27,7 +26,7 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import Grid, steady_state
+from fraclab.field import Grid, fft_workers, image_safe_horizon, steady_state
 from fraclab.nonlinear_solver import Blowup, Global, evolve
 
 
@@ -538,8 +537,10 @@ def test_thread_count_names_a_malformed_environment_value(monkeypatch):
 
 def test_run_sweep_deterministic_across_workers():
     configs = [classify_config(initial={"kind": "gaussian", "scale": s}) for s in (0.4, 2.5)]
-    serial = run_sweep(configs, threads=1)
-    threaded = run_sweep(configs, threads=2)
+    with fft_workers(1):
+        serial = run_sweep(configs)
+    with fft_workers(2):
+        threaded = run_sweep(configs)
     for a, b in zip(serial, threaded):
         assert type(a.status) is type(b.status)
         np.testing.assert_array_equal(a.times, b.times)

@@ -471,6 +471,24 @@ def test_classify_state_file_that_is_not_json_names_the_file(tmp_path, capsys):
     assert path.read_text() == '{"config_hash": "ab'
 
 
+def test_classify_threads_sets_the_fft_workers_of_every_probe(tmp_path, capsys, monkeypatch):
+    import fraclab.analysis as analysis
+    import fraclab.field as field
+
+    monkeypatch.setenv("FRACLAB_THREADS", "1")
+    seen, run = [], analysis.evolve
+
+    def recording(cfg):
+        seen.append(getattr(field._FFT_SHARE, "workers", None))
+        return run(cfg)
+
+    monkeypatch.setattr(analysis, "evolve", recording)
+    assert main(classify_args(tmp_path) + ["--tol", "0.5", "--threads", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ratio"] <= 1.5
+    assert len(seen) >= 4 and set(seen) == {3}
+    assert getattr(field._FFT_SHARE, "workers", None) is None
+
+
 # ---------------------------------------------------------------------------
 # fit
 

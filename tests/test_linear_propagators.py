@@ -5,12 +5,11 @@ import pytest
 
 from fraclab.config import InitialSpec
 from fraclab.constants import ModelParams, power_map_coeff_max
-from fraclab.field import Field, Grid, heat_propagate
+from fraclab.field import Field, Grid, dyadic_schedule, heat_propagate
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     HypercontractivityResult,
     cell_delta,
-    dyadic_schedule,
     hardy_evolve,
     hardy_step,
     hypercontractivity_measure,

@@ -211,6 +211,44 @@ def test_eta_refinement_stability():
     assert rel < 1e-2
 
 
+class _StepLog:
+    """A monitor that keeps the dt of every accepted step."""
+
+    def __init__(self):
+        self.dts = []
+
+    def advance(self, dt):
+        self.dts.append(dt)
+
+    def observe(self, t, values):
+        pass
+
+    def maxima(self):
+        return {}
+
+
+def test_fixed_dt_runs_converge_at_second_order():
+    # eta = 1 leaves the reaction time scale above dt_max, so every step is
+    # dt_max and halving it halves the Strang step: errors fall by 4
+    def run(dt_max):
+        cfg = make_config(
+            grid={"n": 256, "L": 32.0},
+            initial={"kind": "gaussian", "amplitude": 0.5},
+            time={"t_end": 4.0, "eta": 1.0, "dt_max": dt_max, "output_schedule": [4.0]},
+        )
+        steps = _StepLog()
+        rec = evolve(cfg, monitors=[steps])
+        assert isinstance(rec.status, Global)
+        assert steps.dts and all(dt == dt_max for dt in steps.dts)
+        assert np.all(rec.dt[1:] == dt_max)
+        return np.array([rec.sup_norm[-1], rec.l2_norm[-1]])
+
+    reference = run(1.0 / 64.0)
+    errors = np.array([np.abs(run(dt) - reference) for dt in (0.5, 0.25, 0.125, 0.0625)])
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+
+
 def test_snapshots_disabled_by_default():
     # evolve holds no output; the field stays for readers of the record
     cfg = make_config(grid={"n": 64, "L": 8.0}, initial={"kind": "zero"})

@@ -41,6 +41,7 @@ from fraclab.field import (
     _dct1,
     _dct3_phases,
     clear_grid_cache,
+    dyadic_schedule,
     fft_workers,
     fold,
     multiplicity,
@@ -51,7 +52,6 @@ from fraclab.field import (
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     _lattice_flow,
-    dyadic_schedule,
     hardy_evolve,
     hardy_step,
     hypercontractivity_measure,
@@ -556,8 +556,10 @@ def test_fft_workers_scope_and_sweep_share(monkeypatch):
     seen = []
     monkeypatch.setattr(analysis, "evolve", lambda cfg: seen.append(_FFT_SHARE.workers))
     cfg = _evolve_3d_config()
-    analysis.run_sweep([cfg, cfg], threads=2)  # runs in turn, each with every worker
-    analysis.run_sweep([cfg], threads=3)
+    with fft_workers(2):
+        analysis.run_sweep([cfg, cfg])  # runs in turn, each with every worker
+    with fft_workers(3):
+        analysis.run_sweep([cfg])
     assert seen == [2, 2, 3]
 
 
