@@ -23,8 +23,8 @@ from .constants import (
     solve_sigma,
 )
 # thread_count stays imported while perfbench's tracer reads it from here
-from .field import (WeightSpec, image_safe_horizon, octant_steady_state, steady_state,
-                    thread_count, weighted_norm)
+from .field import (WeightSpec, _far_field_radius, image_safe_horizon, octant_steady_state,
+                    steady_state, thread_count, weighted_norm)
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -363,14 +363,6 @@ def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
     return DeficitEvolution(times, tuple(deficits), drift)
 
 
-def _resolve_sigma(config: ExperimentConfig, sigma) -> float:
-    if sigma is not None:
-        if not sigma >= 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {sigma}")
-        return float(sigma)
-    return solve_sigma(config.kappa(), config.params.d, config.params.alpha)
-
-
 def _monotone(series) -> bool:
     series = np.asarray(series)
     slack = 1e-9 * float(np.max(series, initial=0.0))
@@ -398,7 +390,7 @@ class ConvergenceRates:
     reference_drift: float
 
 
-def singular_convergence_rates(config: ExperimentConfig, sigma=None) -> ConvergenceRates:
+def singular_convergence_rates(config: ExperimentConfig) -> ConvergenceRates:
     """Measure how a tail deficit closes: fits sup_{r <= t^{1/a}} r^s w
     against -(ell - sigma)/alpha and sup_{t^{1/a} <= r <= L/4} w against
     -ell/alpha, with w the reference-minus-run difference.
@@ -412,7 +404,7 @@ def singular_convergence_rates(config: ExperimentConfig, sigma=None) -> Converge
             f"needs a steady_deficit_tail initial datum, got {config.initial.kind!r}"
         )
     params = config.params
-    sigma = _resolve_sigma(config, sigma)
+    sigma = solve_sigma(config.kappa(), params.d, params.alpha)
     ell = config.initial.ell
     if not sigma <= ell < params.d - sigma:
         raise ValueError(
@@ -428,7 +420,7 @@ def singular_convergence_rates(config: ExperimentConfig, sigma=None) -> Converge
     for i, (t, w) in enumerate(zip(run.times, run.deficits)):
         edge = t ** (1.0 / params.alpha)
         inner = rc <= edge
-        outer = (rc >= edge) & (rc <= grid.half_length / 4.0)
+        outer = (rc >= edge) & (rc <= _far_field_radius(grid))
         if not inner.any() or not outer.any():
             raise ValueError(f"fit region empty at t = {t:.6g}; window collapsed")
         inner_sup[i] = np.max(rc[inner] ** sigma * w[inner])
@@ -498,8 +490,8 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
 # weighted decay of small data
 
 
-def weighted_decay_check(config: ExperimentConfig, qs=(1.0, 2.0, math.inf)) -> dict:
-    """Fit ||u(t)||_{q, phi_sigma(t)} for each q; the expected slope is
+def weighted_decay_check(config: ExperimentConfig) -> dict:
+    """Fit ||u(t)||_{q, phi_sigma(t)} for q in 1, 2, inf; the expected slope is
     -(d/alpha)(1 - 1/q), with sigma solved from kappa_delta = (delta s)^{p-1}.
 
     The datum must sit below delta * u_inf pointwise (the barrier class
@@ -518,6 +510,8 @@ def weighted_decay_check(config: ExperimentConfig, qs=(1.0, 2.0, math.inf)) -> d
         raise ValueError(
             f"datum exceeds delta * u_inf by {excess:.3g}; outside the barrier class"
         )
+
+    qs = (1.0, 2.0, math.inf)
 
     def measure(t, field):
         weight = WeightSpec(sigma, t, params.alpha)

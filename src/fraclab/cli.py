@@ -18,7 +18,7 @@ import csv as csv_module
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .analysis import MonotonicityError, classify_threshold, fit_power_law
@@ -90,16 +90,8 @@ def _print_result(payload: dict, as_json: bool):
 
 
 def cmd_constants(args) -> int:
-    report = regime_report(ModelParams(args.alpha, args.d, args.p))
-    payload = {
-        "p_fujita": report.p_fujita,
-        "p_singular": report.p_singular,
-        "s": report.singular_amplitude,
-        "hardy_ratio": report.hardy_ratio,
-        "jl_satisfied": report.jl_satisfied,
-        "sigma": report.sigma,
-        "singular_morrey_norm": report.singular_morrey_norm,
-    }
+    report = asdict(regime_report(ModelParams(args.alpha, args.d, args.p)))
+    payload = {("s" if key == "singular_amplitude" else key): v for key, v in report.items()}
     _print_result(payload, args.json)
     return 0
 
@@ -129,18 +121,12 @@ def cmd_steady_check(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = _load_config(args.config)
-    outputs = config.outputs
-    if args.snapshot_every is not None:
-        if args.snapshot_every < 0:  # a negative modulus would still pick outputs
-            raise ValueError(
-                f"outputs.snapshot_every: must be nonnegative, got {args.snapshot_every}"
-            )
-        outputs = replace(outputs, snapshot_every=args.snapshot_every)
-    if args.snapshot_dir is not None:
-        outputs = replace(outputs, snapshot_dir=args.snapshot_dir)
-    if args.csv is not None:
-        outputs = replace(outputs, csv_path=args.csv)
+    flags = {"snapshot_every": args.snapshot_every, "snapshot_dir": args.snapshot_dir,
+             "csv_path": args.csv}
+    outputs = replace(config.outputs, **{key: v for key, v in flags.items() if v is not None})
     config = replace(config, outputs=outputs)
+    if outputs.snapshot_every < 0:  # a negative modulus would still pick outputs
+        raise ValueError(f"outputs.snapshot_every: must be nonnegative, got {outputs.snapshot_every}")
     if outputs.snapshot_every and outputs.snapshot_dir is None:
         raise ValueError("snapshot_every needs a snapshot directory (--snapshot-dir)")
 
@@ -207,11 +193,7 @@ def cmd_classify(args) -> int:
         singular_morrey_norm(config.params) if config.params.singular_regime else None
     )
     payload = {
-        "lambda_global": bracket.lambda_global,
-        "lambda_blowup": bracket.lambda_blowup,
-        "ratio": bracket.ratio,
-        "morrey_global": bracket.morrey_global,
-        "morrey_blowup": bracket.morrey_blowup,
+        **asdict(bracket),
         "singular_morrey_norm": context,
         "config_hash": config.config_hash(),
         "version": __version__,
@@ -239,14 +221,7 @@ def cmd_fit(args) -> int:
         args.t_max if args.t_max is not None else max(times),
     )
     fit = fit_power_law(times, values, window)
-    payload = {
-        "exponent": fit.exponent,
-        "stderr": fit.stderr,
-        "window": list(fit.window),
-        "n_points": fit.n_points,
-        "column": args.column,
-        "version": __version__,
-    }
+    payload = {**asdict(fit), "column": args.column, "version": __version__}
     print(json.dumps(payload, indent=2))
     return 0
 

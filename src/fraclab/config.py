@@ -390,13 +390,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     sect = _section(doc, "potential", errors, _fields(PotentialSpec))
     kappa = _kappa(sect, errors)
     values = _numbers(sect, "potential", errors, vars(PotentialSpec()))
-    if kappa == "from-delta" and values["delta"] is None and (
-        initial is None or initial.kind not in _DELTA_KINDS
-    ):
-        errors.append(
-            "potential.kappa 'from-delta' needs potential.delta or a delta-bearing initial datum"
-        )
     potential = PotentialSpec(kappa=kappa, **values)
+    if kappa == "from-delta":
+        try:
+            potential.barrier_delta(initial)
+        except ValueError as exc:
+            errors.append(f"potential.kappa 'from-delta' {exc}")
 
     sect = _section(doc, "outputs", errors, _fields(OutputSettings))
     late: list[str] = []

@@ -164,13 +164,8 @@ def jl_condition(params: ModelParams) -> tuple[bool, float]:
     Returns (satisfied, hardy_ratio) with hardy_ratio = p s^{p-1} c_alpha / (2 pi)^alpha.
     Under it the Hardy-semigroup kernel bound applies.
     """
-    s = singular_amplitude(params)
-    ratio = (
-        params.p
-        * s ** (params.p - 1.0)
-        * hardy_constant(params.d, params.alpha)
-        / (2.0 * math.pi) ** params.alpha
-    )
+    kappa = kappa_from_params(params)
+    ratio = kappa * hardy_constant(params.d, params.alpha) / (2.0 * math.pi) ** params.alpha
     return ratio <= 1.0 + 1e-12, ratio
 
 
@@ -261,17 +256,15 @@ def regime_report(params: ModelParams) -> RegimeReport:
     p_f, p_s = critical_exponents(params.d, params.alpha)
     if not params.singular_regime:
         return RegimeReport(p_f, p_s, None, None, None, None, None)
-    s = singular_amplitude(params)
     satisfied, ratio = jl_condition(params)
-    kappa = params.p * s ** (params.p - 1.0)
     try:
-        sigma = solve_sigma(kappa, params.d, params.alpha)
+        sigma = solve_sigma(kappa_from_params(params), params.d, params.alpha)
     except ValueError:
         sigma = None
     return RegimeReport(
         p_fujita=p_f,
         p_singular=p_s,
-        singular_amplitude=s,
+        singular_amplitude=singular_amplitude(params),
         hardy_ratio=ratio,
         jl_satisfied=satisfied,
         sigma=sigma,

@@ -100,6 +100,32 @@ def image_safe_horizon(grid: Grid, alpha: float) -> float:
     return (grid.half_length / 8.0) ** alpha
 
 
+def _far_field_radius(grid: Grid) -> float:
+    """L/4: beyond it the monitors and probes mask the field, which there
+    picks up mass from the periodic images."""
+    return 0.25 * grid.half_length
+
+
+def _check_schedule(times) -> np.ndarray:
+    """times as a float array, checked nonempty, 1-d, positive and increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("schedule must be a nonempty 1-d array of times")
+    if not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
+        raise ValueError("schedule times must be positive and strictly increasing")
+    return times
+
+
+def _check_fit_window(times) -> np.ndarray:
+    """The times of a log-log slope fit as a float array, checked to be at
+    least 3 positive increasing times spanning a factor 2."""
+    times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and times.size >= 3 and times[0] > 0.0
+            and np.all(np.diff(times) > 0.0) and times[-1] >= 2.0 * times[0]):
+        raise ValueError("a fit window needs at least 3 positive increasing times spanning a factor 2")
+    return times
+
+
 # per-grid arrays are pure functions of (d, n, L); benign to race, cheap to share
 _CACHE_LOCK = threading.Lock()
 _GRID_CACHE: dict = {}

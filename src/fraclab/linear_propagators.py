@@ -23,6 +23,9 @@ from .field import (
     Grid,
     WeightSpec,
     _cached,
+    _check_fit_window,
+    _check_schedule,
+    _far_field_radius,
     _hypot,
     fold,
     heat_propagate,
@@ -125,7 +128,7 @@ def hardy_step(w: Field, dt: float, spec: HardyOperatorSpec) -> Field:
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     ((_, values),) = _lattice_flow(w.values, spec, w.grid, (dt,), 1)
-    return Field(w.grid, values)
+    return Field._adopt(w.grid, values)
 
 
 @dataclass(frozen=True)
@@ -156,15 +159,6 @@ class NormSeries:
         return list(zip(*cols))
 
 
-def _check_schedule(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("schedule must be a nonempty 1-d array of times")
-    if not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-        raise ValueError("schedule times must be positive and strictly increasing")
-    return times
-
-
 def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, norms):
     """Run e^{-tH} w0 through the schedule; return one row per output time
     t, holding weighted_norm(w(t), q, spec.weight(t) if weighted else None)
@@ -184,7 +178,7 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
     octant = fold(w0.values)
     if not np.array_equal(unfold(octant), w0.values):
         for t, values in _lattice_flow(w0.values, spec, grid, times, substeps):
-            w, weight = Field(grid, values), spec.weight(t)
+            w, weight = Field._adopt(grid, values), spec.weight(t)
             rows.append([weighted_norm(w, q, weight if on else None) for q, on in norms])
         return rows, w
     step = propagator(grid, spec.alpha).octant
@@ -234,15 +228,19 @@ class RatioProbeResult:
 
 
 def cell_delta(grid: Grid, y) -> tuple[Field, tuple]:
-    """Unit-mass indicator of the grid cell nearest to the point y."""
+    """Unit-mass indicator of the grid cell nearest to the point y, which
+    must lie in the box [-L, L)^d."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != grid.d:
         raise ValueError(f"y must have {grid.d} coordinates, got {y.size}")
+    if not np.all((y >= -grid.half_length) & (y < grid.half_length)):
+        raise ValueError(f"y = {y.tolist()} must be finite and lie in [-L, L) = "
+                         f"[{-grid.half_length}, {grid.half_length})")
     ax = grid.axis()
     idx = tuple(int(np.argmin(np.abs(ax - c))) for c in y)
     values = np.zeros(grid.shape)
     values[idx] = grid.h ** (-grid.d)
-    return Field(grid, values), idx
+    return Field._adopt(grid, values), idx
 
 
 _SUPPORT_FLOOR = 1e-13
@@ -274,7 +272,7 @@ def kernel_ratio_probe(
     delta, idx = cell_delta(grid, y)
     y_point = tuple(grid.axis()[i] for i in idx)
     if window_radius is None:
-        window_radius = 0.25 * grid.half_length
+        window_radius = _far_field_radius(grid)
 
     # distance from the source point, unwrapped coordinates
     in_window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
@@ -322,9 +320,7 @@ def hypercontractivity_measure(
     for q, r in pairs:
         if not 1.0 <= r <= q:
             raise ValueError(f"need 1 <= r <= q, got r={r}, q={q}")
-    times = _check_schedule(times)
-    if times.size < 3 or times[-1] < 2.0 * times[0]:
-        raise ValueError("degenerate fit window: need >= 3 times spanning a factor 2")
+    times = _check_fit_window(times)
     weighted = [(q, True) for q, _ in pairs]
     rows, _ = _nonnegative_flow(w0, spec, times, substeps_per_interval, weighted)
     results = []

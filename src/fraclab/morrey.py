@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, Grid, heat_propagate
+from .field import Field, Grid, _check_fit_window, heat_propagate
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,7 @@ def morrey_smoothing_probe(field: Field, alpha: float, pair, times) -> float:
         raise ValueError("p2 must be finite")
     if p1 == p2:
         return 0.0
-    times = np.asarray(times, dtype=float)
-    if times.size < 3 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ValueError("need at least 3 positive increasing times")
-    if times[-1] < 2.0 * times[0]:
-        raise ValueError("fit window must span at least a factor 2 in time")
+    times = _check_fit_window(times)
     query = MorreyQuery(s=p2, q=1.0)
     norms = np.array(
         [morrey_norm(heat_propagate(field, t, alpha), query) for t in times]

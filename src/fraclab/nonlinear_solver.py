@@ -18,6 +18,7 @@ from .constants import ModelParams, kappa_from_params
 from .field import (
     Field,
     Grid,
+    _far_field_radius,
     dyadic_schedule,
     heat_propagate,
     image_safe_horizon,
@@ -141,17 +142,8 @@ def _diffuse(values: np.ndarray, grid: Grid, dt: float, alpha: float) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# monitors (observe the octant state of every accepted step, see fold;
-# advance co-fields in lockstep)
-
-
-def _barrier_values(grid: Grid, params: ModelParams, barrier) -> np.ndarray:
-    """The barrier on the octant."""
-    if barrier == "singular":
-        return octant_steady_state(grid, params)
-    if isinstance(barrier, InitialSpec):
-        return barrier.build_octant(grid, params)
-    raise TypeError(f"barrier must be 'singular' or an InitialSpec, got {barrier!r}")
+# monitors: evolve calls observe(dt, values) with the octant state (see fold)
+# once at t = 0 with dt = 0, then after each accepted step of size dt
 
 
 class BarrierMonitor:
@@ -167,17 +159,20 @@ class BarrierMonitor:
     def __init__(self, grid: Grid, params: ModelParams, barrier="singular",
                  r_max: float | None = None):
         if r_max is None:
-            r_max = 0.25 * grid.half_length
+            r_max = _far_field_radius(grid)
         self._mask = grid.octant_radius() <= r_max
         if not self._mask.any():
             raise ValueError(f"no grid points inside radius {r_max}")
-        self._barrier = _barrier_values(grid, params, barrier)[self._mask]
+        if barrier == "singular":
+            values = octant_steady_state(grid, params)
+        elif isinstance(barrier, InitialSpec):
+            values = barrier.build_octant(grid, params)
+        else:
+            raise TypeError(f"barrier must be 'singular' or an InitialSpec, got {barrier!r}")
+        self._barrier = values[self._mask]
         self.max_violation = 0.0
 
-    def advance(self, dt: float):
-        pass
-
-    def observe(self, t: float, values: np.ndarray):
+    def observe(self, dt: float, values: np.ndarray):
         b = self._barrier
         v = float(np.max((values[self._mask] - b) / b))
         if v > self.max_violation:
@@ -192,33 +187,26 @@ class SandwichMonitor:
 
     u_0 is the state of the first observation, which evolve makes at
     t = 0 with its own datum; a datum above the steady state raises there.
-    The linear majorant is co-evolved with the same steps as u, with
-    kappa = p s^{p-1} (the coupling of the linearization around u_inf).
+    Each later observation first steps the linear majorant by its dt, so
+    it is co-evolved with the same steps as u, with kappa = p s^{p-1} (the
+    coupling of the linearization around u_inf).
     Violations are measured on an annulus: the capped core cell under-feeds
     the potential and its wake is a discretization artifact, while radii
     near L carry periodic-image contamination.  Defaults keep
     32 h <= |x| <= L/4.
     """
 
-    def __init__(
-        self,
-        grid: Grid,
-        params: ModelParams,
-        kappa: float | None = None,
-        r_min: float | None = None,
-        r_max: float | None = None,
-    ):
+    def __init__(self, grid: Grid, params: ModelParams, r_min: float | None = None,
+                 r_max: float | None = None):
         self._uinf = octant_steady_state(grid, params)
         self._v = None
-        if kappa is None:
-            kappa = kappa_from_params(params)
-        spec = HardyOperatorSpec(params.alpha, params.d, kappa)
+        spec = HardyOperatorSpec(params.alpha, params.d, kappa_from_params(params))
         self._potential = spec.octant_potential(grid)
         self._step = propagator(grid, params.alpha).octant
         if r_min is None:
             r_min = 32.0 * grid.h
         if r_max is None:
-            r_max = 0.25 * grid.half_length
+            r_max = _far_field_radius(grid)
         r = grid.octant_radius()
         self._mask = (r >= r_min) & (r <= r_max)
         if not self._mask.any():
@@ -226,15 +214,14 @@ class SandwichMonitor:
         self.max_lower = 0.0
         self.max_upper = 0.0
 
-    def advance(self, dt: float):
-        ((_, self._v),) = _strang_intervals(self._v, self._step, self._potential, (dt,), 1)
-
-    def observe(self, t: float, values: np.ndarray):
+    def observe(self, dt: float, values: np.ndarray):
         uinf = self._uinf
         if self._v is None:
             if float(np.max(values - uinf)) > 1e-12 * float(np.max(uinf)):
                 raise ValueError("sandwich monitor needs a datum below the steady state")
             self._v = uinf - values
+        else:
+            ((_, self._v),) = _strang_intervals(self._v, self._step, self._potential, (dt,), 1)
         m = self._mask
         lower = float(np.max((values[m] - uinf[m]) / uinf[m]))
         upper = float(np.max((uinf[m] - values[m] - self._v[m]) / uinf[m]))
@@ -346,8 +333,7 @@ def evolve(
         t += dt
         step_idx += 1
         for mon in monitors:
-            mon.advance(dt)
-            mon.observe(t, values)
+            mon.observe(dt, values)
         if out_idx < out_times.size and t >= t_target * (1.0 - 1e-12):
             t = t_target  # land exactly for bookkeeping
             record(t, dt, float(min_raw))

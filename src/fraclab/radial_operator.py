@@ -189,11 +189,12 @@ def frac_lap_radial(
     return frac_lap_constant(profile.d, alpha) * sphere_area(profile.d) * total
 
 
-def steady_profile(params, r_lo: float = 1e-4, r_hi: float = 1e4, n_nodes: int = 2048) -> RadialProfile:
-    """The singular steady state s |x|^{-alpha/(p-1)} sampled on a log grid."""
+def steady_profile(params) -> RadialProfile:
+    """The singular steady state s |x|^{-alpha/(p-1)} sampled on 2048 log
+    nodes over [1e-4, 1e4]."""
     gamma = params.alpha / (params.p - 1.0)
     s_amp = singular_amplitude(params)
-    radii = np.geomspace(r_lo, r_hi, n_nodes)
+    radii = np.geomspace(1e-4, 1e4, 2048)
     return RadialProfile(radii, s_amp * radii ** (-gamma), params.d, tail_exponent=gamma)
 
 
@@ -202,7 +203,6 @@ def steady_residual(
     r_min: float,
     r_max: float,
     n_points: int,
-    n_nodes: int = 2048,
     n_angular: int = 64,
     n_radial: int = 32,
     n_octaves: int = 20,
@@ -219,7 +219,7 @@ def steady_residual(
         raise ValueError(f"r_min = {r_min} exceeds r_max = {r_max}")
     if not params.singular_regime:
         raise ValueError("steady_residual requires the singular regime (d > alpha, p > p_singular)")
-    prof = steady_profile(params, n_nodes=n_nodes)
+    prof = steady_profile(params)
     if not (prof.radii[0] * 10 <= r_min and r_max <= prof.radii[-1] / 10):
         raise ValueError(f"[{r_min}, {r_max}] outside the resolved annulus")
     s_amp = singular_amplitude(params)

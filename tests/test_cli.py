@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 import fraclab
 import fraclab.cli as cli
 from fraclab.cli import main
+from fraclab.constants import solve_sigma
 from fraclab.field import GEMM_MAX, Field, Grid, SnapshotMeta, write_snapshot
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
@@ -121,10 +123,17 @@ def test_sigma_from_p_and_from_delta(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["sigma"] == pytest.approx(0.030563, rel=1e-3)
 
+    assert main(["sigma", "--alpha", "0.5", "--d", "1", "--kappa", "0.02", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"kappa": 0.02, "sigma": solve_sigma(0.02, 1, 0.5)}
+
 
 def test_sigma_supercritical_coupling_fails(capsys):
     # kappa at p = 3 exceeds the coefficient maximum: no weight exponent
     assert main(["sigma", "--alpha", "0.5", "--d", "1", "--p", "3"]) == 1
+    # and with neither --kappa nor --p there is no coupling at all
+    assert main(["sigma", "--alpha", "0.5", "--d", "1"]) == 1
+    assert "sigma needs --kappa, or --p" in capsys.readouterr().err
 
 
 def test_steady_check_emits_residual_csv(capsys):
@@ -367,6 +376,11 @@ def test_morrey_snapshot_estimate(tmp_path, capsys):
     assert payload["argmax_radius"] == pytest.approx(32.0, rel=1e-12)
     assert payload["t"] == 0.25
 
+    assert main(["morrey", "--snapshot", str(path), "--s", "2", "--radii", "2,8", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == pytest.approx(2.0 * 8.0 / math.sqrt(8.0), rel=0.05)
+    assert payload["argmax_radius"] == 8.0
+
 
 def test_morrey_bad_snapshot_is_usage_error(tmp_path, capsys):
     path = tmp_path / "junk.frdf"
@@ -378,8 +392,15 @@ def test_morrey_bad_snapshot_is_usage_error(tmp_path, capsys):
 def test_morrey_snapshot_errors_name_the_file(tmp_path, capsys):
     path = tmp_path / "field.frdf"
     write_snapshot(Field(Grid(1, 16, 1.0), np.zeros(16)), path, SnapshotMeta(0.5, 3.0, 0.25))
-    blob = path.read_bytes()
-    for damaged, words in ((blob + b"\0", "payload holds"), (blob[:-8] + b"\xff" * 8, "finite")):
+    blob = path.read_bytes()  # magic, version, d | n | L, alpha, p, t | payload
+    cases = (
+        (blob + b"\0", "payload holds"),
+        (blob[:-8] + b"\xff" * 8, "finite"),
+        (blob[:8] + struct.pack("<I", 4) + blob[12:], "bad dimension 4"),
+        (blob[:8] + struct.pack("<3I", 2, 16, 32) + blob[16:], "anisotropic shape (16, 32)"),
+        (blob[:12] + struct.pack("<I", 8) + blob[16:48] + bytes(64), "bad grid header: n must"),
+    )
+    for damaged, words in cases:
         path.write_bytes(damaged)
         assert main(["morrey", "--snapshot", str(path), "--s", "2"]) == 1
         err = capsys.readouterr().err
@@ -522,6 +543,9 @@ def test_fit_unknown_column_lists_available(tmp_path, capsys):
 
 def test_fit_too_few_points_is_usage_error(tmp_path, capsys):
     path = tmp_path / "series.csv"
-    path.write_text("t,v\n1.0,1.0\n2.0,0.5\n4.0,0.25\n")
-    assert main(["fit", "--csv", str(path), "--column", "v"]) == 1
-    assert "at least 5" in capsys.readouterr().err
+    for text, words in (("t,v\n1.0,1.0\n2.0,0.5\n4.0,0.25\n", "at least 5"),
+                        ("# no rows\nt,v\n", "has no data rows"),
+                        ("t,v\n0.0,1.0\n-1.0,2.0\n", "no positive times to fit")):
+        path.write_text(text)
+        assert main(["fit", "--csv", str(path), "--column", "v"]) == 1
+        assert words in capsys.readouterr().err

@@ -187,6 +187,15 @@ def test_cell_delta_unit_mass():
         cell_delta(g, (0.0,))
 
 
+@pytest.mark.parametrize("y", [40.0, 32.0, -100.0, float("nan"), float("inf")])
+def test_cell_delta_rejects_sources_outside_the_box(y):
+    # a source outside [-L, L) or not finite used to land on an edge cell
+    g = Grid(1, 256, 32.0)
+    with pytest.raises(ValueError, match=r"\[-L, L\)"):
+        cell_delta(g, y)
+    assert cell_delta(g, -32.0)[1] == (0,)
+
+
 def test_kernel_ratio_free_flow_bounded_by_one():
     g = Grid(1, 1024, 128.0)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.0)

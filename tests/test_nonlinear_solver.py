@@ -106,6 +106,31 @@ def test_sup_threshold_triggers_blowup():
     assert rec.status.t_star < 0.2
 
 
+def test_reaction_pole_after_the_diffusion_triggers_blowup(monkeypatch):
+    # at eta = 1 the first half-reaction of a step goes halfway to its
+    # pole; a short step barely lowers the peak, so doubling the
+    # diffusion's output carries the second one past its pole: the step
+    # ends at Blowup(t + dt/2), dt from the dt rule at the datum
+    amplitude, eta, p = 4.0, 1.0, 3.0
+    cfg = make_config(grid={"n": 256, "L": 32.0},
+                      initial={"kind": "gaussian", "amplitude": amplitude},
+                      time={"t_end": 8.0, "eta": eta, "dt_max": 8.0, "output_schedule": [8.0]})
+    diffuse, reaction, poles = ns._diffuse, ns._reaction, []
+
+    def pole_seen(*args):
+        out = reaction(*args)
+        poles.append(out is None)
+        return out
+
+    monkeypatch.setattr(ns, "_diffuse", lambda *args: 2.0 * diffuse(*args))
+    monkeypatch.setattr(ns, "_reaction", pole_seen)
+    rec = evolve(cfg)
+    dt = eta / ((p - 1.0) * amplitude ** (p - 1.0))
+    assert poles == [False, True]
+    assert rec.status == Blowup(t_star=0.5 * dt)
+    assert list(rec.times) == [0.0]
+
+
 def test_dt_underflow_triggers_blowup():
     cfg = make_config(grid={"n": 64, "L": 8.0},
                       initial={"kind": "gaussian", "amplitude": 1e12},
@@ -217,11 +242,9 @@ class _StepLog:
     def __init__(self):
         self.dts = []
 
-    def advance(self, dt):
-        self.dts.append(dt)
-
-    def observe(self, t, values):
-        pass
+    def observe(self, dt, values):
+        if dt > 0.0:  # dt = 0 is the observation at t = 0
+            self.dts.append(dt)
 
     def maxima(self):
         return {}
