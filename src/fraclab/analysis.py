@@ -23,8 +23,8 @@ from .constants import (
     solve_sigma,
 )
 # thread_count stays imported while perfbench's tracer reads it from here
-from .field import (WeightSpec, _far_field_radius, image_safe_horizon, octant_steady_state,
-                    steady_state, thread_count, weighted_norm)
+from .field import (WeightSpec, _far_field_radius, _norm, image_safe_horizon, steady_state,
+                    thread_count, weighted_norm)
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -69,8 +69,8 @@ def fit_power_law(times, values, window=None) -> FitResult:
     """Fit value = C t^a on the window; returns the slope a with its
     standard error from the fit residuals.
 
-    Fewer than 5 usable points, or nonpositive values in the window,
-    raise ValueError.
+    Fewer than 5 usable points, a single distinct time, or nonpositive
+    values in the window raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -90,14 +90,11 @@ def fit_power_law(times, values, window=None) -> FitResult:
         raise ValueError(f"need at least 5 points in the fit window, got {ts.size}")
     if np.any(vs <= 0.0):
         raise ValueError("values must be positive inside the fit window")
-    x = np.log(ts)
-    y = np.log(vs)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    # slope variance: RSS/(n-2) / sum (x - xbar)^2
-    sxx = float(np.sum((x - np.mean(x)) ** 2))
-    stderr = math.sqrt(float(np.sum(resid**2)) / (ts.size - 2) / sxx)
-    return FitResult(float(slope), stderr, (lo, hi), int(ts.size))
+    if ts.min() == ts.max():
+        raise ValueError(f"the fit window holds one distinct time, {ts[0]}; a slope needs two")
+    # polyfit scales the covariance by RSS/(n - 2), the slope's variance
+    (slope, _), cov = np.polyfit(np.log(ts), np.log(vs), 1, cov=True)
+    return FitResult(float(slope), math.sqrt(cov[0, 0]), (lo, hi), int(ts.size))
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +286,9 @@ def classify_threshold(
                 f"at lambda = {lo:.6g}/{hi:.6g}"
             )
 
-    query = MorreyQuery(s=s_index, q=1.0)
-    grid = config.build_grid()
-    return ThresholdBracket(
-        lambda_global=lo,
-        lambda_blowup=hi,
-        ratio=hi / lo,
-        morrey_global=morrey_norm(_scaled(config, lo).initial_field(grid), query),
-        morrey_blowup=morrey_norm(_scaled(config, hi).initial_field(grid), query),
-    )
+    # at q = 1 the Morrey norm is linear in the amplitude: one estimate serves both ends
+    unit = morrey_norm(config.initial_field(), MorreyQuery(s=s_index, q=1.0))
+    return ThresholdBracket(lo, hi, hi / lo, lo * unit, hi * unit)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +303,12 @@ def classify_threshold(
 @dataclass(frozen=True)
 class DeficitEvolution:
     """Reference-minus-run differences at the schedule times inside the
-    image-safe horizon."""
+    image-safe horizon; floor, 1e-13 of the steady sup, is their rounding."""
 
     times: np.ndarray
     deficits: tuple
     reference_drift: float
+    floor: float
 
 
 def _horizon_run(config: ExperimentConfig, reduce, label: str = "run"):
@@ -360,7 +352,7 @@ def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
     drift = max(float(np.max(np.abs(ref - sample))) / sample_sup for ref in held)
     held.reverse()  # popped in output order, each as the deficit run subtracts it
     times, deficits = _horizon_run(config, lambda t, u: held.pop() - u.values, "deficit run")
-    return DeficitEvolution(times, tuple(deficits), drift)
+    return DeficitEvolution(times, tuple(deficits), drift, 1e-13 * sample_sup)
 
 
 def _monotone(series) -> bool:
@@ -428,8 +420,7 @@ def singular_convergence_rates(config: ExperimentConfig) -> ConvergenceRates:
 
     window = default_fit_window(run.times, grid, params.alpha)
     in_window = _in_window(run.times, window)
-    floor = 1e-13 * float(np.max(octant_steady_state(grid, params)))
-    at_floor = max(inner_sup.max(), outer_sup.max()) <= floor
+    at_floor = max(inner_sup.max(), outer_sup.max()) <= run.floor
     degenerate = abs(ell - sigma) <= 1e-12
     if at_floor or degenerate:
         inner_fit = outer_fit = None
@@ -466,12 +457,10 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
         )
     grid = config.build_grid()
     run = deficit_evolution(config)
-    h_d = grid.h**grid.d
-    values = np.array([math.sqrt(np.sum(w**2) * h_d) for w in run.deficits])
+    values = np.array([_norm(w, 2.0, None, grid) for w in run.deficits])
 
     peak = max(float(np.max(np.abs(w))) for w in run.deficits)
-    floor = 1e-13 * float(np.max(octant_steady_state(grid, config.params)))
-    if peak <= floor:
+    if peak <= run.floor:
         raise ValueError("deficit at the rounding floor; no rate to fit")
     worst = min(float(np.min(w)) for w in run.deficits)
     if worst < -1e-6 * peak:

@@ -198,7 +198,7 @@ def cmd_classify(args) -> int:
         "config_hash": config.config_hash(),
         "version": __version__,
     }
-    print(json.dumps(payload, indent=2))
+    _print_result(payload, True)
     return 0
 
 
@@ -222,7 +222,7 @@ def cmd_fit(args) -> int:
     )
     fit = fit_power_law(times, values, window)
     payload = {**asdict(fit), "column": args.column, "version": __version__}
-    print(json.dumps(payload, indent=2))
+    _print_result(payload, True)
     return 0
 
 

@@ -21,7 +21,7 @@ from .constants import (
     kappa_from_delta,
     kappa_from_params,
 )
-from .field import Field, Grid, _steady_values, dyadic_schedule, unfold
+from .field import Field, Grid, _check_schedule, _steady_values, dyadic_schedule, unfold
 
 
 class ConfigError(ValueError):
@@ -161,9 +161,10 @@ class ExperimentConfig:
         return self.potential.resolve(self.params, self.initial)
 
     def output_times(self, grid: Grid | None = None) -> np.ndarray:
+        """The dyadic schedule, or the listed times checked as the parser checks them."""
         if isinstance(self.time.output_schedule, str):
             return dyadic_schedule(grid or self.build_grid(), self.params.alpha, self.time.t_end)
-        return np.asarray(self.time.output_schedule, dtype=float)
+        return _check_schedule(self.time.output_schedule, self.time.t_end)
 
     def to_dict(self) -> dict:
         """The JSON document: each section holds its dataclass fields, less
@@ -277,13 +278,13 @@ def _section(doc, name, errors, allowed=None, required=False):
     return {}
 
 
-def _numbers(sect, name, errors, defaults=None, range_errors=None):
+def _numbers(sect, name, errors, defaults=None):
     """The _NUMBERS keys of section name, read in the order of defaults;
     with no defaults every key is required.
 
     A missing key takes its default; a wrong type or a non-finite number is
     reported and takes the default.  A value out of range is kept and
-    reported, to range_errors when the caller has checks of its own first.
+    reported.
     """
     table = _NUMBERS[name]
     values = {}
@@ -304,9 +305,7 @@ def _numbers(sect, name, errors, defaults=None, range_errors=None):
             values[key] = sect[key] if integer else float(sect[key])
     for key, (_, ok, phrase) in table.items():
         if values[key] is not None and not ok(values[key]):
-            (errors if range_errors is None else range_errors).append(
-                f"{name}.{key}: {phrase}, got {values[key]}"
-            )
+            errors.append(f"{name}.{key}: {phrase}, got {values[key]}")
     return values
 
 
@@ -323,10 +322,10 @@ def _schedule(sect, t_end, errors):
         errors.append("time.output_schedule: must be a nonempty list of finite numbers")
     else:
         schedule = tuple(float(v) for v in schedule)
-        if not all(b > a for a, b in zip(schedule, schedule[1:])) or schedule[0] <= 0.0:
-            errors.append("time.output_schedule: times must be positive and strictly increasing")
-        elif schedule[-1] > t_end * (1 + 1e-12):
-            errors.append(f"time.output_schedule: last time {schedule[-1]} exceeds t_end {t_end}")
+        try:
+            _check_schedule(schedule, t_end)
+        except ValueError as exc:
+            errors.append(f"time.output_schedule: {exc}")
     return schedule
 
 
@@ -398,16 +397,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             errors.append(f"potential.kappa 'from-delta' {exc}")
 
     sect = _section(doc, "outputs", errors, _fields(OutputSettings))
-    late: list[str] = []
-    values = _numbers(sect, "outputs", errors, vars(OutputSettings()), late)
+    values = _numbers(sect, "outputs", errors, vars(OutputSettings()))
     paths = {key: sect.get(key) for key in ("csv_path", "snapshot_dir")}
     for key, path in paths.items():
         if path is not None and not isinstance(path, str):
             errors.append(f"outputs.{key}: must be a string")
     outputs = OutputSettings(**paths, **values)
 
-    if errors or late:
-        raise ConfigError(errors + late)
+    if errors:
+        raise ConfigError(errors)
     return ExperimentConfig(
         params=params, grid=grid, time=time,
         initial=initial, potential=potential, outputs=outputs,

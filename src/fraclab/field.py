@@ -106,13 +106,16 @@ def _far_field_radius(grid: Grid) -> float:
     return 0.25 * grid.half_length
 
 
-def _check_schedule(times) -> np.ndarray:
-    """times as a float array, checked nonempty, 1-d, positive and increasing."""
+def _check_schedule(times, t_end: float = math.inf) -> np.ndarray:
+    """times as a float array, checked nonempty, 1-d, positive and
+    increasing, its last time at most t_end (to rounding)."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("schedule must be a nonempty 1-d array of times")
     if not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-        raise ValueError("schedule times must be positive and strictly increasing")
+        raise ValueError("times must be positive and strictly increasing")
+    if times[-1] > t_end * (1 + 1e-12):
+        raise ValueError(f"last time {times[-1]} exceeds t_end {t_end}")
     return times
 
 
@@ -154,12 +157,7 @@ def clear_grid_cache():
 
 def _hypot(axes) -> np.ndarray:
     """|x| on the lattice spanned by 1-d coordinate axes."""
-    sq = np.zeros(tuple(a.size for a in axes))
-    for k, a in enumerate(axes):
-        shape = [1] * len(axes)
-        shape[k] = a.size
-        sq += (a ** 2).reshape(shape)
-    return np.sqrt(sq)
+    return np.sqrt(functools.reduce(np.add.outer, [a ** 2 for a in axes]))
 
 
 def _octant_freq_magnitude(grid: Grid) -> np.ndarray:

@@ -228,16 +228,17 @@ class RatioProbeResult:
 
 
 def cell_delta(grid: Grid, y) -> tuple[Field, tuple]:
-    """Unit-mass indicator of the grid cell nearest to the point y, which
-    must lie in the box [-L, L)^d."""
+    """Unit-mass indicator of the grid cell nearest to the point y on the
+    torus, y in the box [-L, L)^d: index rint((y + L)/h) mod n per axis, so
+    a point past the last cell's midpoint wraps to cell 0 and a tie takes
+    the even index."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.size != grid.d:
         raise ValueError(f"y must have {grid.d} coordinates, got {y.size}")
     if not np.all((y >= -grid.half_length) & (y < grid.half_length)):
         raise ValueError(f"y = {y.tolist()} must be finite and lie in [-L, L) = "
                          f"[{-grid.half_length}, {grid.half_length})")
-    ax = grid.axis()
-    idx = tuple(int(np.argmin(np.abs(ax - c))) for c in y)
+    idx = tuple(int(j) % grid.n for j in np.rint((y + grid.half_length) / grid.h))
     values = np.zeros(grid.shape)
     values[idx] = grid.h ** (-grid.d)
     return Field._adopt(grid, values), idx

@@ -27,7 +27,7 @@ from fraclab.analysis import (
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
 from fraclab.field import Grid, fft_workers, image_safe_horizon, steady_state
-from fraclab.nonlinear_solver import Blowup, Global, evolve
+from fraclab.nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,8 @@ def test_fit_errors():
         fit_power_law(times, times[:5])
     with pytest.raises(ValueError, match="empty"):
         fit_power_law(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="one distinct time"):
+        fit_power_law(np.ones(5), np.arange(1.0, 6.0), window=(0.5, 2.0))
 
 
 def test_default_fit_window_is_last_safe_decade():
@@ -223,6 +225,43 @@ def test_classify_threshold_reverify_catches_eta_sensitivity(monkeypatch):
     cfg = classify_config()
     with pytest.raises(RuntimeError, match="halved eta"):
         classify_threshold(cfg, 0.5, 3.0, tol=0.1)
+
+
+def test_classify_threshold_gives_up_after_the_bisection_cap(monkeypatch):
+    # 40 halvings of log(3.0/0.5) leave a ratio near 1 + 1.6e-12, still above 1 + tol
+    runs = []
+
+    def fake_evolve(cfg):
+        runs.append(cfg.initial.scale)
+
+        class R:
+            status = Global(cfg.time.t_end) if cfg.initial.scale < 1.0 else Blowup(1.0)
+
+        return R()
+
+    monkeypatch.setattr(an, "evolve", fake_evolve)
+    with pytest.raises(RuntimeError, match="after 40 iterations"):
+        classify_threshold(classify_config(), 0.5, 3.0, tol=1e-13)
+    assert len(runs) == 2 + 40
+
+
+def test_classify_threshold_stops_on_a_numerical_failure(monkeypatch):
+    class R:
+        status = NumericalFailure("synthetic")
+
+    monkeypatch.setattr(an, "evolve", lambda cfg: R())
+    with pytest.raises(RuntimeError, match="numerical failure during classification: synthetic"):
+        classify_threshold(classify_config(), 0.5, 3.0)
+
+
+def test_horizon_run_needs_a_global_run_with_outputs_inside_the_horizon():
+    # L = 32 and alpha = 0.5 put the image-safe horizon at t = 2, before the schedule's 10
+    blowup = classify_config(initial={"kind": "gaussian", "scale": 3.0})
+    with pytest.raises(RuntimeError, match="probe did not stay global"):
+        an._horizon_run(blowup, lambda t, u: None, "probe")
+    late = classify_config(initial={"kind": "gaussian", "scale": 0.5})
+    with pytest.raises(ValueError, match="no schedule times inside the image-safe horizon"):
+        an._horizon_run(late, lambda t, u: None)
 
 
 # ---------------------------------------------------------------------------

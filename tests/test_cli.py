@@ -449,6 +449,18 @@ def test_classify_monotonicity_violation_exits_three(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_classify_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
+    import fraclab.analysis as analysis
+
+    def broken(config):
+        return RunRecord(*[np.array([0.0])] * 6, status=NumericalFailure(reason="synthetic"),
+                         monitor_maxima={})
+
+    monkeypatch.setattr(analysis, "evolve", broken)
+    assert main(classify_args(tmp_path)) == 3
+    assert "numerical failure during classification: synthetic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "state",
     [
@@ -549,3 +561,13 @@ def test_fit_too_few_points_is_usage_error(tmp_path, capsys):
         path.write_text(text)
         assert main(["fit", "--csv", str(path), "--column", "v"]) == 1
         assert words in capsys.readouterr().err
+
+
+def test_fit_window_with_one_distinct_time_is_usage_error(tmp_path, capfd):
+    # one distinct time leaves the least-squares system singular, which LAPACK reports on its own
+    path = tmp_path / "series.csv"
+    path.write_text("t,v\n" + "".join(f"1.0,{v}\n" for v in range(1, 6)))
+    assert main(["fit", "--csv", str(path), "--column", "v", "--t-min", "0.5", "--t-max", "2"]) == 1
+    out, err = capfd.readouterr()
+    assert err == "error: the fit window holds one distinct time, 1.0; a slope needs two\n"
+    assert out == ""

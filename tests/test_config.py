@@ -241,6 +241,25 @@ def test_schedule_validation():
         config_from_dict(named)
 
 
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ((3.0, 1.0), "strictly increasing"),  # would step back from t = 3 to t = 1
+        ((0.0, 1.0), "strictly increasing"),  # would record t = 0 twice
+        ((-1.0, 2.0), "strictly increasing"),  # would step by dt = 0 forever
+        ((1.0, 6.0), "exceeds t_end"),  # would drop t = 6 without a word
+    ],
+)
+def test_output_times_checks_a_schedule_made_in_code(schedule, message):
+    # a schedule built in code skips the parser; evolve reads it through output_times
+    cfg = config_from_dict(dict(MINIMAL, grid={"n": 64, "L": 8.0}, time={"t_end": 4.0}))
+    timing = dataclasses.replace(cfg.time, output_schedule=schedule)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(cfg, time=timing).output_times()
+    timing = dataclasses.replace(cfg.time, output_schedule=(1.0, 4.0))
+    assert dataclasses.replace(cfg, time=timing).output_times().tolist() == [1.0, 4.0]
+
+
 def test_from_delta_needs_a_delta():
     doc = dict(MINIMAL, potential={"kappa": "from-delta"})
     with pytest.raises(ConfigError, match="from-delta"):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fraclab.linear_propagators as lp
 from fraclab.config import InitialSpec
 from fraclab.constants import ModelParams, power_map_coeff_max
 from fraclab.field import Field, Grid, dyadic_schedule, heat_propagate
@@ -194,6 +195,37 @@ def test_cell_delta_rejects_sources_outside_the_box(y):
     with pytest.raises(ValueError, match=r"\[-L, L\)"):
         cell_delta(g, y)
     assert cell_delta(g, -32.0)[1] == (0,)
+
+
+def test_cell_delta_picks_the_nearest_cell_on_the_torus():
+    g = Grid(1, 256, 32.0)  # h = 0.25: cell 255 sits at x = 31.75, cell 0 at -32 = 32 - 2L
+    assert cell_delta(g, 31.9)[1] == (0,)
+    assert cell_delta(g, 31.8)[1] == (255,)
+    assert cell_delta(g, -31.9)[1] == (0,)
+    # a point halfway between two cells takes the even index
+    assert cell_delta(g, 0.125)[1] == (128,)
+    assert cell_delta(g, 0.375)[1] == (130,)
+    f, idx = cell_delta(Grid(2, 32, 4.0), (3.9, -3.9))
+    assert idx == (0, 0) and f.mass() == pytest.approx(1.0, rel=1e-13)
+
+
+def test_octant_flow_stops_at_the_first_non_finite_output(monkeypatch):
+    # an even datum runs on its octant; a state that overflowed must raise
+    # before any norm reads it
+    finite, norm = [], lp.octant_norm
+
+    def recording(grid, values, *args):
+        finite.append(bool(np.all(np.isfinite(values))))
+        return norm(grid, values, *args)
+
+    monkeypatch.setattr(lp, "octant_norm", recording)
+    g = Grid(1, 64, 8.0)
+    w0 = Field(g, np.full(g.shape, 1e308))
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            hardy_evolve(w0, spec, [1.0, 2.0], substeps_per_interval=1)
+    assert all(finite)
 
 
 def test_kernel_ratio_free_flow_bounded_by_one():

@@ -344,6 +344,17 @@ def test_sandwich_monitor_rejects_datum_above_steady_state():
             evolve(cfg, monitors=(SandwichMonitor(cfg.build_grid(), cfg.params),))
 
 
+def test_sandwich_monitor_records_a_state_above_the_steady_state():
+    # the lower violation is max (u - u_inf)/u_inf on the annulus, after t = 0
+    grid = Grid(1, 1024, 128.0)
+    uinf = fold(steady_state(grid, PARAMS).values)
+    mon = SandwichMonitor(grid, PARAMS)
+    mon.observe(0.0, 0.5 * uinf)
+    assert mon.maxima()["sandwich_violation_lower"] == 0.0
+    mon.observe(0.01, 1.2 * uinf)
+    assert mon.maxima()["sandwich_violation_lower"] == pytest.approx(0.2, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # blowup certificate
 
