@@ -23,8 +23,8 @@ from .constants import (
     solve_sigma,
 )
 # thread_count stays imported while perfbench's tracer reads it from here
-from .field import (WeightSpec, _far_field_radius, _norm, image_safe_horizon, steady_state,
-                    thread_count, weighted_norm)
+from .field import (Field, WeightSpec, _far_field_radius, _norm, image_safe_horizon,
+                    octant_steady_state, steady_state, thread_count, unfold, weighted_norm)
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -313,17 +313,17 @@ class DeficitEvolution:
 
 def _horizon_run(config: ExperimentConfig, reduce, label: str = "run"):
     """Evolve config; return the output times in (0, image-safe horizon]
-    as an array, and the list of reduce(t, field) at those outputs.
+    as an array, and the list of reduce(t, octant) at those outputs.
 
     The run must stay Global and reach at least one such output.
     """
     horizon = image_safe_horizon(config.build_grid(), config.params.alpha)
     times, reduced = [], []
 
-    def hook(k, t, field):
+    def hook(k, t, octant):
         if 0.0 < t <= horizon * (1.0 + 1e-12):
             times.append(t)
-            reduced.append(reduce(t, field))
+            reduced.append(reduce(t, octant))
 
     record = evolve(config, on_output=hook)
     if not isinstance(record.status, Global):
@@ -336,8 +336,9 @@ def _horizon_run(config: ExperimentConfig, reduce, label: str = "run"):
 def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
     """Run the b = 0 twin of config, then config; returns w(t) = u_ref(t) - u(t).
 
-    Both runs must stay global.  The reference run holds only its outputs
-    inside the horizon until the deficit run subtracts them.
+    Both runs must stay global.  The reference run holds only its output
+    octants inside the horizon until the deficit run subtracts them; each
+    deficit is unfolded from the octants' difference.
     reference_drift records how far the reference trajectory moves off the
     steady sample in sup norm, relative to the sample's sup.
     """
@@ -345,13 +346,13 @@ def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
         raise ValueError(
             f"needs a steady-deficit initial datum, got {config.initial.kind!r}"
         )
-    sample = steady_state(config.build_grid(), config.params).values
+    sample = octant_steady_state(config.build_grid(), config.params)
     sample_sup = float(np.max(sample))
     reference = replace(config, initial=replace(config.initial, b=0.0))
-    _, held = _horizon_run(reference, lambda t, ref: ref.values, "reference run")
+    _, held = _horizon_run(reference, lambda t, ref: ref, "reference run")
     drift = max(float(np.max(np.abs(ref - sample))) / sample_sup for ref in held)
     held.reverse()  # popped in output order, each as the deficit run subtracts it
-    times, deficits = _horizon_run(config, lambda t, u: held.pop() - u.values, "deficit run")
+    times, deficits = _horizon_run(config, lambda t, u: unfold(held.pop() - u), "deficit run")
     return DeficitEvolution(times, tuple(deficits), drift, 1e-13 * sample_sup)
 
 
@@ -502,7 +503,8 @@ def weighted_decay_check(config: ExperimentConfig) -> dict:
 
     qs = (1.0, 2.0, math.inf)
 
-    def measure(t, field):
+    def measure(t, octant):
+        field = Field._adopt(grid, unfold(octant))
         weight = WeightSpec(sigma, t, params.alpha)
         return [weighted_norm(field, q, weight) for q in qs]
 

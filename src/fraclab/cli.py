@@ -31,7 +31,8 @@ from .constants import (
     singular_morrey_norm,
     solve_sigma,
 )
-from .field import SnapshotFormatError, SnapshotMeta, fft_workers, read_snapshot, thread_count, write_snapshot
+from .field import (SnapshotFormatError, SnapshotMeta, fft_workers, read_snapshot, thread_count,
+                    write_octant_snapshot)
 from .linear_propagators import HardyOperatorSpec, hardy_evolve
 from .morrey import MorreyQuery, morrey_estimate
 from .nonlinear_solver import NumericalFailure, evolve
@@ -130,11 +131,13 @@ def cmd_evolve(args) -> int:
     if outputs.snapshot_every and outputs.snapshot_dir is None:
         raise ValueError("snapshot_every needs a snapshot directory (--snapshot-dir)")
 
-    def write_every(i, t, field):  # streams snapshots as their output times are reached
+    grid = config.build_grid()
+
+    def write_every(i, t, octant):  # streams snapshots as their output times are reached
         if i % outputs.snapshot_every == 0:
             path = os.path.join(outputs.snapshot_dir, f"snapshot_{i:04d}.frdf")
             meta = SnapshotMeta(alpha=config.params.alpha, p=config.params.p, t=float(t))
-            write_snapshot(field, path, meta)
+            write_octant_snapshot(grid, octant, path, meta)
 
     if outputs.snapshot_every:
         os.makedirs(outputs.snapshot_dir, exist_ok=True)

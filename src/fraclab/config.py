@@ -163,6 +163,8 @@ class ExperimentConfig:
     def output_times(self, grid: Grid | None = None) -> np.ndarray:
         """The dyadic schedule, or the listed times checked as the parser checks them."""
         if isinstance(self.time.output_schedule, str):
+            if self.time.output_schedule != "dyadic":
+                raise ValueError(f"unknown named schedule {self.time.output_schedule!r}")
             return dyadic_schedule(grid or self.build_grid(), self.params.alpha, self.time.t_end)
         return _check_schedule(self.time.output_schedule, self.time.t_end)
 

@@ -166,15 +166,16 @@ def _octant_freq_magnitude(grid: Grid) -> np.ndarray:
     return _hypot([half] * grid.d)
 
 
-def _mirror(octant: np.ndarray, axes: int) -> np.ndarray:
+def _mirror(octant: np.ndarray, axes: int, out: np.ndarray | None = None) -> np.ndarray:
     """Reflect the leading `axes` axes about their last index: m points
     become 2(m - 1), and index m - 1 + i takes the value of m - 1 - i.
 
-    The new array is filled block by block straight from the octant, so
-    no temporary is made.
+    The result (a new array, or out) is filled block by block straight
+    from the octant, so no temporary is made.
     """
     m = octant.shape[0]
-    out = np.empty((2 * (m - 1),) * axes + octant.shape[axes:])
+    if out is None:
+        out = np.empty((2 * (m - 1),) * axes + octant.shape[axes:])
     halves = ((slice(0, m), slice(None)), (slice(m, None), slice(m - 2, 0, -1)))
     for block in itertools.product(halves, repeat=axes):
         dst, src = zip(*block)
@@ -195,6 +196,22 @@ def fold(values: np.ndarray) -> np.ndarray:
 def unfold(octant: np.ndarray) -> np.ndarray:
     """The even full-lattice field with this octant: the inverse of fold."""
     return _mirror(octant, octant.ndim)
+
+
+def _unfolded_planes(octant: np.ndarray):
+    """unfold(octant) in row-major order, one plane along the first axis
+    at a time: lattice plane i mirrors octant row i, or n - i past the
+    octant, into one held buffer.  On d = 1 the pieces are the two half
+    lines."""
+    m = octant.shape[0]
+    if octant.ndim == 1:
+        yield octant
+        yield octant[m - 2:0:-1]
+        return
+    n = 2 * (m - 1)
+    plane = np.empty((n,) * (octant.ndim - 1))
+    for i in range(n):
+        yield _mirror(octant[i if i < m else n - i], octant.ndim - 1, plane)
 
 
 def multiplicity(grid: Grid) -> np.ndarray:
@@ -629,14 +646,32 @@ class SnapshotMeta:
     t: float
 
 
-def write_snapshot(field: Field, path, meta: SnapshotMeta):
-    """Write the FRDF v1 binary layout (little-endian, row-major payload)."""
-    grid = field.grid
+def _write_frdf(path, grid: Grid, meta: SnapshotMeta, pieces):
+    """The FRDF v1 header, then the payload: the pieces' values in order."""
     with open(path, "wb") as fh:
         fh.write(_HEAD.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, grid.d))
         fh.write(struct.pack(f"<{grid.d}I", *grid.shape))
         fh.write(_TAIL.pack(grid.half_length, meta.alpha, meta.p, meta.t))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
+        for piece in pieces:
+            fh.write(np.ascontiguousarray(piece, dtype="<f8").data)
+
+
+def write_snapshot(field: Field, path, meta: SnapshotMeta):
+    """Write the FRDF v1 binary layout (little-endian, row-major payload)."""
+    _write_frdf(path, field.grid, meta, (field.values,))
+
+
+def write_octant_snapshot(grid: Grid, octant: np.ndarray, path, meta: SnapshotMeta):
+    """Write the even lattice field of this octant (see fold) as FRDF v1,
+    byte for byte what write_snapshot writes for Field(grid, unfold(octant)),
+    streamed one plane at a time so that no lattice array is built.  The
+    octant holds every lattice value, so its finite check is the field's
+    and runs before the file is opened."""
+    if octant.shape != (grid.n // 2 + 1,) * grid.d:
+        raise ValueError(f"octant shape {octant.shape} does not match grid {grid}")
+    if not np.all(np.isfinite(octant)):
+        raise ValueError("field values must be finite")
+    _write_frdf(path, grid, meta, _unfolded_planes(octant))
 
 
 def read_snapshot(path):

@@ -25,7 +25,6 @@ from .field import (
     octant_norm,
     octant_steady_state,
     propagator,
-    unfold,
 )
 from .linear_propagators import HardyOperatorSpec, _strang_intervals
 
@@ -254,15 +253,15 @@ def evolve(
     zero is clipped to keep the state nonnegative.  At t = 0 and at each
     output time reached, one row goes into the record: t, sup, L2 norm and
     mass (octant_norm), the pre-clip minimum and the step that landed
-    there.  on_output(k, t, field) is called with the k-th row and is the
+    there.  on_output(k, t, octant) is called with the k-th row and is the
     one way to see the field: a caller writes, reduces or keeps each
     output as it is reached.
 
     Every datum is radial, so the state is its octant (see fold): the
     datum is evaluated there, the diffusion is the propagator's octant
-    layout, and monitors observe the octant.  Each output unfolds the
-    state once into a new read-only lattice Field, and no lattice array is
-    built otherwise.
+    layout, and monitors observe the octant.  Each output is a new
+    read-only copy of the octant, which a caller unfolds if it needs the
+    lattice; evolve builds no lattice array.
     """
     params = config.params
     p, alpha = params.p, params.alpha
@@ -283,8 +282,10 @@ def evolve(
     def record(t, dt_used, min_raw):
         l2, mass = octant_norm(grid, values, 2.0), octant_norm(grid, values, 1.0)
         rows.append((t, float(np.max(values)), l2, mass, min_raw, dt_used))
-        if on_output is not None:
-            on_output(len(rows) - 1, t, Field._adopt(grid, unfold(values)))
+        if on_output is not None:  # a copy: the next half-reaction writes values in place
+            octant = values.copy()
+            octant.flags.writeable = False
+            on_output(len(rows) - 1, t, octant)
 
     record(0.0, 0.0, float(np.min(values)))
     for mon in monitors:

@@ -26,7 +26,7 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import Grid, fft_workers, image_safe_horizon, steady_state
+from fraclab.field import Field, Grid, fft_workers, image_safe_horizon, steady_state, unfold
 from fraclab.nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
 
@@ -396,7 +396,8 @@ def test_deficit_evolution_is_the_difference_of_two_runs():
     outputs = []
     for run_cfg in (cfg, reference):
         fields = []
-        evolve(run_cfg, on_output=lambda k, t, field, out=fields: out.append((t, field)))
+        evolve(run_cfg, on_output=lambda k, t, octant, out=fields:
+               out.append((t, Field(grid, unfold(octant)))))
         outputs.append(fields)
     horizon = image_safe_horizon(grid, cfg.params.alpha)
     pairs = [(t, u, ref) for (t, u), (_, ref) in zip(*outputs) if 0.0 < t <= horizon]

@@ -13,7 +13,8 @@ import fraclab
 import fraclab.cli as cli
 from fraclab.cli import main
 from fraclab.constants import solve_sigma
-from fraclab.field import GEMM_MAX, Field, Grid, SnapshotMeta, write_snapshot
+from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, read_snapshot, unfold,
+                           write_snapshot)
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
 
@@ -263,13 +264,35 @@ def test_evolve_streams_snapshots_identical_to_kept_ones(tmp_path, monkeypatch, 
                  "--snapshot-dir", str(streamed)]) == 0
     assert records[0].snapshots is None  # nothing held until the end of the run
 
-    kept = []
-    evolve(cli._load_config(cfg), on_output=lambda k, t, field: kept.append((t, field)))
+    kept, config = [], cli._load_config(cfg)
+    grid = config.build_grid()
+    evolve(config, on_output=lambda k, t, octant: kept.append((t, Field(grid, unfold(octant)))))
     assert len(kept) == 4
     for i, (t, field) in enumerate(kept):
         path = tmp_path / f"kept_{i}.frdf"
         write_snapshot(field, path, SnapshotMeta(alpha=1.0, p=2.0, t=float(t)))
         assert (streamed / f"snapshot_{i:04d}.frdf").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("d, n, every", [(1, 256, 2), (2, 64, 1), (3, 32, 1)])
+def test_evolve_snapshots_read_back_with_their_csv_rows(tmp_path, d, n, every):
+    cfg = run_config(tmp_path, grid={"n": n, "L": 8.0}, params={"alpha": 1.0, "d": d, "p": 2.0})
+    csv, snaps = tmp_path / "run.csv", tmp_path / "snaps"
+    assert main(["evolve", "--config", str(cfg), "--csv", str(csv),
+                 "--snapshot-every", str(every), "--snapshot-dir", str(snaps)]) == 0
+    lines = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+    assert len(rows) == 4
+    written = sorted(snaps.iterdir())
+    assert [path.name for path in written] == [f"snapshot_{i:04d}.frdf" for i in range(0, 4, every)]
+    for path, row in zip(written, rows[::every]):
+        field, meta = read_snapshot(path)
+        assert field.grid == Grid(d, n, 8.0)
+        assert meta.t == row["t"]
+        assert field.sup() == row["sup_norm"]
+        # the datum peaks at x = 0, and the plane order keeps the field even
+        assert np.unravel_index(np.argmax(field.values), field.grid.shape) == (n // 2,) * d
+        assert np.array_equal(field.values, unfold(fold(field.values)))
 
 
 def _scipy_modules_after(argv):

@@ -26,7 +26,7 @@ from fraclab.constants import (
     kappa_from_delta,
     kappa_from_params,
 )
-from fraclab.field import Grid
+from fraclab.field import Grid, dyadic_schedule
 
 MINIMAL = {
     "params": {"alpha": 0.5, "d": 1, "p": 3.0},
@@ -258,6 +258,16 @@ def test_output_times_checks_a_schedule_made_in_code(schedule, message):
         dataclasses.replace(cfg, time=timing).output_times()
     timing = dataclasses.replace(cfg.time, output_schedule=(1.0, 4.0))
     assert dataclasses.replace(cfg, time=timing).output_times().tolist() == [1.0, 4.0]
+
+
+def test_output_times_rejects_an_unknown_named_schedule_made_in_code():
+    # the parser rejects the name; a config built in code must not run the
+    # dyadic ladder while it hashes under another name
+    cfg = config_from_dict(dict(MINIMAL, grid={"n": 64, "L": 8.0}, time={"t_end": 4.0}))
+    weekly = dataclasses.replace(cfg, time=dataclasses.replace(cfg.time, output_schedule="weekly"))
+    with pytest.raises(ValueError, match="unknown named schedule 'weekly'"):
+        weekly.output_times()
+    assert cfg.output_times().tolist() == dyadic_schedule(cfg.build_grid(), 0.5, 4.0).tolist()
 
 
 def test_from_delta_needs_a_delta():

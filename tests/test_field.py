@@ -16,8 +16,10 @@ from fraclab.field import (
     WeightSpec,
     heat_propagate,
     read_snapshot,
+    unfold,
     weight_values,
     weighted_norm,
+    write_octant_snapshot,
     write_snapshot,
 )
 
@@ -345,6 +347,31 @@ def test_every_snapshot_truncation_is_rejected(tmp_path_factory, snapshot, cut):
     path.write_bytes(blob[: int(cut * len(blob))])
     with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_octant_writer_matches_the_lattice_writer_byte_for_byte(tmp_path, d, n):
+    grid = Grid(d, n, 7.3)
+    octant = _rng(100 * d + n).standard_normal((n // 2 + 1,) * d)
+    meta = SnapshotMeta(alpha=1.5, p=3.0, t=0.125)
+    write_octant_snapshot(grid, octant, tmp_path / "octant.frdf", meta)
+    write_snapshot(Field(grid, unfold(octant)), tmp_path / "lattice.frdf", meta)
+    assert (tmp_path / "octant.frdf").read_bytes() == (tmp_path / "lattice.frdf").read_bytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_octant_writer_rejects_values_that_are_not_finite_before_writing(tmp_path, d, bad):
+    grid = Grid(d, 16, 1.0)
+    octant = np.zeros((9,) * d)
+    octant[(8,) * d] = bad  # the last value a plane-by-plane writer would reach
+    path = tmp_path / "field.frdf"
+    with pytest.raises(ValueError, match="finite"):
+        write_octant_snapshot(grid, octant, path, SnapshotMeta(1.0, 2.0, 0.0))
+    assert not path.exists()
+    with pytest.raises(ValueError, match="octant shape"):
+        write_octant_snapshot(grid, np.zeros((16,) * d), path, SnapshotMeta(1.0, 2.0, 0.0))
 
 
 def test_snapshot_rejects_future_version(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import fraclab.nonlinear_solver as ns
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams
-from fraclab.field import Field, Grid, fold, steady_state
+from fraclab.field import Field, Grid, fold, steady_state, unfold
 from fraclab.nonlinear_solver import (
     BarrierMonitor,
     Blowup,
@@ -214,7 +214,9 @@ def test_comparison_principle_at_matched_steps():
             time={"t_end": 4.0, "dt_max": 0.25, "output_schedule": [1.0, 2.0, 4.0]},
         )
         fields[a] = []
-        runs[a] = evolve(cfg, on_output=lambda k, t, field, out=fields[a]: out.append(field))
+        grid = cfg.build_grid()
+        runs[a] = evolve(cfg, on_output=lambda k, t, octant, out=fields[a]:
+                         out.append(Field(grid, unfold(octant))))
     assert len(fields[0.05]) == len(runs[0.05].times)
     cap = 1e-10 * runs[0.1].sup_norm[0]
     for lo, hi in zip(fields[0.05], fields[0.1]):

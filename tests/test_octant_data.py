@@ -3,10 +3,11 @@
 Radial data, the steady profile, the weight and the Hardy potential each
 have one formula, evaluated on the octant (see fold); their lattice arrays
 are its unfold, so each lattice array must be even bit for bit and fold
-back to the octant array.  evolve builds no full-lattice array before its
-first output and one per output: Fields it hands out are read-only and
-never written again, the per-grid cache holds only octant arrays after a
-run, and the run's peak memory grows by less than four lattice arrays.
+back to the octant array.  evolve builds no full-lattice array: the
+octants it hands out are read-only copies and never written again, the
+per-grid cache holds only octant arrays after a run, the run's peak
+memory grows by less than four lattice arrays, and snapshots streamed
+from the octant peak a lattice array below an unfolding writer.
 The Hardy runs of an even datum cache only octant arrays too.
 """
 
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from fraclab.field import (
     _GRID_CACHE,
     Field,
     Grid,
+    SnapshotMeta,
     WeightSpec,
     clear_grid_cache,
     fold,
@@ -34,6 +37,8 @@ from fraclab.field import (
     steady_state,
     unfold,
     weight_values,
+    write_octant_snapshot,
+    write_snapshot,
 )
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hypercontractivity_measure
 from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
@@ -128,17 +133,55 @@ def _config(d: int, L: float, n: int = 16):
 def test_output_fields_are_read_only_and_never_written_again(d, L):
     held, copies = [], []
 
-    def keep(k, t, field):
-        assert not field.values.flags.writeable
-        held.append(field)
-        copies.append(field.values.copy())
+    def keep(k, t, octant):
+        assert not octant.flags.writeable
+        held.append(octant)
+        copies.append(octant.copy())
 
     rec = evolve(_config(d, L, n=32), on_output=keep)
     assert len(held) == len(rec.times) == 4
-    for field, copy in zip(held, copies):
-        assert np.array_equal(field.values, copy)
+    for octant, copy in zip(held, copies):
+        assert np.array_equal(octant, copy)
     for a, b in zip(held, held[1:]):
-        assert not np.shares_memory(a.values, b.values)
+        assert not np.shares_memory(a, b)
+
+
+def test_handed_out_octants_keep_their_rows_after_the_run():
+    # the next step's half-reaction writes the state in place, so a view
+    # handed out by mistake would no longer hold its row's sup at the end
+    held = []
+    rec = evolve(_config(3, 8.0, n=32), on_output=lambda k, t, octant: held.append(octant))
+    assert len(held) == len(rec.times) == 4
+    assert len(set(rec.sup_norm)) == 4
+    for k, octant in enumerate(held):
+        assert not octant.flags.writeable
+        with pytest.raises(ValueError):
+            octant[...] = 0.0
+        assert np.max(octant).tobytes() == rec.sup_norm[k].tobytes()
+
+
+def test_streamed_snapshots_peak_a_lattice_array_below_an_unfolding_hook(tmp_path):
+    config = _config(3, 8.0, n=64)
+    grid = config.build_grid()
+    meta = SnapshotMeta(alpha=1.0, p=2.0, t=0.0)
+
+    def streamed(k, t, octant):
+        write_octant_snapshot(grid, octant, tmp_path / "streamed.frdf", meta)
+
+    def unfolded(k, t, octant):
+        write_snapshot(Field._adopt(grid, unfold(octant)), tmp_path / "unfolded.frdf", meta)
+
+    evolve(config, on_output=streamed)  # imports and first-call caches
+    peaks = {}
+    for hook in (streamed, unfolded):
+        tracemalloc.start()
+        try:
+            evolve(config, on_output=hook)
+            peaks[hook.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    lattice_bytes = 8 * grid.n ** 3
+    assert peaks["unfolded"] - peaks["streamed"] >= 0.9 * lattice_bytes, peaks
 
 
 def test_public_field_constructor_copies():
@@ -202,10 +245,10 @@ _PEAK_SCRIPT = textwrap.dedent("""
             "initial": {"kind": "truncated_singular", "delta": 0.9},
         })
 
-    evolve(config(16), on_output=lambda k, t, f: None)  # imports and first-call caches
+    evolve(config(16), on_output=lambda k, t, octant: None)  # imports and first-call caches
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     sups = []
-    evolve(config(64), on_output=lambda k, t, f: sups.append(f.sup()))
+    evolve(config(64), on_output=lambda k, t, octant: sups.append(float(octant.max())))
     after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     json.dump({"grown_kib": after - before, "outputs": len(sups)}, sys.stdout)
 """)

@@ -370,7 +370,7 @@ def _gaussian_run(grid: Grid, alpha: float, p: float, dt: float, amplitude: floa
         "initial": {"kind": "gaussian", "amplitude": amplitude, "width": width},
     })
     fields, log = [], _StepLog()
-    record = evolve(config, monitors=(log,), on_output=lambda k, t, field: fields.append(field.values))
+    record = evolve(config, monitors=(log,), on_output=lambda k, t, octant: fields.append(unfold(octant)))
     return record.status, fields, log.steps
 
 
