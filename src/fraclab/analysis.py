@@ -23,8 +23,8 @@ from .constants import (
     solve_sigma,
 )
 # thread_count stays imported while perfbench's tracer reads it from here
-from .field import (Field, WeightSpec, _far_field_radius, _norm, image_safe_horizon,
-                    octant_steady_state, steady_state, thread_count, unfold, weighted_norm)
+from .field import (WeightSpec, _far_field_radius, image_safe_horizon, octant_norm,
+                    octant_steady_state, octant_weight_values, thread_count)
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -69,8 +69,9 @@ def fit_power_law(times, values, window=None) -> FitResult:
     """Fit value = C t^a on the window; returns the slope a with its
     standard error from the fit residuals.
 
-    Fewer than 5 usable points, a single distinct time, or nonpositive
-    values in the window raise ValueError.
+    A window that is not finite, fewer than 5 usable points, a single
+    distinct time, or values in the window that are not finite or not
+    positive raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -81,13 +82,15 @@ def fit_power_law(times, values, window=None) -> FitResult:
             raise ValueError("empty series")
         window = (float(times.min()), float(times.max()))
     lo, hi = float(window[0]), float(window[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"window must satisfy 0 < t_min < t_max, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"window must satisfy 0 < t_min < t_max < inf, got ({lo}, {hi})")
     sel = _in_window(times, (lo, hi))
     ts = times[sel]
     vs = values[sel]
     if ts.size < 5:
         raise ValueError(f"need at least 5 points in the fit window, got {ts.size}")
+    if not np.all(np.isfinite(vs)):
+        raise ValueError("values must be finite inside the fit window")
     if np.any(vs <= 0.0):
         raise ValueError("values must be positive inside the fit window")
     if ts.min() == ts.max():
@@ -182,11 +185,18 @@ class _ObservationLog:
                     f"state file {path} belongs to config {state.get('config_hash')!r}, "
                     f"not {config_hash!r}"
                 )
-            self.seen = {float(lam): kind for lam, kind in observations}
+            for lam, kind in observations:
+                if self.seen.setdefault(float(lam), kind) != kind:
+                    raise ValueError(f"state file {path} records lambda = {lam} as both Global and Blowup")
+            inversion = self._inversion()
+            if inversion:
+                raise ValueError(f"state file {path} contradicts itself: {inversion}")
 
     def record(self, lam: float, kind: str):
         self.seen[lam] = kind
-        self._check_monotone()
+        inversion = self._inversion()
+        if inversion:
+            raise MonotonicityError(f"{inversion}; order preservation is violated")
         if self.path is not None:
             state = {
                 "config_hash": self.config_hash,
@@ -204,14 +214,13 @@ class _ObservationLog:
                     os.remove(tmp)
                 raise
 
-    def _check_monotone(self):
+    def _inversion(self) -> str | None:
+        """Where a Global verdict lies above a Blowup one, or None."""
         globals_ = [lam for lam, kind in self.seen.items() if kind == "Global"]
         blowups = [lam for lam, kind in self.seen.items() if kind == "Blowup"]
         if globals_ and blowups and max(globals_) > min(blowups):
-            raise MonotonicityError(
-                f"Global at lambda = {max(globals_):.6g} above Blowup at "
-                f"lambda = {min(blowups):.6g}; order preservation is violated"
-            )
+            return f"Global at lambda = {max(globals_):.6g} above Blowup at lambda = {min(blowups):.6g}"
+        return None
 
 
 _MAX_BISECTIONS = 40
@@ -303,7 +312,8 @@ def classify_threshold(
 @dataclass(frozen=True)
 class DeficitEvolution:
     """Reference-minus-run differences at the schedule times inside the
-    image-safe horizon; floor, 1e-13 of the steady sup, is their rounding."""
+    image-safe horizon, each an octant (see field.fold; octant_norm measures
+    it); floor, 1e-13 of the steady sup, is their rounding."""
 
     times: np.ndarray
     deficits: tuple
@@ -338,7 +348,7 @@ def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
 
     Both runs must stay global.  The reference run holds only its output
     octants inside the horizon until the deficit run subtracts them; each
-    deficit is unfolded from the octants' difference.
+    deficit is the octants' difference.
     reference_drift records how far the reference trajectory moves off the
     steady sample in sup norm, relative to the sample's sup.
     """
@@ -352,7 +362,7 @@ def deficit_evolution(config: ExperimentConfig) -> DeficitEvolution:
     _, held = _horizon_run(reference, lambda t, ref: ref, "reference run")
     drift = max(float(np.max(np.abs(ref - sample))) / sample_sup for ref in held)
     held.reverse()  # popped in output order, each as the deficit run subtracts it
-    times, deficits = _horizon_run(config, lambda t, u: unfold(held.pop() - u), "deficit run")
+    times, deficits = _horizon_run(config, lambda t, u: held.pop() - u, "deficit run")
     return DeficitEvolution(times, tuple(deficits), drift, 1e-13 * sample_sup)
 
 
@@ -406,7 +416,7 @@ def singular_convergence_rates(config: ExperimentConfig) -> ConvergenceRates:
         )
 
     grid = config.build_grid()
-    rc = grid.capped_radius()
+    rc = grid.octant_capped_radius()
     run = deficit_evolution(config)
     inner_sup = np.empty(run.times.size)
     outer_sup = np.empty(run.times.size)
@@ -458,7 +468,7 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
         )
     grid = config.build_grid()
     run = deficit_evolution(config)
-    values = np.array([_norm(w, 2.0, None, grid) for w in run.deficits])
+    values = np.array([octant_norm(grid, w, 2.0) for w in run.deficits])
 
     peak = max(float(np.max(np.abs(w))) for w in run.deficits)
     if peak <= run.floor:
@@ -493,9 +503,8 @@ def weighted_decay_check(config: ExperimentConfig) -> dict:
     sigma = solve_sigma(kappa_from_delta(params, delta), params.d, params.alpha)
 
     grid = config.build_grid()
-    barrier = delta * steady_state(grid, params).values
-    u0 = config.initial_field(grid).values
-    excess = float(np.max(u0 - barrier))
+    barrier = delta * octant_steady_state(grid, params)
+    excess = float(np.max(config.initial.build_octant(grid, params) - barrier))
     if excess > 1e-12 * float(np.max(barrier)):
         raise ValueError(
             f"datum exceeds delta * u_inf by {excess:.3g}; outside the barrier class"
@@ -504,9 +513,8 @@ def weighted_decay_check(config: ExperimentConfig) -> dict:
     qs = (1.0, 2.0, math.inf)
 
     def measure(t, octant):
-        field = Field._adopt(grid, unfold(octant))
-        weight = WeightSpec(sigma, t, params.alpha)
-        return [weighted_norm(field, q, weight) for q in qs]
+        phi = octant_weight_values(grid, WeightSpec(sigma, t, params.alpha))
+        return [octant_norm(grid, octant, q, phi) for q in qs]
 
     times, norms = _horizon_run(config, measure)
     window = default_fit_window(times, grid, params.alpha)

@@ -46,8 +46,8 @@ class Grid:
             raise ValueError(f"d must be 1, 2, or 3, got {self.d}")
         if self.n < 16 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not self.half_length > 0.0:
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not 0.0 < self.half_length < math.inf:
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
 
     @property
     def h(self) -> float:
@@ -62,20 +62,12 @@ class Grid:
         points j and n - j are mirror images bit for bit."""
         return self.h * (np.arange(self.n) - self.n // 2)
 
-    def radius(self) -> np.ndarray:
-        """|x| on the full lattice, shape (n,)*d: the unfold of octant_radius()."""
-        return _cached(self, "radius", lambda g: unfold(g.octant_radius()))
-
-    def capped_radius(self) -> np.ndarray:
-        """max(|x|, h/2), the half-cell floor of all singular factors, on the lattice."""
-        return _cached(self, "capped_radius", lambda g: unfold(g.octant_capped_radius()))
-
     def octant_radius(self) -> np.ndarray:
         """|x| on the octant (see fold), shape (n/2+1,)*d."""
         return _cached(self, "octant_radius", lambda g: _hypot([g.axis()[: g.n // 2 + 1]] * g.d))
 
     def octant_capped_radius(self) -> np.ndarray:
-        """capped_radius() on the octant."""
+        """max(|x|, h/2), the half-cell floor of all singular factors, on the octant."""
         return _cached(
             self, "octant_capped_radius", lambda g: np.maximum(g.octant_radius(), 0.5 * g.h)
         )
@@ -678,8 +670,8 @@ def read_snapshot(path):
     """Read an FRDF v1 file; returns (Field, SnapshotMeta).
 
     The payload is read straight into the field's array.  Any structural
-    defect, or a value that is not finite, raises SnapshotFormatError
-    before a Field is built.
+    defect, or a header number or value that is not finite, raises
+    SnapshotFormatError before a Field is built.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
@@ -701,6 +693,8 @@ def read_snapshot(path):
         if len(set(ns)) != 1:
             raise SnapshotFormatError(f"anisotropic shape {ns} not supported")
         half_length, alpha, p, t = _TAIL.unpack_from(shape_meta, 4 * d)
+        if not all(map(math.isfinite, (alpha, p, t))):
+            raise SnapshotFormatError(f"header numbers must be finite: alpha={alpha}, p={p}, t={t}")
         n = ns[0]
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != 8 * n ** d:

@@ -62,12 +62,6 @@ class HardyOperatorSpec:
             return self.potential_cap_radius
         return 0.5 * grid.h
 
-    def potential(self, grid: Grid) -> np.ndarray:
-        """octant_potential unfolded to the lattice (cached per grid)."""
-        octant = self.octant_potential(grid)
-        key = ("potential", self.alpha, self.kappa, self.cap_radius(grid))
-        return _cached(grid, key, lambda g: unfold(octant))
-
     def octant_potential(self, grid: Grid) -> np.ndarray:
         """kappa * max(|x|, cap)^{-alpha} on the octant (see field.fold), cached per grid."""
         if self.d != grid.d:
@@ -119,8 +113,9 @@ def _strang_intervals(values: np.ndarray, step, potential: np.ndarray, times, su
 
 
 def _lattice_flow(values: np.ndarray, spec: HardyOperatorSpec, grid: Grid, times, substeps: int):
-    """_strang_intervals on the full lattice of grid."""
-    return _strang_intervals(values, propagator(grid, spec.alpha), spec.potential(grid), times, substeps)
+    """_strang_intervals on the full lattice of grid, its potential unfolded once."""
+    potential = unfold(spec.octant_potential(grid))
+    return _strang_intervals(values, propagator(grid, spec.alpha), potential, times, substeps)
 
 
 def hardy_step(w: Field, dt: float, spec: HardyOperatorSpec) -> Field:
@@ -277,7 +272,7 @@ def kernel_ratio_probe(
 
     # distance from the source point, unwrapped coordinates
     in_window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
-    off_origin = grid.radius() > 0.0
+    off_origin = _hypot([grid.axis()] * grid.d) > 0.0
 
     rows = []  # (max, median, min) of the ratio at each output
     for t_out, values in _lattice_flow(delta.values, spec, grid, times, substeps_per_interval):

@@ -42,7 +42,7 @@ from fraclab.constants import (
     solve_sigma,
 )
 from fraclab.constants import ball_volume
-from fraclab.field import Field, Grid, steady_state
+from fraclab.field import Field, Grid, steady_state, unfold
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     hardy_evolve,
@@ -428,7 +428,7 @@ def test_07_linear_hardy_decay():
     grid = Grid(d=1, n=131072, half_length=16384.0)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.1 * CMAX_1D)
     sigma = spec.sigma()
-    rc = grid.capped_radius()
+    rc = unfold(grid.octant_capped_radius())
     ell = 0.5
     w0 = Field(grid, np.minimum(rc ** -0.25, rc ** -ell))
     t_max = (grid.half_length / 8.0) ** spec.alpha
@@ -504,7 +504,7 @@ def test_09_morrey_estimator():
 
     # smoothing rate needs a datum that saturates the source space, i.e.
     # an |x|^{-d/p1} far tail
-    rc = grid.capped_radius()
+    rc = unfold(grid.octant_capped_radius())
     crit = Field(grid, np.minimum(4.0, rc ** -0.5))
     slope = morrey_smoothing_probe(crit, 0.5, (2.0, 4.0), np.geomspace(1.0, 8.0, 8))
     target = -(1.0 / 0.5) * (1.0 / 2.0 - 1.0 / 4.0)

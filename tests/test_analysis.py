@@ -26,7 +26,8 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import Field, Grid, fft_workers, image_safe_horizon, steady_state, unfold
+from fraclab.field import (Grid, fft_workers, image_safe_horizon, octant_norm,
+                           octant_steady_state)
 from fraclab.nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
 
@@ -73,12 +74,17 @@ def test_fit_errors():
         fit_power_law(times, np.zeros(8))
     with pytest.raises(ValueError, match="window"):
         fit_power_law(times, times, window=(5.0, 2.0))
+    with pytest.raises(ValueError, match="t_max < inf"):
+        fit_power_law(times, times, window=(1.0, math.inf))
     with pytest.raises(ValueError, match="matching"):
         fit_power_law(times, times[:5])
     with pytest.raises(ValueError, match="empty"):
         fit_power_law(np.array([]), np.array([]))
     with pytest.raises(ValueError, match="one distinct time"):
         fit_power_law(np.ones(5), np.arange(1.0, 6.0), window=(0.5, 2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_power_law(times, np.where(times > 5.0, bad, times ** -1.0))
 
 
 def test_default_fit_window_is_last_safe_decade():
@@ -395,28 +401,27 @@ def test_deficit_evolution_is_the_difference_of_two_runs():
     reference = dataclasses.replace(cfg, initial=dataclasses.replace(cfg.initial, b=0.0))
     outputs = []
     for run_cfg in (cfg, reference):
-        fields = []
-        evolve(run_cfg, on_output=lambda k, t, octant, out=fields:
-               out.append((t, Field(grid, unfold(octant)))))
-        outputs.append(fields)
+        octants = []
+        evolve(run_cfg, on_output=lambda k, t, octant, out=octants: out.append((t, octant)))
+        outputs.append(octants)
     horizon = image_safe_horizon(grid, cfg.params.alpha)
     pairs = [(t, u, ref) for (t, u), (_, ref) in zip(*outputs) if 0.0 < t <= horizon]
-    sample = steady_state(grid, cfg.params).values
+    sample = octant_steady_state(grid, cfg.params)
 
     run = deficit_evolution(cfg)
     assert np.array_equal(run.times, [t for t, _, _ in pairs])
     assert len(run.deficits) == len(pairs)
     for w, (_, u, ref) in zip(run.deficits, pairs):
-        assert np.array_equal(w, ref.values - u.values)
-    drift = max(float(np.max(np.abs(ref.values - sample))) for _, _, ref in pairs)
+        assert w.shape == (grid.n // 2 + 1,)
+        assert np.array_equal(w, ref - u)
+    drift = max(float(np.max(np.abs(ref - sample))) for _, _, ref in pairs)
     assert run.reference_drift == drift / float(np.max(sample))
 
 
 def test_l2_deficit_series_monotone():
     run = deficit_evolution(l2_config(0.1))
     grid = l2_config(0.1).build_grid()
-    h_d = grid.h**grid.d
-    values = np.array([math.sqrt(np.sum(w**2) * h_d) for w in run.deficits])
+    values = np.array([octant_norm(grid, w, 2.0) for w in run.deficits])
     assert np.all(np.diff(values) < 0.0)
     assert min(float(w.min()) for w in run.deficits) > -1e-8 * values.max()
 

@@ -18,6 +18,15 @@ from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, read_snaps
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_config(tmp_path, **overrides):
     doc = {
         "params": {"alpha": 0.5, "d": 1, "p": 3.0},
@@ -90,7 +99,7 @@ def test_missing_config_file_is_usage_error(tmp_path):
 
 def test_constants_json_has_exact_keys(capsys):
     assert main(["constants", "--alpha", "1", "--d", "3", "--p", "2", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert list(payload) == [
         "p_fujita",
         "p_singular",
@@ -117,15 +126,15 @@ def test_constants_bad_alpha_is_usage_error(capsys):
 
 def test_sigma_from_p_and_from_delta(capsys):
     assert main(["sigma", "--alpha", "0.5", "--d", "1", "--p", "2.1", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["sigma"] == pytest.approx(0.119044108842, rel=1e-9)
 
     assert main(["sigma", "--alpha", "0.5", "--d", "1", "--p", "3", "--delta", "0.5", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["sigma"] == pytest.approx(0.030563, rel=1e-3)
 
     assert main(["sigma", "--alpha", "0.5", "--d", "1", "--kappa", "0.02", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload == {"kappa": 0.02, "sigma": solve_sigma(0.02, 1, 0.5)}
 
 
@@ -393,14 +402,14 @@ def test_morrey_snapshot_estimate(tmp_path, capsys):
     path = tmp_path / "flat.frdf"
     write_snapshot(field, path, SnapshotMeta(alpha=0.5, p=3.0, t=0.25))
     assert main(["morrey", "--snapshot", str(path), "--s", "2", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     # constant field: value = sup_R (2R)^(1 - 1/2) ... attained at R = L
     assert payload["value"] == pytest.approx(2.0 * 32.0 / math.sqrt(32.0), rel=0.05)
     assert payload["argmax_radius"] == pytest.approx(32.0, rel=1e-12)
     assert payload["t"] == 0.25
 
     assert main(["morrey", "--snapshot", str(path), "--s", "2", "--radii", "2,8", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(2.0 * 8.0 / math.sqrt(8.0), rel=0.05)
     assert payload["argmax_radius"] == 8.0
 
@@ -422,6 +431,10 @@ def test_morrey_snapshot_errors_name_the_file(tmp_path, capsys):
         (blob[:8] + struct.pack("<I", 4) + blob[12:], "bad dimension 4"),
         (blob[:8] + struct.pack("<3I", 2, 16, 32) + blob[16:], "anisotropic shape (16, 32)"),
         (blob[:12] + struct.pack("<I", 8) + blob[16:48] + bytes(64), "bad grid header: n must"),
+        (blob[:16] + struct.pack("<d", math.inf) + blob[24:], "bad grid header: half_length must"),
+        (blob[:24] + struct.pack("<d", math.nan) + blob[32:], "header numbers must be finite"),
+        (blob[:32] + struct.pack("<d", -math.inf) + blob[40:], "header numbers must be finite"),
+        (blob[:40] + struct.pack("<d", math.nan) + blob[48:], "header numbers must be finite"),
     )
     for damaged, words in cases:
         path.write_bytes(damaged)
@@ -443,7 +456,7 @@ def classify_args(tmp_path, **time_overrides):
 
 def test_classify_prints_bracket_json(tmp_path, capsys):
     assert main(classify_args(tmp_path) + ["--tol", "0.1"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["ratio"] <= 1.1
     assert payload["lambda_global"] < payload["lambda_blowup"]
     assert payload["morrey_blowup"] > payload["morrey_global"] > 0.0
@@ -485,15 +498,23 @@ def test_classify_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "state",
+    ("state", "words"),
     [
-        {"config_hash": "HASH"},  # no observations
-        [[0.5, "Global"]],  # not an object
-        {"config_hash": "HASH", "observations": [[0.5, "Global", 1]]},
-        {"config_hash": "HASH", "observations": [[0.5, "Global"], [1.7, "Maybe"]]},
+        ({"config_hash": "HASH"}, "pairs"),  # no observations
+        ([[0.5, "Global"]], "pairs"),  # not an object
+        ({"config_hash": "HASH", "observations": [[0.5, "Global", 1]]}, "pairs"),
+        ({"config_hash": "HASH", "observations": [[0.5, "Global"], [1.7, "Maybe"]]}, "pairs"),
+        # a Global above a Blowup, which a resumed bisection would blame on the solver
+        ({"config_hash": "HASH", "observations": [[0.5, "Global"], [3.0, "Blowup"],
+                                                  [1.2247, "Blowup"], [2.0, "Global"]]},
+         "contradicts itself: Global at lambda = 2 above Blowup at lambda = 1.2247"),
+        ({"config_hash": "HASH", "observations": [[0.5, "Global"], [1.5, "Global"],
+                                                  [1.5, "Blowup"]]},
+         "records lambda = 1.5 as both Global and Blowup"),
     ],
+    ids=[f"state{i}" for i in range(6)],
 )
-def test_classify_malformed_state_file_is_usage_error(tmp_path, capsys, state):
+def test_classify_malformed_state_file_is_usage_error(tmp_path, capsys, state, words):
     from fraclab.config import parse_config
 
     args = classify_args(tmp_path)
@@ -503,7 +524,7 @@ def test_classify_malformed_state_file_is_usage_error(tmp_path, capsys, state):
     path.write_text(text)
     assert main(args + ["--state", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: state file {path} ") and "pairs" in err
+    assert err.startswith(f"error: state file {path} ") and words in err
     assert path.read_text() == text
 
 
@@ -540,7 +561,7 @@ def test_classify_threads_sets_the_fft_workers_of_every_probe(tmp_path, capsys, 
 
     monkeypatch.setattr(analysis, "evolve", recording)
     assert main(classify_args(tmp_path) + ["--tol", "0.5", "--threads", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["ratio"] <= 1.5
+    assert _strict_json(capsys.readouterr().out)["ratio"] <= 1.5
     assert len(seen) >= 4 and set(seen) == {3}
     assert getattr(field._FFT_SHARE, "workers", None) is None
 
@@ -557,13 +578,13 @@ def test_fit_reads_csv_and_prints_json(tmp_path, capsys):
     rows.append("# trailing comment")
     path.write_text("\n".join(rows) + "\n")
     assert main(["fit", "--csv", str(path), "--column", "sup_norm"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["exponent"] == pytest.approx(-2.0, abs=1e-10)
     assert payload["n_points"] == 9
 
     assert main(["fit", "--csv", str(path), "--column", "sup_norm",
                  "--t-min", "2.0", "--t-max", "8.0"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["window"] == [2.0, 8.0]
     assert payload["n_points"] == 5
 
@@ -580,7 +601,9 @@ def test_fit_too_few_points_is_usage_error(tmp_path, capsys):
     path = tmp_path / "series.csv"
     for text, words in (("t,v\n1.0,1.0\n2.0,0.5\n4.0,0.25\n", "at least 5"),
                         ("# no rows\nt,v\n", "has no data rows"),
-                        ("t,v\n0.0,1.0\n-1.0,2.0\n", "no positive times to fit")):
+                        ("t,v\n0.0,1.0\n-1.0,2.0\n", "no positive times to fit"),
+                        ("t,v\n1.0,1.0\n2.0,nan\n4.0,0.25\n8.0,inf\n16.0,0.0625\n", "finite"),
+                        ("t,v\n1.0,1.0\n2.0,0.5\ninf,0.25\n8.0,0.125\n16.0,0.0625\n", "t_max < inf")):
         path.write_text(text)
         assert main(["fit", "--csv", str(path), "--column", "v"]) == 1
         assert words in capsys.readouterr().err

@@ -50,6 +50,9 @@ def test_grid_validation():
         Grid(1, 8, 1.0)
     with pytest.raises(ValueError):
         Grid(1, 16, 0.0)
+    for length in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(1, 16, length)
 
 
 def test_grid_geometry():
@@ -59,7 +62,7 @@ def test_grid_geometry():
     assert ax[0] == -4.0
     assert ax[8] == 0.0
     assert ax[-1] == 3.5
-    r = Grid(2, 16, 4.0).radius()
+    r = unfold(Grid(2, 16, 4.0).octant_radius())
     assert r[8, 8] == 0.0
     assert r[8, 10] == 1.0
 
@@ -125,7 +128,7 @@ def test_power_tail_branches():
     r_cross = (delta * s / K) ** (1.0 / (m - gamma0))
     g = Grid(1, 512, 64.0)
     f = InitialSpec("power_tail", amplitude=K, gamma0=gamma0, delta=delta).build(g, params)
-    r = g.radius()
+    r = unfold(g.octant_radius())
     inner = (r > 0.5) & (r < 0.5 * r_cross)
     outer = (r > 2.0 * r_cross) & (r < 32.0)
     assert inner.any() and outer.any()
@@ -191,7 +194,7 @@ def test_alpha_two_matches_gaussian_semigroup():
     a, t = 0.5, 1.0
     for d, n in ((1, 512), (2, 128)):
         g = Grid(d, n, 16.0)
-        r = g.radius()
+        r = unfold(g.octant_radius())
         f = Field(g, np.exp(-(r ** 2) / (4.0 * a)))
         out = heat_propagate(f, t, 2.0)
         want = (a / (a + t)) ** (d / 2.0) * np.exp(-(r ** 2) / (4.0 * (a + t)))

@@ -12,6 +12,7 @@ from fraclab.field import (
     clear_grid_cache,
     read_snapshot,
     steady_state,
+    unfold,
     write_snapshot,
 )
 from fraclab.morrey import (
@@ -180,7 +181,7 @@ def test_smoothing_probe_critical_tail_datum():
     # datum with the |x|^{-d/p1} far tail saturates the source space, so the
     # fitted decay matches -(d/alpha)(1/p1 - 1/p2)
     grid = Grid(1, 4096, 512.0)
-    datum = Field(grid, np.minimum(4.0, grid.capped_radius() ** -0.5))
+    datum = Field(grid, np.minimum(4.0, unfold(grid.octant_capped_radius()) ** -0.5))
     times = np.geomspace(1.0, 8.0, 8)
     slope = morrey_smoothing_probe(datum, 0.5, (2, 4), times)
     expected = -(1.0 / 0.5) * (0.5 - 0.25)

@@ -8,7 +8,8 @@ octants it hands out are read-only copies and never written again, the
 per-grid cache holds only octant arrays after a run, the run's peak
 memory grows by less than four lattice arrays, and snapshots streamed
 from the octant peak a lattice array below an unfolding writer.
-The Hardy runs of an even datum cache only octant arrays too.
+The Hardy runs (of an even datum or not), the kernel-ratio probe and the
+radial analysis checks cache only octant arrays too.
 """
 
 import json
@@ -31,6 +32,7 @@ from fraclab.field import (
     Grid,
     SnapshotMeta,
     WeightSpec,
+    _hypot,
     clear_grid_cache,
     fold,
     octant_steady_state,
@@ -40,7 +42,14 @@ from fraclab.field import (
     write_octant_snapshot,
     write_snapshot,
 )
-from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, hypercontractivity_measure
+from fraclab.analysis import deficit_evolution, singular_convergence_rates, weighted_decay_check
+from fraclab.linear_propagators import (
+    HardyOperatorSpec,
+    hardy_evolve,
+    hardy_step,
+    hypercontractivity_measure,
+    kernel_ratio_probe,
+)
 from fraclab.nonlinear_solver import BarrierMonitor, SandwichMonitor, evolve
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -87,8 +96,9 @@ def test_octant_data_are_the_fold_of_the_lattice_data(d, L, scale, data):
         assert octant.flags.writeable  # evolve steps it in place
         assert _same_bits(octant, fold(spec.build(grid, params).values)), spec.kind
     assert _same_bits(octant_steady_state(grid, params), fold(steady_state(grid, params).values))
-    assert _same_bits(grid.octant_radius(), fold(grid.radius()))
-    assert _same_bits(grid.octant_capped_radius(), fold(grid.capped_radius()))
+    radius = _hypot([grid.axis()] * d)
+    assert _same_bits(grid.octant_radius(), fold(radius))
+    assert _same_bits(grid.octant_capped_radius(), fold(np.maximum(radius, 0.5 * grid.h)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -101,9 +111,6 @@ def test_sampled_radial_data_are_even_bit_for_bit(d):
         InitialSpec("gaussian", amplitude=0.7, width=1.3).build(grid, params).values,
         steady_state(grid, params).values,
         weight_values(grid, WeightSpec(sigma=0.3, t=0.5, alpha=0.5)),
-        HardyOperatorSpec(0.5, d, 0.4).potential(grid),
-        grid.radius(),
-        grid.capped_radius(),
     ]
     for values in arrays:
         assert _same_bits(unfold(fold(values)), values)
@@ -115,7 +122,8 @@ def test_sampled_radial_data_are_even_bit_for_bit(d):
 def test_octant_potential_is_the_fold_of_the_lattice_potential(d, L, alpha, kappa, cap):
     grid = _grid(d, L)
     spec = HardyOperatorSpec(alpha, d, kappa, potential_cap_radius=cap)
-    assert _same_bits(spec.octant_potential(grid), fold(spec.potential(grid)))
+    lattice = kappa * np.maximum(_hypot([grid.axis()] * d), spec.cap_radius(grid)) ** (-alpha)
+    assert _same_bits(spec.octant_potential(grid), fold(lattice))
 
 
 def _config(d: int, L: float, n: int = 16):
@@ -193,9 +201,10 @@ def test_public_field_constructor_copies():
     assert np.all(f.values == 1.0) and not f.values.flags.writeable
 
 
-def _cached_sizes() -> dict:
-    return {name: value.size for slot in _GRID_CACHE.values() for name, value in slot.items()
-            if isinstance(value, np.ndarray)}
+def _assert_cache_holds_octants(grid: Grid):
+    shapes = {name: value.shape for slot in _GRID_CACHE.values() for name, value in slot.items()
+              if isinstance(value, np.ndarray)}
+    assert shapes and set(shapes.values()) == {(grid.n // 2 + 1,) * grid.d}, shapes
 
 
 def test_evolve_caches_no_lattice_array():
@@ -204,8 +213,22 @@ def test_evolve_caches_no_lattice_array():
     clear_grid_cache()
     monitors = (BarrierMonitor(grid, cfg.params), SandwichMonitor(grid, cfg.params, r_min=grid.h))
     evolve(cfg, monitors=monitors)
-    sizes = _cached_sizes()
-    assert sizes and max(sizes.values()) < grid.n ** grid.d, sizes
+    _assert_cache_holds_octants(grid)
+
+
+# alpha, p and the tail exponent ell of a stable steady deficit in each dimension
+_DEFICIT = {1: (0.5, 2.1, 0.5), 2: (1.0, 2.1, 1.0), 3: (1.0, 1.575, 1.5)}
+
+
+def _analysis_config(d: int, initial: dict, schedule, **sections):
+    alpha, p, _ = _DEFICIT[d]
+    return config_from_dict({
+        "params": {"alpha": alpha, "d": d, "p": p},
+        "grid": {"n": {1: 64, 2: 32, 3: 16}[d], "L": 8.0},  # image-safe horizon 1
+        "time": {"t_end": 1.0, "output_schedule": schedule},
+        "initial": initial,
+        **sections,
+    })
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -214,22 +237,36 @@ def test_even_hardy_runs_cache_no_lattice_array(d):
     spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
     times = [0.1, 0.2, 0.4]
     even = InitialSpec("gaussian").build(grid, ModelParams(alpha=0.5, d=d, p=3.0))
+    off = even.values.copy()
+    off[(1,) * d] += 0.5  # not even: runs on the lattice
     runs = (
         lambda w0: hardy_evolve(w0, spec, times, 2),
         lambda w0: hypercontractivity_measure(w0, spec, [(2.0, 1.0)], times, 2),
+        lambda w0: hardy_step(w0, 0.1, spec),
     )
-    for run in runs:
+    for w0 in (even, Field(grid, off)):
+        for run in runs:
+            clear_grid_cache()
+            run(w0)
+            _assert_cache_holds_octants(grid)
+    clear_grid_cache()
+    kernel_ratio_probe(grid, spec, (0.5,) * d, times, substeps_per_interval=2)
+    _assert_cache_holds_octants(grid)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_analysis_caches_no_lattice_array(d):
+    tail = _analysis_config(d, {"kind": "steady_deficit_tail", "b": 0.0, "ell": _DEFICIT[d][2]},
+                            [0.5, 0.75, 1.0])
+    decay = _analysis_config(d, {"kind": "gaussian", "amplitude": 0.02, "width": 1.0},
+                             [0.2, 0.3, 0.45, 0.7, 1.0],
+                             potential={"kappa": "from-delta", "delta": 0.5})
+    # singular_convergence_rates runs deficit_evolution, then masks its deficits
+    for run, cfg in ((deficit_evolution, tail), (singular_convergence_rates, tail),
+                     (weighted_decay_check, decay)):
         clear_grid_cache()
-        run(even)
-        sizes = _cached_sizes()
-        assert sizes and max(sizes.values()) < grid.n ** d, sizes
-    # a datum that is not even runs on the lattice and caches its potential
-    off = even.values.copy()
-    off[(1,) * d] += 0.5
-    for run in runs:
-        clear_grid_cache()
-        run(Field(grid, off))
-        assert max(_cached_sizes().values()) == grid.n ** d
+        run(cfg)
+        _assert_cache_holds_octants(cfg.build_grid())
 
 
 _PEAK_SCRIPT = textwrap.dedent("""
