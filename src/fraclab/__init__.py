@@ -18,7 +18,7 @@ _PUBLIC = {
     """.split(),
     "field": """
         Field Grid SnapshotFormatError SnapshotMeta WeightSpec dyadic_schedule
-        heat_propagate image_safe_horizon read_snapshot steady_state weight_values
+        heat_propagate image_safe_horizon open_snapshot read_snapshot steady_state weight_values
         weighted_norm write_snapshot
     """.split(),
     "radial_operator": "RadialProfile frac_lap_radial steady_profile steady_residual".split(),

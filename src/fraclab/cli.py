@@ -31,7 +31,7 @@ from .constants import (
     singular_morrey_norm,
     solve_sigma,
 )
-from .field import (SnapshotFormatError, SnapshotMeta, fft_workers, read_snapshot, thread_count,
+from .field import (SnapshotFormatError, SnapshotMeta, fft_workers, open_snapshot, thread_count,
                     write_octant_snapshot)
 from .linear_propagators import HardyOperatorSpec, hardy_evolve
 from .morrey import MorreyQuery, morrey_estimate
@@ -167,19 +167,19 @@ def cmd_linear_evolve(args) -> int:
 
 def cmd_morrey(args) -> int:
     try:
-        field, meta = read_snapshot(args.snapshot)
+        with open_snapshot(args.snapshot) as snapshot:
+            radii = tuple(args.radii) if args.radii is not None else None
+            query = MorreyQuery(s=args.s, q=args.q, radii=radii, center_stride=args.stride)
+            estimate = morrey_estimate(snapshot, query)
     except SnapshotFormatError as exc:
         raise SnapshotFormatError(f"snapshot {args.snapshot}: {exc}") from None
-    radii = tuple(args.radii) if args.radii is not None else None
-    query = MorreyQuery(s=args.s, q=args.q, radii=radii, center_stride=args.stride)
-    estimate = morrey_estimate(field, query)
     payload = {
         "value": estimate.value,
         "argmax_center": list(estimate.argmax_center),
         "argmax_radius": estimate.argmax_radius,
         "s": args.s,
         "q": args.q,
-        "t": meta.t,
+        "t": snapshot.meta.t,
         "version": __version__,
     }
     _print_result(payload, args.json)

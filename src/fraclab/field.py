@@ -258,6 +258,20 @@ class Field:
     def mass(self) -> float:
         return float(np.sum(self.values)) * self.grid.h ** self.grid.d
 
+    def blocks(self, out: np.ndarray):
+        """Yield the values copied into out, a block of len(out) rows along
+        the first axis at a time (the whole line on d = 1)."""
+        for start, block in _row_blocks(self.grid.n, out):
+            block[...] = self.values[start:start + len(block)]
+            yield block
+
+
+def _row_blocks(n: int, out: np.ndarray):
+    """(start, view of out) over an n-row lattice in blocks of len(out)
+    rows along the first axis; the last block may be short."""
+    for start in range(0, n, len(out)):
+        yield start, out[:n - start]
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -666,13 +680,31 @@ def write_octant_snapshot(grid: Grid, octant: np.ndarray, path, meta: SnapshotMe
     _write_frdf(path, grid, meta, _unfolded_planes(octant))
 
 
-def read_snapshot(path):
-    """Read an FRDF v1 file; returns (Field, SnapshotMeta).
+@dataclass(frozen=True)
+class SnapshotBlocks:
+    """An FRDF v1 file open for reading by blocks of rows (open_snapshot)."""
 
-    The payload is read straight into the field's array.  Any structural
-    defect, or a header number or value that is not finite, raises
-    SnapshotFormatError before a Field is built.
-    """
+    grid: Grid
+    meta: SnapshotMeta
+    fh: object
+
+    def blocks(self, out: np.ndarray):
+        """Field.blocks, read from the payload: each block is checked
+        finite before it is yielded."""
+        for _, block in _row_blocks(self.grid.n, out):
+            if self.fh.readinto(block) != block.nbytes:
+                raise SnapshotFormatError("payload shrank while it was read")
+            if not np.all(np.isfinite(block)):
+                raise SnapshotFormatError("payload: field values must be finite")
+            yield block
+
+
+@contextmanager
+def open_snapshot(path):
+    """An FRDF v1 file as SnapshotBlocks, the read-side twin of
+    write_octant_snapshot.  The header and the payload size are checked
+    before any payload is read; the payload is then read only through the
+    caller's block buffer.  Any defect raises SnapshotFormatError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
         if len(head) < _HEAD.size:
@@ -703,10 +735,15 @@ def read_snapshot(path):
             grid = Grid(d, n, half_length)
         except ValueError as exc:
             raise SnapshotFormatError(f"bad grid header: {exc}") from None
-        values = np.empty(grid.shape, dtype="<f8")
-        if fh.readinto(values) != size:
-            raise SnapshotFormatError("payload shrank while it was read")
-    try:
-        return Field._adopt(grid, values), SnapshotMeta(alpha, p, t)
-    except ValueError as exc:
-        raise SnapshotFormatError(f"payload: {exc}") from None
+        yield SnapshotBlocks(grid, SnapshotMeta(alpha, p, t), fh)
+
+
+def read_snapshot(path):
+    """Read an FRDF v1 file; returns (Field, SnapshotMeta).
+
+    The payload is read as one block, straight into the field's array,
+    with open_snapshot's checks.
+    """
+    with open_snapshot(path) as snapshot:
+        (values,) = snapshot.blocks(np.empty(snapshot.grid.shape, dtype="<f8"))
+    return Field._adopt(snapshot.grid, values), snapshot.meta

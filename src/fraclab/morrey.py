@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Field, Grid, _check_fit_window, heat_propagate
+from .field import Field, Grid, SnapshotBlocks, _check_fit_window, _row_blocks, heat_propagate
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,63 @@ class MorreyEstimate:
     radius_values: np.ndarray
 
 
-def morrey_estimate(field: Field, query: MorreyQuery) -> MorreyEstimate:
+_BLOCK_BYTES = 1 << 19  # the estimator's one real block of rows
+
+
+def _rfftn_rows(blocks, out: np.ndarray) -> np.ndarray:
+    """np.fft.rfftn into out of the array given as consecutive blocks of
+    rows, in numpy's pass order: per block rfft over the last axis and fft
+    over the middle one, then one fft over the first axis."""
+    start = 0
+    for block in blocks:
+        rows = out[start:start + len(block)]
+        np.fft.rfft(block, axis=-1, out=rows)
+        for axis in range(block.ndim - 2, 0, -1):
+            np.fft.fft(rows, axis=axis, out=rows)
+        start += len(block)
+    if out.ndim > 1:
+        np.fft.fft(out, axis=0, out=out)
+    return out
+
+
+def _powers(blocks, q: float):
+    for block in blocks:
+        np.abs(block, out=block)
+        block **= q
+        yield block
+
+
+def _ball_rows(squares: np.ndarray, d: int, R: float, buf: np.ndarray):
+    """The indicator of |x| <= R about index 0 in blocks of buf's rows,
+    squares summed axis 0 first."""
+    for start, block in _row_blocks(len(squares), buf):
+        block[...] = squares[start:start + len(block)].reshape((-1,) + (1,) * (d - 1))
+        for k in reversed(range(d - 1)):
+            block += squares.reshape((-1,) + (1,) * k)
+        np.sqrt(block, out=block)
+        np.less_equal(block, R, out=block)
+        yield block
+
+
+def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> MorreyEstimate:
     """Estimator detail: the value plus where the sup was attained.
 
-    Besides the field it holds three lattice-sized arrays: the spectrum of
-    |u|^q, one complex and one real work array.  Each ball mask is built
-    in the real array from the 1-d axis, so no |x| lattice is made.
+    field is a Field or an open snapshot (field.open_snapshot), read once
+    by blocks of rows.  Besides it the estimator holds two half-spectra,
+    of |u|^q and one complex work array, and one real block of rows, in
+    which each ball mask is built from the 1-d axis and each ball sum is
+    formed.  The passes are numpy's rfftn/irfftn ones, so the numbers are
+    those of whole-array transforms; ties go to the first strided center.
     """
     grid = field.grid
+    n, d = grid.n, grid.d
     radii = query.resolve_radii(grid)
-    real = np.abs(field.values)
-    real **= query.q
-    spectrum = np.fft.rfftn(real)
+    rows = n if d == 1 else max(1, min(n, _BLOCK_BYTES // (8 * n ** (d - 1))))
+    buf = np.empty((rows,) + grid.shape[1:])
+    spectrum = np.empty(grid.shape[:-1] + (n // 2 + 1,), complex)
+    _rfftn_rows(_powers(field.blocks(buf), query.q), spectrum)
     work = np.empty_like(spectrum)
     squares = np.fft.ifftshift(grid.axis()) ** 2  # the ball about index 0
-    lines = [squares.reshape((-1,) + (1,) * k) for k in reversed(range(grid.d))]
     stride = query.center_stride
     h_d = grid.h ** grid.d
     expo = grid.d * (query.q / query.s - 1.0)
@@ -89,19 +131,24 @@ def morrey_estimate(field: Field, query: MorreyQuery) -> MorreyEstimate:
     best_radius = None
     per_radius = []
     for R in radii:
-        real[...] = lines[0]
-        for line in lines[1:]:
-            real += line
-        np.sqrt(real, out=real)
-        np.less_equal(real, R, out=real)
-        np.multiply(spectrum, np.fft.rfftn(real, out=work), out=work)
-        for k in range(grid.d - 1):
-            np.fft.ifft(work, axis=k, out=work)
-        sums = np.fft.irfft(work, grid.n, axis=-1, out=real)
-        if stride > 1:
-            sums = sums[(slice(None, None, stride),) * grid.d]
-        top_idx = np.unravel_index(int(np.argmax(sums)), sums.shape)
-        top = max(float(sums[top_idx]) * h_d, 0.0)
+        np.multiply(spectrum, _rfftn_rows(_ball_rows(squares, d, R, buf), work), out=work)
+        if d > 1:
+            np.fft.ifft(work, axis=0, out=work)
+        top, top_idx = -np.inf, None
+        for start, sums in _row_blocks(n, buf):
+            part = work[start:start + len(sums)]
+            for axis in range(1, d - 1):
+                np.fft.ifft(part, axis=axis, out=part)
+            np.fft.irfft(part, n, axis=-1, out=sums)
+            first = -start % stride  # the block's first center row
+            centers = sums[(slice(first, None, stride),) + (slice(None, None, stride),) * (d - 1)]
+            if centers.size == 0:
+                continue
+            idx = np.unravel_index(int(np.argmax(centers)), centers.shape)
+            if centers[idx] > top:  # the first maximum in row-major order
+                top = float(centers[idx])
+                top_idx = ((start + first) // stride + idx[0],) + idx[1:]
+        top = max(top * h_d, 0.0)
         value = (R ** expo * top) ** (1.0 / query.q)
         per_radius.append(value)
         if value > best:

@@ -11,6 +11,7 @@ import pytest
 
 import fraclab
 import fraclab.cli as cli
+import fraclab.morrey as morrey
 from fraclab.cli import main
 from fraclab.constants import solve_sigma
 from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, read_snapshot, unfold,
@@ -441,6 +442,46 @@ def test_morrey_snapshot_errors_name_the_file(tmp_path, capsys):
         assert main(["morrey", "--snapshot", str(path), "--s", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: snapshot {path}: ") and words in err
+
+
+def _write_raw_snapshot(path, grid: Grid, values: np.ndarray) -> bytes:
+    """An FRDF v1 file whose payload is values as given, NaN included."""
+    write_snapshot(Field(grid, np.zeros(grid.shape)), path, SnapshotMeta(1.0, 2.0, 0.0))
+    blob = path.read_bytes()[:-values.nbytes] + values.astype("<f8").tobytes()
+    path.write_bytes(blob)
+    return blob
+
+
+@pytest.mark.parametrize("row", [0, 63])
+def test_morrey_rejects_a_value_that_is_not_finite_in_any_block(tmp_path, capsys, monkeypatch, row):
+    monkeypatch.setattr(morrey, "_BLOCK_BYTES", 5 * 8 * 64)  # 13 blocks, the last of 4 rows
+    grid = Grid(2, 64, 4.0)
+    values = np.ones(grid.shape)
+    values[row, 17] = np.nan
+    path = tmp_path / "field.frdf"
+    _write_raw_snapshot(path, grid, values)
+    assert main(["morrey", "--snapshot", str(path), "--s", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: snapshot {path}: payload: field values must be finite\n"
+
+
+def test_morrey_rejects_every_truncation_before_reading_the_payload(tmp_path, capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)  # one parser for 2100 calls
+    grid = Grid(2, 16, 4.0)
+    values = np.ones(grid.shape)
+    values[0, 0] = np.nan  # a payload read before the size check would name this
+    path = tmp_path / "field.frdf"
+    blob = _write_raw_snapshot(path, grid, values)
+    header = len(blob) - values.nbytes
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        assert main(["morrey", "--snapshot", str(path), "--s", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: snapshot {path}: ")
+        assert ("payload holds" if cut >= header else "truncated header") in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraclab.morrey as morrey
+from fraclab.cli import main
 from fraclab.constants import ModelParams, singular_morrey_norm
 from fraclab.field import (
     Field,
@@ -175,6 +182,118 @@ def test_read_and_estimate_hold_few_lattice_arrays(tmp_path):
     assert read_peak <= 1.25 * nbytes
     assert peak - before <= 3.5 * nbytes  # the field plus spectrum and two work arrays
     assert after - before < 0.5 * nbytes  # no |x| lattice is left in the grid cache
+
+
+def _whole_array_estimate(u: np.ndarray, grid: Grid, query: MorreyQuery):
+    """The estimator on whole lattice arrays: numpy's rfftn and irfftn, an
+    |x| lattice summed axis 0 first, and one argmax per radius.
+    Returns (radius values, argmax centers as lattice indices)."""
+    d, stride = grid.d, query.center_stride
+    spectrum = np.fft.rfftn(np.abs(u) ** query.q)
+    squares = np.fft.ifftshift(grid.axis()) ** 2
+    r2 = squares.reshape((-1,) + (1,) * (d - 1))
+    for k in reversed(range(d - 1)):
+        r2 = r2 + squares.reshape((-1,) + (1,) * k)
+    radius = np.sqrt(r2)
+    values, centers = [], []
+    for R in query.resolve_radii(grid):
+        ball = (radius <= R).astype(float)
+        # spectrum first: with FMA the complex product is not commutative
+        # to the bit, and `*` may swap a temporary operand to reuse it
+        product = np.multiply(spectrum, np.fft.rfftn(ball))
+        sums = np.fft.irfftn(product, s=grid.shape, axes=range(d))
+        sums = sums[(slice(None, None, stride),) * d]
+        idx = np.unravel_index(int(np.argmax(sums)), sums.shape)
+        top = max(float(sums[idx]) * grid.h ** d, 0.0)
+        values.append((R ** (d * (query.q / query.s - 1.0)) * top) ** (1.0 / query.q))
+        centers.append(tuple(stride * int(i) for i in idx))
+    return np.array(values), centers
+
+
+def _estimate_in_blocks(field: Field, query: MorreyQuery, rows: int):
+    """morrey_estimate with its block of rows cut to `rows` rows."""
+    row_bytes = 8 * field.grid.n ** (field.grid.d - 1)
+    with mock.patch.object(morrey, "_BLOCK_BYTES", rows * row_bytes):
+        return morrey_estimate(field, query)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    q=st.sampled_from([1.0, 2.0]),
+    rows=st.sampled_from([3, 5, 7]),  # 64 and 32 rows end on a short block
+    stride=st.integers(1, 4),
+    explicit=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_blocked_estimator_is_bit_identical_to_whole_array_transforms(
+    d, q, rows, stride, explicit, seed
+):
+    grid = Grid(d, 32 if d == 3 else 64, 5.0)
+    u = np.random.default_rng(seed).standard_normal(grid.shape)
+    radii = (grid.h, 3.3 * grid.h, 0.4 * grid.half_length) if explicit else None
+    query = MorreyQuery(s=3.0 * q, q=q, radii=radii, center_stride=stride)
+    est = _estimate_in_blocks(Field(grid, u), query, rows)
+    values, centers = _whole_array_estimate(u, grid, query)
+    assert est.radius_values.tobytes() == values.tobytes()
+    best = int(np.argmax(values))
+    assert est.value == values[best]
+    assert est.argmax_radius == query.resolve_radii(grid)[best]
+    assert est.argmax_center == tuple(float(grid.axis()[i]) for i in centers[best])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_constant_field_ties_resolve_to_the_first_strided_center(d, stride):
+    grid = Grid(d, 32, 4.0)
+    u = np.full(grid.shape, 0.7)
+    query = MorreyQuery(s=4.0, center_stride=stride)
+    est = _estimate_in_blocks(Field(grid, u), query, rows=5)
+    values, _ = _whole_array_estimate(u, grid, query)
+    assert est.radius_values.tobytes() == values.tobytes()
+    assert est.argmax_center == (-4.0,) * d
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("mu", [2.0, 0.5, 4.0])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_estimate_is_invariant_under_the_critical_scaling(d, n, mu, q):
+    # M^s_q is invariant under u -> mu^{d/s} u(mu x).  On L -> L/mu the
+    # dyadic radii h 2^k scale with h and, mu being a power of two, every
+    # radius, lattice distance and ball membership scales exactly, so only
+    # the amplitude's rounding is left.
+    s = 3.0 * q
+    u = np.random.default_rng(d + int(4 * mu)).random((n,) * d)
+    query = MorreyQuery(s=s, q=q)
+    base = morrey_estimate(Field(Grid(d, n, 6.0), u), query)
+    scaled = morrey_estimate(Field(Grid(d, n, 6.0 / mu), mu ** (d / s) * u), query)
+    np.testing.assert_allclose(scaled.radius_values, base.radius_values, rtol=1e-13, atol=0.0)
+    assert scaled.value == pytest.approx(base.value, rel=1e-13)
+    assert scaled.argmax_radius == base.argmax_radius / mu
+    assert scaled.argmax_center == tuple(x / mu for x in base.argmax_center)
+
+
+def test_morrey_command_holds_two_half_spectra_and_one_block(tmp_path):
+    grid = Grid(2, 512, 64.0)
+    path = tmp_path / "field.frdf"
+    write_snapshot(Field(grid, np.random.default_rng(2).random(grid.shape)), path,
+                   SnapshotMeta(1.0, 2.0, 0.0))
+    small = tmp_path / "small.frdf"
+    write_snapshot(Field(Grid(2, 16, 4.0), np.ones((16, 16))), small, SnapshotMeta(1.0, 2.0, 0.0))
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet:
+        assert main(["morrey", "--snapshot", str(small), "--s", "4"]) == 0  # lazy imports
+    clear_grid_cache()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with quiet:
+            assert main(["morrey", "--snapshot", str(path), "--s", "4"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    half_spectrum = 16 * grid.n * (grid.n // 2 + 1)
+    assert peak <= 1.1 * (2 * half_spectrum + morrey._BLOCK_BYTES)
 
 
 def test_smoothing_probe_critical_tail_datum():
