@@ -153,12 +153,7 @@ def cmd_evolve(args) -> int:
 def cmd_linear_evolve(args) -> int:
     config = _load_config(args.config)
     dest = args.csv if args.csv is not None else config.outputs.csv_path
-    spec = HardyOperatorSpec(
-        alpha=config.params.alpha,
-        d=config.params.d,
-        kappa=config.kappa(),
-        potential_cap_radius=config.potential.cap_radius,
-    )
+    spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
     series = hardy_evolve(config.initial_field(), spec, config.output_times(), args.substeps)
     columns = "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf"
     _write_series(config, columns, series.rows(), {"sigma": series.sigma, "kappa": spec.kappa}, dest)
@@ -169,7 +164,7 @@ def cmd_morrey(args) -> int:
     try:
         with open_snapshot(args.snapshot) as snapshot:
             radii = tuple(args.radii) if args.radii is not None else None
-            query = MorreyQuery(s=args.s, q=args.q, radii=radii, center_stride=args.stride)
+            query = MorreyQuery(s=args.s, q=args.q, radii=radii)
             estimate = morrey_estimate(snapshot, query)
     except SnapshotFormatError as exc:
         raise SnapshotFormatError(f"snapshot {args.snapshot}: {exc}") from None
@@ -285,7 +280,6 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--radii", type=_radii_list, help="comma-separated ball radii")
-    p.add_argument("--stride", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_morrey)
 

@@ -113,7 +113,6 @@ class InitialSpec:
 class PotentialSpec:
     kappa: float | str = "from-p"
     delta: float | None = None
-    cap_radius: float | None = None
 
     def resolve(self, params: ModelParams, initial: InitialSpec | None = None) -> float:
         """Numeric coupling: literal value, p s^{p-1}, or (delta s)^{p-1}."""
@@ -225,7 +224,7 @@ _NUMBERS = {
     },
     "initial": dict.fromkeys(("amplitude", "width", "delta", "gamma0", "ell"), _POSITIVE)
     | dict.fromkeys(("scale", "b"), _NONNEGATIVE),
-    "potential": {"delta": _POSITIVE, "cap_radius": _POSITIVE},
+    "potential": {"delta": _POSITIVE},
     "outputs": {"snapshot_every": (True, lambda v: v >= 0, "must be nonnegative")},
 }
 

@@ -284,7 +284,7 @@ class WeightSpec:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.t < 0.0:
+        if not self.t >= 0.0:
             raise ValueError(f"t must be nonnegative, got {self.t}")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
@@ -632,7 +632,7 @@ def propagator(grid: Grid, alpha: float) -> SpectralPropagator:
 
 def heat_propagate(field: Field, t: float, alpha: float) -> Field:
     """Apply exp(-t (-Laplace)^{alpha/2}); t = 0 returns the input field."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     prop = propagator(field.grid, alpha)
     return field if t == 0.0 else Field._adopt(field.grid, prop(field.values, t))

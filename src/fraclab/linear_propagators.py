@@ -40,37 +40,26 @@ from .field import (
 
 @dataclass(frozen=True)
 class HardyOperatorSpec:
-    """Parameters of the operator; cap radius None means h/2 of the grid."""
+    """Parameters of the operator; its potential floors |x| at h/2 of the grid."""
 
     alpha: float
     d: int
     kappa: float
-    potential_cap_radius: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2, or 3, got {self.d}")
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.potential_cap_radius is not None and not self.potential_cap_radius > 0.0:
-            raise ValueError("potential_cap_radius must be positive")
-
-    def cap_radius(self, grid: Grid) -> float:
-        if self.potential_cap_radius is not None:
-            return self.potential_cap_radius
-        return 0.5 * grid.h
 
     def octant_potential(self, grid: Grid) -> np.ndarray:
-        """kappa * max(|x|, cap)^{-alpha} on the octant (see field.fold), cached per grid."""
+        """kappa * max(|x|, h/2)^{-alpha} on the octant (see field.fold), cached per grid."""
         if self.d != grid.d:
             raise ValueError(f"spec dimension {self.d} does not match grid {grid.d}")
-        cap = self.cap_radius(grid)
-        key = ("octant_potential", self.alpha, self.kappa, cap)
-        return _cached(
-            grid, key, lambda g: self.kappa * np.maximum(g.octant_radius(), cap) ** (-self.alpha)
-        )
+        key = ("octant_potential", self.alpha, self.kappa)
+        return _cached(grid, key, lambda g: self.kappa * g.octant_capped_radius() ** (-self.alpha))
 
     def sigma(self) -> float:
         """Weight exponent: the smaller root of the power-map equation.

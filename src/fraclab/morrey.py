@@ -20,13 +20,13 @@ class MorreyQuery:
     """Parameters of the M^s_q estimator.
 
     radii = None means the full dyadic ladder h, 2h, ..., L.  Centers run
-    over every grid point unless center_stride decimates the lattice.
+    over every grid point, and ties go to the first center in row-major
+    order.
     """
 
     s: float
     q: float = 1.0
     radii: tuple | None = None
-    center_stride: int = 1
 
     def __post_init__(self):
         if not self.q >= 1.0:
@@ -41,8 +41,6 @@ class MorreyQuery:
                 raise ValueError("radii list is empty")
             if any(not R > 0.0 for R in self.radii):
                 raise ValueError("radii must be positive")
-        if not (isinstance(self.center_stride, int) and self.center_stride >= 1):
-            raise ValueError(f"center_stride must be a positive integer, got {self.center_stride}")
 
     def resolve_radii(self, grid: Grid) -> np.ndarray:
         if self.radii is None:
@@ -111,7 +109,8 @@ def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> Morrey
     of |u|^q and one complex work array, and one real block of rows, in
     which each ball mask is built from the 1-d axis and each ball sum is
     formed.  The passes are numpy's rfftn/irfftn ones, so the numbers are
-    those of whole-array transforms; ties go to the first strided center.
+    those of whole-array transforms; ties go to the first center in
+    row-major order.
     """
     grid = field.grid
     n, d = grid.n, grid.d
@@ -122,7 +121,6 @@ def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> Morrey
     _rfftn_rows(_powers(field.blocks(buf), query.q), spectrum)
     work = np.empty_like(spectrum)
     squares = np.fft.ifftshift(grid.axis()) ** 2  # the ball about index 0
-    stride = query.center_stride
     h_d = grid.h ** grid.d
     expo = grid.d * (query.q / query.s - 1.0)
 
@@ -140,20 +138,16 @@ def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> Morrey
             for axis in range(1, d - 1):
                 np.fft.ifft(part, axis=axis, out=part)
             np.fft.irfft(part, n, axis=-1, out=sums)
-            first = -start % stride  # the block's first center row
-            centers = sums[(slice(first, None, stride),) + (slice(None, None, stride),) * (d - 1)]
-            if centers.size == 0:
-                continue
-            idx = np.unravel_index(int(np.argmax(centers)), centers.shape)
-            if centers[idx] > top:  # the first maximum in row-major order
-                top = float(centers[idx])
-                top_idx = ((start + first) // stride + idx[0],) + idx[1:]
+            idx = np.unravel_index(int(np.argmax(sums)), sums.shape)
+            if sums[idx] > top:  # the first maximum in row-major order
+                top = float(sums[idx])
+                top_idx = (start + idx[0],) + idx[1:]
         top = max(top * h_d, 0.0)
         value = (R ** expo * top) ** (1.0 / query.q)
         per_radius.append(value)
         if value > best:
             best = value
-            best_idx = tuple(i * stride for i in top_idx)
+            best_idx = top_idx
             best_radius = float(R)
     axis = grid.axis()
     return MorreyEstimate(

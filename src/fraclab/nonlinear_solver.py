@@ -84,7 +84,7 @@ class RunRecord:
 
 def reaction_exact(u: float, dt: float, p: float) -> float:
     """Exact solution of u' = u^p over dt; returns inf at or past the pole."""
-    if u < 0.0:
+    if not u >= 0.0:
         raise ValueError(f"u must be nonnegative, got {u}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -90,6 +90,13 @@ def test_non_string_initial_kind_is_exit_two(tmp_path, capsys, kind):
     assert "initial.kind: must be one of" in capsys.readouterr().err
 
 
+def test_potential_cap_radius_is_an_unknown_key(tmp_path, capsys):
+    # the Hardy potential floors at h/2 of the grid, as every singular factor does
+    path = run_config(tmp_path, potential={"kappa": 0.1, "cap_radius": 0.5})
+    assert main(["linear-evolve", "--config", str(path)]) == 2
+    assert "potential: unknown key 'cap_radius'" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["evolve", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -413,6 +420,15 @@ def test_morrey_snapshot_estimate(tmp_path, capsys):
     payload = _strict_json(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(2.0 * 8.0 / math.sqrt(8.0), rel=0.05)
     assert payload["argmax_radius"] == 8.0
+
+
+def test_morrey_has_no_stride_option(tmp_path, capsys):
+    # the sup runs over every lattice center
+    grid = Grid(1, 64, 8.0)
+    path = tmp_path / "flat.frdf"
+    write_snapshot(Field(grid, np.ones(grid.shape)), path, SnapshotMeta(0.5, 3.0, 0.0))
+    assert main(["morrey", "--snapshot", str(path), "--s", "2", "--stride", "2"]) == 1
+    assert "unrecognized arguments: --stride 2" in capsys.readouterr().err
 
 
 def test_morrey_bad_snapshot_is_usage_error(tmp_path, capsys):

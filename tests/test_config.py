@@ -75,9 +75,6 @@ def config_docs(draw):
         delta = 0.5
     if delta is not None:
         potential["delta"] = delta
-    cap = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
-    if cap is not None:
-        potential["cap_radius"] = cap
     outputs = draw(st.fixed_dictionaries({}, optional={
         "csv_path": st.just("run.csv"), "snapshot_dir": st.just("snaps"),
         "snapshot_every": st.integers(0, 5),

@@ -30,8 +30,6 @@ def test_spec_validation():
         HardyOperatorSpec(alpha=0.5, d=4, kappa=0.1)
     with pytest.raises(ValueError):
         HardyOperatorSpec(alpha=0.5, d=1, kappa=-0.1)
-    with pytest.raises(ValueError):
-        HardyOperatorSpec(alpha=0.5, d=1, kappa=0.1, potential_cap_radius=0.0)
 
 
 def test_step_domain_errors():

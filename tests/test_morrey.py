@@ -39,8 +39,6 @@ def test_query_validation():
         MorreyQuery(s=2.0, q=2.0)
     with pytest.raises(ValueError, match="at least 1"):
         MorreyQuery(s=2.0, q=0.5)
-    with pytest.raises(ValueError, match="stride"):
-        MorreyQuery(s=2.0, center_stride=0)
     with pytest.raises(ValueError, match="positive"):
         MorreyQuery(s=2.0, radii=(1.0, -2.0))
 
@@ -117,16 +115,6 @@ def test_sqrt2_ladder_refinement_is_mild():
     assert fine < 1.10 * coarse
 
 
-def test_center_decimation_bounds_the_full_sup():
-    grid = Grid(1, 512, 64.0)
-    rng = np.random.default_rng(5)
-    u = Field(grid, rng.random(grid.shape))
-    full = morrey_norm(u, MorreyQuery(s=4.0))
-    thin = morrey_norm(u, MorreyQuery(s=4.0, center_stride=4))
-    assert thin <= full * (1.0 + 1e-12)
-    assert thin > 0.5 * full
-
-
 @pytest.mark.parametrize("d, n", [(1, 32), (2, 16), (3, 16)])
 @pytest.mark.parametrize("q", [1.0, 1.5])
 def test_estimate_matches_a_brute_force_ball_sum(d, n, q):
@@ -145,19 +133,17 @@ def test_estimate_matches_a_brute_force_ball_sum(d, n, q):
             for o in offsets[squared <= (R / grid.h) ** 2])
         for R in radii
     ]
-    for stride in (1, 2):
-        est = morrey_estimate(Field(grid, u), MorreyQuery(s=s, q=q, center_stride=stride))
-        centers = [sums[(slice(None, None, stride),) * d] for sums in ball_sums]
-        want = [
-            (R ** (d * (q / s - 1.0)) * c.max() * grid.h ** d) ** (1.0 / q)
-            for R, c in zip(radii, centers)
-        ]
-        np.testing.assert_allclose(est.radius_values, want, rtol=1e-12, atol=0.0)
-        best = int(np.argmax(want))
-        top = np.unravel_index(int(np.argmax(centers[best])), centers[best].shape)
-        assert est.value == pytest.approx(want[best], rel=1e-12)
-        assert est.argmax_radius == radii[best]
-        assert est.argmax_center == tuple(float(grid.axis()[stride * i]) for i in top)
+    est = morrey_estimate(Field(grid, u), MorreyQuery(s=s, q=q))
+    want = [
+        (R ** (d * (q / s - 1.0)) * sums.max() * grid.h ** d) ** (1.0 / q)
+        for R, sums in zip(radii, ball_sums)
+    ]
+    np.testing.assert_allclose(est.radius_values, want, rtol=1e-12, atol=0.0)
+    best = int(np.argmax(want))
+    top = np.unravel_index(int(np.argmax(ball_sums[best])), ball_sums[best].shape)
+    assert est.value == pytest.approx(want[best], rel=1e-12)
+    assert est.argmax_radius == radii[best]
+    assert est.argmax_center == tuple(float(grid.axis()[i]) for i in top)
 
 
 def test_read_and_estimate_hold_few_lattice_arrays(tmp_path):
@@ -188,7 +174,7 @@ def _whole_array_estimate(u: np.ndarray, grid: Grid, query: MorreyQuery):
     """The estimator on whole lattice arrays: numpy's rfftn and irfftn, an
     |x| lattice summed axis 0 first, and one argmax per radius.
     Returns (radius values, argmax centers as lattice indices)."""
-    d, stride = grid.d, query.center_stride
+    d = grid.d
     spectrum = np.fft.rfftn(np.abs(u) ** query.q)
     squares = np.fft.ifftshift(grid.axis()) ** 2
     r2 = squares.reshape((-1,) + (1,) * (d - 1))
@@ -202,11 +188,10 @@ def _whole_array_estimate(u: np.ndarray, grid: Grid, query: MorreyQuery):
         # to the bit, and `*` may swap a temporary operand to reuse it
         product = np.multiply(spectrum, np.fft.rfftn(ball))
         sums = np.fft.irfftn(product, s=grid.shape, axes=range(d))
-        sums = sums[(slice(None, None, stride),) * d]
         idx = np.unravel_index(int(np.argmax(sums)), sums.shape)
         top = max(float(sums[idx]) * grid.h ** d, 0.0)
         values.append((R ** (d * (query.q / query.s - 1.0)) * top) ** (1.0 / query.q))
-        centers.append(tuple(stride * int(i) for i in idx))
+        centers.append(tuple(int(i) for i in idx))
     return np.array(values), centers
 
 
@@ -222,17 +207,14 @@ def _estimate_in_blocks(field: Field, query: MorreyQuery, rows: int):
     d=st.sampled_from([1, 2, 3]),
     q=st.sampled_from([1.0, 2.0]),
     rows=st.sampled_from([3, 5, 7]),  # 64 and 32 rows end on a short block
-    stride=st.integers(1, 4),
     explicit=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_blocked_estimator_is_bit_identical_to_whole_array_transforms(
-    d, q, rows, stride, explicit, seed
-):
+def test_blocked_estimator_is_bit_identical_to_whole_array_transforms(d, q, rows, explicit, seed):
     grid = Grid(d, 32 if d == 3 else 64, 5.0)
     u = np.random.default_rng(seed).standard_normal(grid.shape)
     radii = (grid.h, 3.3 * grid.h, 0.4 * grid.half_length) if explicit else None
-    query = MorreyQuery(s=3.0 * q, q=q, radii=radii, center_stride=stride)
+    query = MorreyQuery(s=3.0 * q, q=q, radii=radii)
     est = _estimate_in_blocks(Field(grid, u), query, rows)
     values, centers = _whole_array_estimate(u, grid, query)
     assert est.radius_values.tobytes() == values.tobytes()
@@ -243,12 +225,13 @@ def test_blocked_estimator_is_bit_identical_to_whole_array_transforms(
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("stride", [1, 3])
-def test_constant_field_ties_resolve_to_the_first_strided_center(d, stride):
+@pytest.mark.parametrize("rows", [1, 3])  # one-row blocks, and 32 rows ending on a short one
+def test_constant_field_ties_resolve_to_the_first_strided_center(d, rows):
+    # every center ties, and the first lattice point wins across blocks
     grid = Grid(d, 32, 4.0)
     u = np.full(grid.shape, 0.7)
-    query = MorreyQuery(s=4.0, center_stride=stride)
-    est = _estimate_in_blocks(Field(grid, u), query, rows=5)
+    query = MorreyQuery(s=4.0)
+    est = _estimate_in_blocks(Field(grid, u), query, rows)
     values, _ = _whole_array_estimate(u, grid, query)
     assert est.radius_values.tobytes() == values.tobytes()
     assert est.argmax_center == (-4.0,) * d

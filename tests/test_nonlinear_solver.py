@@ -6,7 +6,8 @@ import pytest
 import fraclab.nonlinear_solver as ns
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams
-from fraclab.field import Field, Grid, fold, steady_state, unfold
+from fraclab.field import Field, Grid, WeightSpec, fold, heat_propagate, steady_state, unfold
+from fraclab.linear_propagators import HardyOperatorSpec
 from fraclab.nonlinear_solver import (
     BarrierMonitor,
     Blowup,
@@ -49,6 +50,17 @@ def test_reaction_exact_domain():
         reaction_exact(-0.1, 1.0, 2.0)
     with pytest.raises(ValueError, match="positive"):
         reaction_exact(1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: reaction_exact(math.nan, 1.0, 2.0), "u"),
+    (lambda: HardyOperatorSpec(0.5, 1, math.nan), "kappa"),
+    (lambda: WeightSpec(0.5, math.nan, 0.5), "t"),
+    (lambda: heat_propagate(Field(Grid(1, 16, 2.0), np.ones(16)), math.nan, 1.0), "t"),
+], ids=["reaction_exact-u", "HardyOperatorSpec-kappa", "WeightSpec-t", "heat_propagate-t"])
+def test_nan_fails_the_nonnegative_range_checks(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got nan$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -117,13 +117,13 @@ def test_sampled_radial_data_are_even_bit_for_bit(d):
 
 
 @PROPERTY
-@given(d=dims, L=lengths, alpha=st.floats(0.2, 2.0), kappa=st.floats(0.0, 3.0),
-       cap=st.one_of(st.none(), st.floats(0.01, 1.0)))
-def test_octant_potential_is_the_fold_of_the_lattice_potential(d, L, alpha, kappa, cap):
+@given(d=dims, L=lengths, alpha=st.floats(0.2, 2.0), kappa=st.floats(0.0, 3.0))
+def test_octant_potential_is_the_fold_of_the_lattice_potential(d, L, alpha, kappa):
     grid = _grid(d, L)
-    spec = HardyOperatorSpec(alpha, d, kappa, potential_cap_radius=cap)
-    lattice = kappa * np.maximum(_hypot([grid.axis()] * d), spec.cap_radius(grid)) ** (-alpha)
-    assert _same_bits(spec.octant_potential(grid), fold(lattice))
+    potential = HardyOperatorSpec(alpha, d, kappa).octant_potential(grid)
+    assert _same_bits(potential, kappa * grid.octant_capped_radius() ** (-alpha))
+    lattice = kappa * np.maximum(_hypot([grid.axis()] * d), 0.5 * grid.h) ** (-alpha)
+    assert _same_bits(potential, fold(lattice))
 
 
 def _config(d: int, L: float, n: int = 16):
