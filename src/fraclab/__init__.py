@@ -32,8 +32,8 @@ _PUBLIC = {
         SandwichMonitor blowup_certificate evolve reaction_exact
     """.split(),
     "config": """
-        ConfigError ExperimentConfig GridSettings InitialSpec OutputSettings PotentialSpec
-        TimeSettings config_from_dict parse_config
+        ConfigError ExperimentConfig GridSettings InitialSpec PotentialSpec TimeSettings
+        config_from_dict parse_config
     """.split(),
     "analysis": """
         ConvergenceRates DeficitEvolution EnvelopeMax FitResult MonotonicityError

@@ -5,10 +5,10 @@ verdict, not an error), 1 usage or bad arguments (also unreadable input
 paths), 2 invalid config document, 3 numerical failure (NaN in a run,
 monotonicity violations, bracket instability).
 
-Precedence: command-line flags override config-file keys, which
-override built-in defaults.  Time series go out as CSV with '#'
-comment lines carrying the tool version, the config hash, and a JSON
-footer; structured results print as JSON.
+The config document, with built-in defaults, is the computation, and
+flags say where results go.  Time series go out as CSV with '#' comment
+lines carrying the tool version, the config hash, and a JSON footer;
+structured results print as JSON.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import csv as csv_module
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import __version__
 from .analysis import MonotonicityError, classify_threshold, fit_power_law
@@ -122,41 +122,36 @@ def cmd_steady_check(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = _load_config(args.config)
-    flags = {"snapshot_every": args.snapshot_every, "snapshot_dir": args.snapshot_dir,
-             "csv_path": args.csv}
-    outputs = replace(config.outputs, **{key: v for key, v in flags.items() if v is not None})
-    config = replace(config, outputs=outputs)
-    if outputs.snapshot_every < 0:  # a negative modulus would still pick outputs
-        raise ValueError(f"outputs.snapshot_every: must be nonnegative, got {outputs.snapshot_every}")
-    if outputs.snapshot_every and outputs.snapshot_dir is None:
-        raise ValueError("snapshot_every needs a snapshot directory (--snapshot-dir)")
+    every, snapshot_dir = args.snapshot_every, args.snapshot_dir
+    if every < 0:  # a negative modulus would still pick outputs
+        raise ValueError(f"--snapshot-every: must be nonnegative, got {every}")
+    if every and snapshot_dir is None:
+        raise ValueError("--snapshot-every needs a snapshot directory (--snapshot-dir)")
 
     grid = config.build_grid()
 
     def write_every(i, t, octant):  # streams snapshots as their output times are reached
-        if i % outputs.snapshot_every == 0:
-            path = os.path.join(outputs.snapshot_dir, f"snapshot_{i:04d}.frdf")
+        if i % every == 0:
+            path = os.path.join(snapshot_dir, f"snapshot_{i:04d}.frdf")
             meta = SnapshotMeta(alpha=config.params.alpha, p=config.params.p, t=float(t))
             write_octant_snapshot(grid, octant, path, meta)
 
-    if outputs.snapshot_every:
-        os.makedirs(outputs.snapshot_dir, exist_ok=True)
+    if every:
+        os.makedirs(snapshot_dir, exist_ok=True)
         record = evolve(config, on_output=write_every)
     else:
         record = evolve(config)
     footer = {"status": record.status_dict(), "monitor_maxima": record.monitor_maxima}
-    _write_series(config, "t,sup_norm,l2_norm,mass,min_value,dt", record.rows(), footer,
-                  outputs.csv_path)
+    _write_series(config, "t,sup_norm,l2_norm,mass,min_value,dt", record.rows(), footer, args.csv)
     return 3 if isinstance(record.status, NumericalFailure) else 0
 
 
 def cmd_linear_evolve(args) -> int:
     config = _load_config(args.config)
-    dest = args.csv if args.csv is not None else config.outputs.csv_path
     spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
-    series = hardy_evolve(config.initial_field(), spec, config.output_times(), args.substeps)
+    series = hardy_evolve(config.initial_field(), spec, config.output_times())
     columns = "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf"
-    _write_series(config, columns, series.rows(), {"sigma": series.sigma, "kappa": spec.kappa}, dest)
+    _write_series(config, columns, series.rows(), {"sigma": series.sigma, "kappa": spec.kappa}, args.csv)
     return 0
 
 
@@ -264,15 +259,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="nonlinear run: CSV norms plus JSON footer")
     p.add_argument("--config", required=True)
-    p.add_argument("--csv", help="output path (default: config outputs.csv_path or stdout)")
-    p.add_argument("--snapshot-every", type=int)
+    p.add_argument("--csv", help="output path (default: stdout)")
+    p.add_argument("--snapshot-every", type=int, default=0, help="k: snapshot every k-th output")
     p.add_argument("--snapshot-dir")
     p.set_defaults(handler=cmd_evolve)
 
     p = sub.add_parser("linear-evolve", help="Hardy-semigroup run: CSV norm series")
     p.add_argument("--config", required=True)
-    p.add_argument("--csv")
-    p.add_argument("--substeps", type=int, default=24)
+    p.add_argument("--csv", help="output path (default: stdout)")
     p.set_defaults(handler=cmd_linear_evolve)
 
     p = sub.add_parser("morrey", help="Morrey estimate of a snapshot")

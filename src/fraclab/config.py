@@ -135,20 +135,12 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class OutputSettings:
-    csv_path: str | None = None
-    snapshot_dir: str | None = None
-    snapshot_every: int = 0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     params: ModelParams
     grid: GridSettings = GridSettings()
     time: TimeSettings = TimeSettings()
     initial: InitialSpec = InitialSpec(kind="zero")
     potential: PotentialSpec = PotentialSpec()
-    outputs: OutputSettings = OutputSettings()
 
     def build_grid(self) -> Grid:
         return Grid(self.params.d, self.grid.n, self.grid.half_length)
@@ -182,19 +174,14 @@ class ExperimentConfig:
             "time": time,
             "initial": initial,
             "potential": {key: v for key, v in asdict(self.potential).items() if v is not None},
-            # an unset path is None and an unset snapshot_every is 0
-            "outputs": {key: v for key, v in asdict(self.outputs).items() if v not in (None, 0)},
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def config_hash(self) -> str:
-        """sha256 of the canonical document, outputs section excluded:
-        the hash identifies the computation, not where it is saved."""
-        doc = self.to_dict()
-        doc.pop("outputs", None)
-        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """sha256 of the canonical document, which is the whole computation."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -225,7 +212,6 @@ _NUMBERS = {
     "initial": dict.fromkeys(("amplitude", "width", "delta", "gamma0", "ell"), _POSITIVE)
     | dict.fromkeys(("scale", "b"), _NONNEGATIVE),
     "potential": {"delta": _POSITIVE},
-    "outputs": {"snapshot_every": (True, lambda v: v >= 0, "must be nonnegative")},
 }
 
 _INITIAL_KEYS = {
@@ -397,20 +383,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         except ValueError as exc:
             errors.append(f"potential.kappa 'from-delta' {exc}")
 
-    sect = _section(doc, "outputs", errors, _fields(OutputSettings))
-    values = _numbers(sect, "outputs", errors, vars(OutputSettings()))
-    paths = {key: sect.get(key) for key in ("csv_path", "snapshot_dir")}
-    for key, path in paths.items():
-        if path is not None and not isinstance(path, str):
-            errors.append(f"outputs.{key}: must be a string")
-    outputs = OutputSettings(**paths, **values)
-
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        params=params, grid=grid, time=time,
-        initial=initial, potential=potential, outputs=outputs,
-    )
+    return ExperimentConfig(params=params, grid=grid, time=time, initial=initial, potential=potential)
 
 
 def parse_config(text: str) -> ExperimentConfig:

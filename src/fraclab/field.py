@@ -513,17 +513,17 @@ def _in_pair(first, second, workers: int):
     return first(), future.result()
 
 
-def _cosine_step(values: np.ndarray, mult: np.ndarray, workers: int) -> np.ndarray:
+def _cosine_step(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """A new octant array: the type-1 DCT of an octant by _cosine_pass on
     every axis, times mult, the DCT again and 1/n^d (the DCT-I is its own
     inverse up to 1/n per axis).  The passes alternate between two new
     arrays.  A 1-d or 2-d pass is one matmul on the calling thread; a 3-d
     pass runs as the same two halves of rows for any worker count, on two
-    threads when there are two workers (see _GEMM_PAIR_MIN)."""
+    threads when there are two workers and at least _GEMM_PAIR_MIN points
+    per axis.  Only such a step reads the worker count."""
     m, d = values.shape[0], values.ndim
     c, half = _cosine_matrix(m), m // 2
-    if m < _GEMM_PAIR_MIN:
-        workers = 1
+    workers = _workers() if d == 3 and m >= _GEMM_PAIR_MIN else 1
     buffers = np.empty(values.shape), np.empty(values.shape)
     src = values
     for k in range(2 * d):
@@ -603,7 +603,7 @@ class SpectralPropagator:
         """A new octant array: the even field with this octant carried
         forward by time t, folded again."""
         if values.shape[0] <= GEMM_MAX:
-            return _cosine_step(values, self._multipliers(t, False)[0], _workers())
+            return _cosine_step(values, self._multipliers(t, False)[0])
         # The multiplier is made after the first transform: made first, it lay below
         # that transform's work arrays, and glibc trimmed and regrew the heap each step.
         if values.ndim == 1:

@@ -28,7 +28,7 @@ from .field import (
 )
 from .linear_propagators import HardyOperatorSpec, _strang_intervals
 
-DT_UNDERFLOW = 1e-12
+DT_UNDERFLOW = 1e-12  # of dt_max, so a dt-underflow Blowup scales with the run
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +249,13 @@ def evolve(
 
     dt = min(dt_max, eta / ((p-1) sup^{p-1})) tracks the reaction time
     scale; classification is Blowup on a reaction pole, on sup passing the
-    configured threshold, or on dt underflow.  Diffusion ringing below
-    zero is clipped to keep the state nonnegative.  At t = 0 and at each
-    output time reached, one row goes into the record: t, sup, L2 norm and
-    mass (octant_norm), the pre-clip minimum and the step that landed
-    there.  on_output(k, t, octant) is called with the k-th row and is the
-    one way to see the field: a caller writes, reduces or keeps each
-    output as it is reached.
+    configured threshold, or on dt underflow below DT_UNDERFLOW * dt_max.
+    Diffusion ringing below zero is clipped to keep the state nonnegative.
+    At t = 0 and at each output time reached, one row goes into the
+    record: t, sup, L2 norm and mass (octant_norm), the pre-clip minimum
+    and the step that landed there.  on_output(k, t, octant) is called
+    with the k-th row and is the one way to see the field: a caller
+    writes, reduces or keeps each output as it is reached.
 
     Every datum is radial, so the state is its octant (see fold): the
     datum is evaluated there, the diffusion is the propagator's octant
@@ -301,7 +301,7 @@ def evolve(
     while status is None and t < t_end * (1.0 - 1e-15):
         dt_stab = float(eta / ((p - 1.0) * sup ** (p - 1.0))) if sup > 0.0 else dt_max
         dt_nominal = min(dt_max, dt_stab)
-        if dt_nominal < DT_UNDERFLOW:
+        if dt_nominal < DT_UNDERFLOW * dt_max:
             status = Blowup(t + 0.5 * dt_nominal)
             break
         t_target = out_times[out_idx] if out_idx < out_times.size else t_end

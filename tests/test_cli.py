@@ -16,6 +16,7 @@ from fraclab.cli import main
 from fraclab.constants import solve_sigma
 from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, read_snapshot, unfold,
                            write_snapshot)
+from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
 
@@ -253,18 +254,20 @@ def test_evolve_writes_snapshots(tmp_path, capsys):
 
 
 def test_evolve_rejects_negative_snapshot_every(tmp_path, capsys):
-    message = "outputs.snapshot_every: must be nonnegative, got -2"
     snaps = tmp_path / "snaps"
     rc = main(["evolve", "--config", str(run_config(tmp_path)), "--snapshot-every", "-2",
                "--snapshot-dir", str(snaps)])
     assert rc == 1
-    assert message in capsys.readouterr().err
+    assert "--snapshot-every: must be nonnegative, got -2" in capsys.readouterr().err
     assert not snaps.exists()
-    # the same value in the config document is an invalid document
-    cfg = run_config(tmp_path, outputs={"snapshot_every": -2, "snapshot_dir": str(snaps)})
+
+
+def test_outputs_section_is_an_unknown_key(tmp_path, capsys):
+    # the document is the computation; where results go is said by flags
+    cfg = run_config(tmp_path, outputs={"csv_path": str(tmp_path / "run.csv")})
     assert main(["evolve", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
-    assert not snaps.exists()
+    assert "top level: unknown key 'outputs'" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_evolve_streams_snapshots_identical_to_kept_ones(tmp_path, monkeypatch, capsys):
@@ -346,7 +349,7 @@ def test_one_dimensional_commands_load_no_scipy(tmp_path):
         ["steady-check", "--alpha", "1", "--d", "3", "--p", "2",
          "--r-min", "1", "--r-max", "1", "--n", "1"],
         ["evolve", "--config", cfg, "--csv", csv],
-        ["linear-evolve", "--config", cfg, "--csv", csv, "--substeps", "2"],
+        ["linear-evolve", "--config", cfg, "--csv", csv],
         ["classify", "--config", cfg, "--lambda-min", "0.5", "--lambda-max", "40",
          "--tol", "1", "--threads", "2"],
     ):
@@ -391,13 +394,39 @@ def test_linear_evolve_csv(tmp_path, capsys):
         potential={"kappa": "from-delta"},
         time={"t_end": 1.0, "output_schedule": [0.25, 0.5, 1.0]},
     )
-    assert main(["linear-evolve", "--config", str(cfg), "--substeps", "4"]) == 0
+    assert main(["linear-evolve", "--config", str(cfg)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf"
     assert len(lines) == 2 + 3 + 1
     footer = json.loads(lines[-1][2:])
     assert footer["sigma"] > 0.0
     assert footer["kappa"] > 0.0
+
+
+def test_linear_evolve_has_no_substeps_option(tmp_path, capsys):
+    cfg = run_config(tmp_path, potential={"kappa": 0.01})
+    assert main(["linear-evolve", "--config", str(cfg), "--substeps", "2"]) == 1
+    assert "unrecognized arguments: --substeps" in capsys.readouterr().err
+
+
+def test_linear_evolve_csv_depends_on_the_config_alone(tmp_path):
+    # the command's only options name the document and where the CSV goes
+    (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    options = {s for a in commands.choices["linear-evolve"]._actions for s in a.option_strings}
+    assert options == {"-h", "--help", "--config", "--csv"}
+    # two runs of one document write the same bytes: 24 substeps per
+    # interval, the hardy_evolve default
+    cfg = run_config(tmp_path, potential={"kappa": 0.01})
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    for path in (first, second):
+        assert main(["linear-evolve", "--config", str(cfg), "--csv", str(path)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    config = cli._load_config(cfg)
+    spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
+    series = hardy_evolve(config.initial_field(), spec, config.output_times(),
+                          substeps_per_interval=24)
+    lines = [line for line in first.read_text().splitlines() if not line.startswith("#")]
+    assert lines[1:] == [",".join(repr(float(x)) for x in row) for row in series.rows()]
 
 
 # ---------------------------------------------------------------------------

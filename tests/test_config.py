@@ -14,7 +14,6 @@ from fraclab.config import (
     ExperimentConfig,
     GridSettings,
     InitialSpec,
-    OutputSettings,
     PotentialSpec,
     TimeSettings,
     config_from_dict,
@@ -75,10 +74,6 @@ def config_docs(draw):
         delta = 0.5
     if delta is not None:
         potential["delta"] = delta
-    outputs = draw(st.fixed_dictionaries({}, optional={
-        "csv_path": st.just("run.csv"), "snapshot_dir": st.just("snaps"),
-        "snapshot_every": st.integers(0, 5),
-    }))
     return {
         "params": {"alpha": alpha, "d": d, "p": p},
         "grid": {"n": 2 ** draw(st.integers(4, 12)), "L": draw(st.floats(1.0, 1000.0))},
@@ -91,7 +86,6 @@ def config_docs(draw):
         },
         "initial": initial,
         "potential": potential,
-        "outputs": outputs,
     }
 
 
@@ -121,7 +115,7 @@ JUNK = st.one_of(
 SECTIONS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 KEYS = sorted(
     {key for table in _NUMBERS.values() for key in table}
-    | {"kind", "output_schedule", "kappa", "csv_path", "snapshot_dir", "bogus"}
+    | {"kind", "output_schedule", "kappa", "bogus"}
 )
 
 
@@ -143,7 +137,7 @@ def mutated_docs(draw):
         elif op == "replace":
             doc[name] = draw(JUNK)
         elif op == "extra":
-            doc[draw(st.sampled_from(["bogus", "param", "output"]))] = draw(JUNK)
+            doc[draw(st.sampled_from(["bogus", "param", "output", "outputs"]))] = draw(JUNK)
     return doc
 
 
@@ -167,7 +161,6 @@ def test_mutated_documents_parse_or_raise_config_error(doc):
         ("time", TimeSettings, {"output_schedule"}),
         ("initial", InitialSpec, {"kind"}),
         ("potential", PotentialSpec, {"kappa"}),
-        ("outputs", OutputSettings, {"csv_path", "snapshot_dir"}),
     ],
 )
 def test_every_settings_field_is_validated(section, settings_class, special):

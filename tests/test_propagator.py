@@ -295,6 +295,32 @@ def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
         assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
 
 
+def test_only_split_steps_read_the_worker_count(monkeypatch):
+    # 1-d and 2-d octant steps, and 3-d ones below _GEMM_PAIR_MIN points per
+    # axis, run on the calling thread and never ask how many workers there are
+    class WorkerCountRead(Exception):
+        pass
+
+    def read(threads=None):
+        raise WorkerCountRead
+
+    monkeypatch.delenv("FRACLAB_THREADS", raising=False)
+    monkeypatch.setattr("fraclab.field.thread_count", read)
+
+    def run(d, n):
+        return evolve(config_from_dict({
+            "params": {"alpha": 1.0, "d": d, "p": 2.0},
+            "grid": {"n": n, "L": 8.0},
+            "time": {"t_end": 0.1, "output_schedule": [0.05, 0.1]},
+            "initial": {"kind": "gaussian", "amplitude": 0.5},
+        }))
+
+    for d, n in ((1, 256), (2, 64), (3, 32)):
+        assert isinstance(run(d, n).status, Global), d
+    with pytest.raises(WorkerCountRead):  # a 65^3 octant splits its passes
+        run(3, 128)
+
+
 def test_propagator_reuses_the_multiplier_of_the_last_time():
     prop = SpectralPropagator(_grid(2), 1.0)
     first = prop.multiplier(0.25)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclab.analysis import classify_threshold
 from fraclab.config import InitialSpec, config_from_dict
 from fraclab.constants import ModelParams, power_map_coeff_max
 from fraclab.field import Field, Grid
@@ -32,8 +33,8 @@ def _doc(d, n, L, alpha, p, initial, t_end, times, threshold=1e8):
     }
 
 
-# (datum, verdict); a Blowup run ends on the pole or on the sup threshold,
-# not on dt underflow, whose bound DT_UNDERFLOW is a fixed time
+# (datum, verdict); a Blowup run ends on the pole, on the sup threshold, or
+# on dt underflow, whose bound DT_UNDERFLOW * dt_max scales with dt_max
 RUNS = {
     "1d-gaussian-global": (_doc(1, 256, 32.0, 0.5, 3.0,
                                 {"kind": "gaussian", "amplitude": 0.8, "width": 1.0},
@@ -51,6 +52,11 @@ RUNS = {
                                   {"kind": "power_tail", "amplitude": 1.0, "gamma0": 0.5,
                                    "delta": 0.9, "scale": 3.0},
                                   2.0, [0.01, 0.02, 0.04, 2.0], threshold=1e4), Blowup),
+    # the default threshold 1e8 is not reached: this run ends by dt underflow
+    "3d-power-tail-underflow": (_doc(3, 32, 8.0, 1.5, 2.5,
+                                     {"kind": "power_tail", "amplitude": 1.0, "gamma0": 0.5,
+                                      "delta": 0.9, "scale": 3.0},
+                                     2.0, [0.01, 0.02, 0.04, 2.0]), Blowup),
 }
 
 
@@ -96,6 +102,30 @@ def test_evolve_is_covariant_under_the_critical_scaling(name, mu):
         assert np.all(error <= 1e-13 * factor * getattr(base, scale)), column
     if verdict is Blowup:
         assert twin.status.t_star == pytest.approx(tim * base.status.t_star, rel=1e-10, abs=0.0)
+
+
+# (datum, lambda_lo, lambda_hi): classify scales the datum by lambda, so the
+# twins' brackets are the same amplitudes, and the Morrey norm at the
+# critical index s = d (p - 1)/alpha is invariant under the map
+CLASSIFY_RUNS = {
+    "1d-gaussian": (_doc(1, 256, 32.0, 0.5, 3.0, {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+                         100.0, [10.0, 100.0]), 0.5, 3.0),
+    "3d-power-tail": (_doc(3, 32, 8.0, 1.5, 2.5,
+                           {"kind": "power_tail", "amplitude": 1.0, "gamma0": 0.5, "delta": 0.9},
+                           2.0, [0.5, 2.0]), 0.5, 5.0),
+}
+
+
+@pytest.mark.parametrize("mu", MUS)
+@pytest.mark.parametrize("name", sorted(CLASSIFY_RUNS))
+def test_classify_bracket_is_covariant_under_the_critical_scaling(name, mu):
+    doc, lo, hi = CLASSIFY_RUNS[name]
+    base = classify_threshold(config_from_dict(doc), lo, hi, tol=0.05, reverify=False)
+    twin = classify_threshold(config_from_dict(_scaled(doc, mu)[0]), lo, hi, tol=0.05,
+                              reverify=False)
+    assert (twin.lambda_global, twin.lambda_blowup) == (base.lambda_global, base.lambda_blowup)
+    for column in ("morrey_global", "morrey_blowup"):
+        assert getattr(twin, column) == pytest.approx(getattr(base, column), rel=1e-13, abs=0.0)
 
 
 # (d, n, L, alpha, kappa as a fraction of the critical coupling, even datum)
