@@ -28,7 +28,7 @@ from .field import (
 )
 from .linear_propagators import HardyOperatorSpec, _strang_intervals
 
-DT_UNDERFLOW = 1e-12  # of dt_max, so a dt-underflow Blowup scales with the run
+DT_UNDERFLOW = 1e-12  # of the first step, so a dt-underflow Blowup scales with the run
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +249,15 @@ def evolve(
 
     dt = min(dt_max, eta / ((p-1) sup^{p-1})) tracks the reaction time
     scale; classification is Blowup on a reaction pole, on sup passing the
-    configured threshold, or on dt underflow below DT_UNDERFLOW * dt_max.
-    Diffusion ringing below zero is clipped to keep the state nonnegative.
-    At t = 0 and at each output time reached, one row goes into the
-    record: t, sup, L2 norm and mass (octant_norm), the pre-clip minimum
-    and the step that landed there.  on_output(k, t, octant) is called
-    with the k-th row and is the one way to see the field: a caller
-    writes, reduces or keeps each output as it is reached.
+    configured threshold, or on dt underflow: dt down to DT_UNDERFLOW of
+    the first step, a time scale that follows the critical scaling and that
+    a loose dt_max cannot inflate.  Diffusion ringing below zero is clipped
+    to keep the state nonnegative.  At t = 0 and at each output time
+    reached, one row goes into the record: t, sup, L2 norm and mass
+    (octant_norm), the pre-clip minimum and the step that landed there.
+    on_output(k, t, octant) is called with the k-th row and is the one way
+    to see the field: a caller writes, reduces or keeps each output as it
+    is reached.
 
     Every datum is radial, so the state is its octant (see fold): the
     datum is evaluated there, the diffusion is the propagator's octant
@@ -294,14 +296,18 @@ def evolve(
     # the state stays nonnegative, so its sup is also its largest |u|; the
     # extremes stay numpy scalars, which overflow to inf instead of raising
     sup = np.max(values)
+
+    def step(sup):
+        return min(dt_max, float(eta / ((p - 1.0) * sup ** (p - 1.0))) if sup > 0.0 else dt_max)
+
+    dt_floor = DT_UNDERFLOW * step(sup)  # 0 when sup^{p-1} overflows: <= then ends the run
     status = None
     t = 0.0
     out_idx = 0
     step_idx = 0
     while status is None and t < t_end * (1.0 - 1e-15):
-        dt_stab = float(eta / ((p - 1.0) * sup ** (p - 1.0))) if sup > 0.0 else dt_max
-        dt_nominal = min(dt_max, dt_stab)
-        if dt_nominal < DT_UNDERFLOW * dt_max:
+        dt_nominal = step(sup)
+        if dt_nominal <= dt_floor:
             status = Blowup(t + 0.5 * dt_nominal)
             break
         t_target = out_times[out_idx] if out_idx < out_times.size else t_end

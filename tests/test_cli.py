@@ -403,20 +403,16 @@ def test_linear_evolve_csv(tmp_path, capsys):
     assert footer["kappa"] > 0.0
 
 
-def test_linear_evolve_has_no_substeps_option(tmp_path, capsys):
-    cfg = run_config(tmp_path, potential={"kappa": 0.01})
-    assert main(["linear-evolve", "--config", str(cfg), "--substeps", "2"]) == 1
-    assert "unrecognized arguments: --substeps" in capsys.readouterr().err
-
-
-def test_linear_evolve_csv_depends_on_the_config_alone(tmp_path):
+def test_linear_evolve_csv_depends_on_the_config_alone(tmp_path, capsys):
     # the command's only options name the document and where the CSV goes
     (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
     options = {s for a in commands.choices["linear-evolve"]._actions for s in a.option_strings}
     assert options == {"-h", "--help", "--config", "--csv"}
+    cfg = run_config(tmp_path, potential={"kappa": 0.01})
+    assert main(["linear-evolve", "--config", str(cfg), "--substeps", "2"]) == 1
+    assert "unrecognized arguments: --substeps" in capsys.readouterr().err
     # two runs of one document write the same bytes: 24 substeps per
     # interval, the hardy_evolve default
-    cfg = run_config(tmp_path, potential={"kappa": 0.01})
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     for path in (first, second):
         assert main(["linear-evolve", "--config", str(cfg), "--csv", str(path)]) == 0

@@ -153,6 +153,19 @@ def test_dt_underflow_triggers_blowup():
     assert list(rec.times) == [0.0]
 
 
+def test_loose_dt_max_does_not_end_a_global_run():
+    # the cap never binds on this run, so lifting it changes nothing; the
+    # dt-underflow bound is a fraction of the first step, not of dt_max
+    records = [evolve(make_config(grid={"n": 256, "L": 32.0},
+                                  initial={"kind": "gaussian", "amplitude": 0.8, "width": 1.0},
+                                  time={"t_end": 2.0, "dt_max": dt_max,
+                                        "output_schedule": [0.5, 1.0, 2.0]}))
+               for dt_max in (1.0, 1e12)]
+    assert records[0].status == records[1].status == Global(2.0)
+    for column in ("times", "sup_norm", "l2_norm", "mass", "min_value", "dt"):
+        np.testing.assert_array_equal(getattr(records[1], column), getattr(records[0], column))
+
+
 def test_overflowing_datum_blows_up_by_dt_underflow():
     # sup^{p-1} = 1e400 overflows: the step-size rule must read it as inf
     # and end in Blowup, not raise OverflowError

@@ -34,7 +34,7 @@ def _doc(d, n, L, alpha, p, initial, t_end, times, threshold=1e8):
 
 
 # (datum, verdict); a Blowup run ends on the pole, on the sup threshold, or
-# on dt underflow, whose bound DT_UNDERFLOW * dt_max scales with dt_max
+# on dt underflow, whose bound DT_UNDERFLOW of the first step scales with it
 RUNS = {
     "1d-gaussian-global": (_doc(1, 256, 32.0, 0.5, 3.0,
                                 {"kind": "gaussian", "amplitude": 0.8, "width": 1.0},
@@ -52,11 +52,11 @@ RUNS = {
                                   {"kind": "power_tail", "amplitude": 1.0, "gamma0": 0.5,
                                    "delta": 0.9, "scale": 3.0},
                                   2.0, [0.01, 0.02, 0.04, 2.0], threshold=1e4), Blowup),
-    # the default threshold 1e8 is not reached: this run ends by dt underflow
+    # the threshold 1e10 is not reached: this run ends by dt underflow
     "3d-power-tail-underflow": (_doc(3, 32, 8.0, 1.5, 2.5,
                                      {"kind": "power_tail", "amplitude": 1.0, "gamma0": 0.5,
                                       "delta": 0.9, "scale": 3.0},
-                                     2.0, [0.01, 0.02, 0.04, 2.0]), Blowup),
+                                     2.0, [0.01, 0.02, 0.04, 2.0], threshold=1e10), Blowup),
 }
 
 
@@ -102,6 +102,14 @@ def test_evolve_is_covariant_under_the_critical_scaling(name, mu):
         assert np.all(error <= 1e-13 * factor * getattr(base, scale)), column
     if verdict is Blowup:
         assert twin.status.t_star == pytest.approx(tim * base.status.t_star, rel=1e-10, abs=0.0)
+
+
+def test_underflow_run_ends_by_dt_underflow(monkeypatch):
+    # without the underflow rule the run goes on to the sup threshold
+    doc = RUNS["3d-power-tail-underflow"][0]
+    base = evolve(config_from_dict(doc))
+    monkeypatch.setattr("fraclab.nonlinear_solver.DT_UNDERFLOW", 0.0)
+    assert base.status.t_star < evolve(config_from_dict(doc)).status.t_star
 
 
 # (datum, lambda_lo, lambda_hi): classify scales the datum by lambda, so the
