@@ -123,10 +123,11 @@ def cmd_steady_check(args) -> int:
 def cmd_evolve(args) -> int:
     config = _load_config(args.config)
     every, snapshot_dir = args.snapshot_every, args.snapshot_dir
-    if every < 0:  # a negative modulus would still pick outputs
-        raise ValueError(f"--snapshot-every: must be nonnegative, got {every}")
-    if every and snapshot_dir is None:
+    if every is not None and snapshot_dir is None:
         raise ValueError("--snapshot-every needs a snapshot directory (--snapshot-dir)")
+    if every is not None and every < 1:
+        raise ValueError(f"--snapshot-every: must be positive, got {every}")
+    every = every or 1  # --snapshot-dir alone keeps every output
 
     grid = config.build_grid()
 
@@ -136,11 +137,9 @@ def cmd_evolve(args) -> int:
             meta = SnapshotMeta(alpha=config.params.alpha, p=config.params.p, t=float(t))
             write_octant_snapshot(grid, octant, path, meta)
 
-    if every:
+    if snapshot_dir is not None:
         os.makedirs(snapshot_dir, exist_ok=True)
-        record = evolve(config, on_output=write_every)
-    else:
-        record = evolve(config)
+    record = evolve(config, on_output=None if snapshot_dir is None else write_every)
     footer = {"status": record.status_dict(), "monitor_maxima": record.monitor_maxima}
     _write_series(config, "t,sup_norm,l2_norm,mass,min_value,dt", record.rows(), footer, args.csv)
     return 3 if isinstance(record.status, NumericalFailure) else 0
@@ -200,11 +199,9 @@ def cmd_fit(args) -> int:
         rows = list(csv_module.DictReader(line for line in fh if not line.startswith("#")))
     if not rows:
         raise ValueError(f"{args.csv} has no data rows")
-    if args.column not in rows[0] or args.t_column not in rows[0]:
-        raise ValueError(
-            f"column {args.column!r} or {args.t_column!r} not in {sorted(rows[0])}"
-        )
-    times = [float(row[args.t_column]) for row in rows]
+    if args.column not in rows[0] or "t" not in rows[0]:
+        raise ValueError(f"column {args.column!r} or 't' not in {sorted(rows[0])}")
+    times = [float(row["t"]) for row in rows]
     values = [float(row[args.column]) for row in rows]
     positive = [t for t in times if t > 0.0]
     if not positive:
@@ -260,8 +257,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="nonlinear run: CSV norms plus JSON footer")
     p.add_argument("--config", required=True)
     p.add_argument("--csv", help="output path (default: stdout)")
-    p.add_argument("--snapshot-every", type=int, default=0, help="k: snapshot every k-th output")
-    p.add_argument("--snapshot-dir")
+    p.add_argument("--snapshot-every", type=int,
+                   help="k: keep every k-th output's snapshot (default 1; needs --snapshot-dir)")
+    p.add_argument("--snapshot-dir", help="write an FRDF snapshot of each output here")
     p.set_defaults(handler=cmd_evolve)
 
     p = sub.add_parser("linear-evolve", help="Hardy-semigroup run: CSV norm series")
@@ -289,7 +287,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="power-law fit of a CSV column against t")
     p.add_argument("--csv", required=True)
     p.add_argument("--column", required=True)
-    p.add_argument("--t-column", default="t")
     p.add_argument("--t-min", type=float)
     p.add_argument("--t-max", type=float)
     p.set_defaults(handler=cmd_fit)

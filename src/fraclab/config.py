@@ -145,18 +145,18 @@ class ExperimentConfig:
     def build_grid(self) -> Grid:
         return Grid(self.params.d, self.grid.n, self.grid.half_length)
 
-    def initial_field(self, grid: Grid | None = None) -> Field:
-        return self.initial.build(grid or self.build_grid(), self.params)
+    def initial_field(self) -> Field:
+        return self.initial.build(self.build_grid(), self.params)
 
     def kappa(self) -> float:
         return self.potential.resolve(self.params, self.initial)
 
-    def output_times(self, grid: Grid | None = None) -> np.ndarray:
+    def output_times(self) -> np.ndarray:
         """The dyadic schedule, or the listed times checked as the parser checks them."""
         if isinstance(self.time.output_schedule, str):
             if self.time.output_schedule != "dyadic":
                 raise ValueError(f"unknown named schedule {self.time.output_schedule!r}")
-            return dyadic_schedule(grid or self.build_grid(), self.params.alpha, self.time.t_end)
+            return dyadic_schedule(self.build_grid(), self.params.alpha, self.time.t_end)
         return _check_schedule(self.time.output_schedule, self.time.t_end)
 
     def to_dict(self) -> dict:

@@ -74,7 +74,8 @@ class ModelParams:
     @property
     def singular_regime(self) -> bool:
         """Whether the singular steady state exists: d > alpha and p above the singular exponent."""
-        return self.d > self.alpha and self.p > 1.0 + self.alpha / (self.d - self.alpha)
+        p_singular = critical_exponents(self.d, self.alpha)[1]
+        return p_singular is not None and self.p > p_singular
 
 
 def frac_lap_constant(d: int, alpha: float) -> float:
@@ -128,12 +129,9 @@ def singular_amplitude(params: ModelParams) -> float:
     exponent so that alpha/(p-1) falls inside C's domain.
     """
     a, d, p = params.alpha, params.d, params.p
-    if not d > a:
-        raise ValueError(f"singular amplitude needs d > alpha, got d={d}, alpha={a}")
-    if not p > 1.0 + a / (d - a):
-        raise ValueError(
-            f"singular amplitude needs p > 1 + alpha/(d - alpha) = {1.0 + a / (d - a)}, got p={p}"
-        )
+    if not params.singular_regime:
+        raise ValueError(f"singular amplitude needs d > alpha and p above the singular exponent "
+                         f"1 + alpha/(d - alpha), got d={d}, alpha={a}, p={p}")
     return power_map_coeff(a / (p - 1.0), d, a) ** (1.0 / (p - 1.0))
 
 

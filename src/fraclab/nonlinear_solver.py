@@ -277,7 +277,7 @@ def evolve(
     eta = config.time.eta
     dt_max = config.time.dt_max
     sup_threshold = config.time.blowup_sup_threshold
-    out_times = config.output_times(grid)
+    out_times = config.output_times()
 
     rows = []
 

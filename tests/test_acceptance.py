@@ -543,9 +543,8 @@ def test_10_blowup_dichotomy(tmp_path):
     below = evolve(scaled(0.9 * bracket.lambda_global))
     above = evolve(scaled(1.1 * bracket.lambda_blowup))
 
-    grid = cfg.build_grid()
-    cert_global = blowup_certificate(scaled(bracket.lambda_global).initial_field(grid), cfg.params, cfg.time.t_end)
-    cert_blowup = blowup_certificate(scaled(bracket.lambda_blowup).initial_field(grid), cfg.params, cfg.time.t_end)
+    cert_global = blowup_certificate(scaled(bracket.lambda_global).initial_field(), cfg.params, cfg.time.t_end)
+    cert_blowup = blowup_certificate(scaled(bracket.lambda_blowup).initial_field(), cfg.params, cfg.time.t_end)
 
     passed = (
         bracket.ratio <= 1.1

@@ -389,6 +389,25 @@ def test_l2_stability_zero_bump_is_floor():
         l2_stability_check(l2_config(0.0))
 
 
+@pytest.mark.parametrize("dip, scales, phrase", [
+    (-2e-6, np.geomspace(1.0, 0.1, 10), "went negative"),  # below -1e-6 of the peak
+    (0.0, [1.0, 0.9, 0.8, 0.7, 0.6, 0.65, 0.5, 0.4, 0.3, 0.2], "not monotone"),
+])
+def test_l2_stability_rejects_a_negative_or_rising_deficit(monkeypatch, dip, scales, phrase):
+    cfg = l2_config(0.1)
+    times = np.geomspace(0.8, 8.0, 10)  # the fit window (0.8, 8) holds them all
+    bump = np.exp(-cfg.build_grid().octant_radius() ** 2)
+    deficits = tuple(c * bump for c in scales)
+    deficits[3][-1] = dip  # a far-field point, where the bump is 0
+
+    def crafted(config):
+        return an.DeficitEvolution(times, deficits, reference_drift=0.0, floor=1e-13)
+
+    monkeypatch.setattr(an, "deficit_evolution", crafted)
+    with pytest.raises(RuntimeError, match=phrase):
+        l2_stability_check(cfg)
+
+
 def test_l2_stability_requires_bump_datum():
     tail = rate_config(4096, 512.0, kind="steady_deficit_tail", b=0.01, ell=0.5)
     with pytest.raises(ValueError, match="steady_deficit_bump"):

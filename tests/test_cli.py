@@ -60,6 +60,26 @@ def test_help_exits_zero(capsys):
     assert "constants" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, options", [
+    ("constants", {"--alpha", "--d", "--p", "--json"}),
+    ("sigma", {"--alpha", "--d", "--kappa", "--p", "--delta", "--json"}),
+    ("steady-check", {"--alpha", "--d", "--p", "--r-min", "--r-max", "--n"}),
+    ("evolve", {"--config", "--csv", "--snapshot-every", "--snapshot-dir"}),
+    ("linear-evolve", {"--config", "--csv"}),
+    ("morrey", {"--snapshot", "--s", "--q", "--radii", "--json"}),
+    ("classify", {"--config", "--lambda-min", "--lambda-max", "--tol", "--state", "--threads"}),
+    ("fit", {"--csv", "--column", "--t-min", "--t-max"}),
+])
+def test_each_subcommand_has_exactly_its_options(command, options):
+    # a new flag is a new settable value: it must be added here on purpose,
+    # and a number a run computes belongs in the config document instead
+    (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    assert set(commands.choices) == {"constants", "sigma", "steady-check", "evolve",
+                                     "linear-evolve", "morrey", "classify", "fit"}
+    actions = commands.choices[command]._actions
+    assert {s for a in actions if a.dest != "help" for s in a.option_strings} == options
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["constants", "--alpha", "0.5"]) == 1
 
@@ -72,6 +92,13 @@ def test_invalid_config_document_is_exit_two(tmp_path, capsys):
                                "initial": {"kind": "gaussian"}}))
     assert main(["evolve", "--config", str(bad)]) == 2
     assert "(0, 2)" in capsys.readouterr().err
+    bad.write_text("[]")
+    assert main(["evolve", "--config", str(bad)]) == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
+    for section, words in ((dict(time={"output_schedule": 5}), "must be 'dyadic' or a number list"),
+                           (dict(potential={"kappa": "from-q"}), "must be a number, 'from-p'")):
+        assert main(["evolve", "--config", str(run_config(tmp_path, **section))]) == 2
+        assert words in capsys.readouterr().err
 
 
 def test_non_finite_config_number_is_exit_two(tmp_path, capsys):
@@ -131,6 +158,11 @@ def test_constants_text_output(capsys):
 def test_constants_bad_alpha_is_usage_error(capsys):
     assert main(["constants", "--alpha", "2.5", "--d", "1", "--p", "3"]) == 1
     assert "(0, 2)" in capsys.readouterr().err
+    # and each other member of the triple out of its range
+    assert main(["constants", "--alpha", "0.5", "--d", "0", "--p", "3"]) == 1
+    assert "d must be a positive integer, got 0" in capsys.readouterr().err
+    assert main(["constants", "--alpha", "0.5", "--d", "1", "--p", "1"]) == 1
+    assert "p must exceed 1, got 1.0" in capsys.readouterr().err
 
 
 def test_sigma_from_p_and_from_delta(capsys):
@@ -168,11 +200,13 @@ def test_steady_check_emits_residual_csv(capsys):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (["--r-min", "0.5", "--r-max", "2.0", "--n", "0"], "n_points must be at least 1"),
-    (["--r-min", "2.0", "--r-max", "0.5", "--n", "3"], "exceeds r_max"),
+    (["--d", "3", "--p", "2", "--r-min", "0.5", "--r-max", "2.0", "--n", "0"], "n_points must be at least 1"),
+    (["--d", "3", "--p", "2", "--r-min", "2.0", "--r-max", "0.5", "--n", "3"], "exceeds r_max"),
+    (["--d", "1", "--p", "3", "--r-min", "0.5", "--r-max", "2.0", "--n", "3"], "requires the singular regime"),
+    (["--d", "3", "--p", "2", "--r-min", "1e-4", "--r-max", "2.0", "--n", "3"], "[0.0001, 2.0] outside the resolved"),
 ])
 def test_steady_check_rejects_bad_sampling(bad, message, capsys):
-    assert main(["steady-check", "--alpha", "1", "--d", "3", "--p", "2", *bad]) == 1
+    assert main(["steady-check", "--alpha", "1", *bad]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
@@ -224,7 +258,7 @@ def test_evolve_blowup_is_success(tmp_path, capsys):
 def test_evolve_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     empty = np.array([])
 
-    def broken(config):
+    def broken(config, on_output=None):
         return RunRecord(
             times=np.array([0.0]), sup_norm=np.array([1.0]), l2_norm=np.array([1.0]),
             mass=np.array([1.0]), min_value=np.array([0.0]), dt=np.array([0.0]),
@@ -255,11 +289,25 @@ def test_evolve_writes_snapshots(tmp_path, capsys):
 
 def test_evolve_rejects_negative_snapshot_every(tmp_path, capsys):
     snaps = tmp_path / "snaps"
-    rc = main(["evolve", "--config", str(run_config(tmp_path)), "--snapshot-every", "-2",
-               "--snapshot-dir", str(snaps)])
-    assert rc == 1
-    assert "--snapshot-every: must be nonnegative, got -2" in capsys.readouterr().err
-    assert not snaps.exists()
+    for every in ("-2", "0"):  # --snapshot-dir alone says whether snapshots are written
+        rc = main(["evolve", "--config", str(run_config(tmp_path)), "--snapshot-every", every,
+                   "--snapshot-dir", str(snaps)])
+        assert rc == 1
+        assert f"--snapshot-every: must be positive, got {every}" in capsys.readouterr().err
+        assert not snaps.exists()
+
+
+def test_evolve_snapshot_dir_alone_keeps_every_output(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    alone, every_one = tmp_path / "alone", tmp_path / "every_one"
+    assert main(["evolve", "--config", str(cfg), "--snapshot-dir", str(alone)]) == 0
+    assert main(["evolve", "--config", str(cfg), "--snapshot-every", "1",
+                 "--snapshot-dir", str(every_one)]) == 0
+    names = [f"snapshot_{i:04d}.frdf" for i in range(4)]
+    assert sorted(f.name for f in alone.iterdir()) == names
+    assert sorted(f.name for f in every_one.iterdir()) == names
+    for name in names:
+        assert (alone / name).read_bytes() == (every_one / name).read_bytes()
 
 
 def test_outputs_section_is_an_unknown_key(tmp_path, capsys):
@@ -379,8 +427,9 @@ def test_wide_two_dimensional_evolve_loads_scipy_fft(tmp_path):
 
 def test_evolve_snapshots_need_directory(tmp_path, capsys):
     cfg = run_config(tmp_path)
-    assert main(["evolve", "--config", str(cfg), "--snapshot-every", "1"]) == 1
-    assert "snapshot" in capsys.readouterr().err
+    for every in ("1", "2"):
+        assert main(["evolve", "--config", str(cfg), "--snapshot-every", every]) == 1
+        assert "--snapshot-every needs a snapshot directory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +453,8 @@ def test_linear_evolve_csv(tmp_path, capsys):
 
 
 def test_linear_evolve_csv_depends_on_the_config_alone(tmp_path, capsys):
-    # the command's only options name the document and where the CSV goes
-    (commands,) = (a for a in cli.build_parser()._actions if a.dest == "command")
-    options = {s for a in commands.choices["linear-evolve"]._actions for s in a.option_strings}
-    assert options == {"-h", "--help", "--config", "--csv"}
+    # its only options, --config and --csv, name the document and where the
+    # CSV goes (test_each_subcommand_has_exactly_its_options)
     cfg = run_config(tmp_path, potential={"kappa": 0.01})
     assert main(["linear-evolve", "--config", str(cfg), "--substeps", "2"]) == 1
     assert "unrecognized arguments: --substeps" in capsys.readouterr().err
@@ -677,6 +724,12 @@ def test_fit_unknown_column_lists_available(tmp_path, capsys):
     assert main(["fit", "--csv", str(path), "--column", "mass"]) == 1
     err = capsys.readouterr().err
     assert "mass" in err and "'v'" in err
+    # the time column is t, which every fraclab CSV writes
+    path.write_text("time,v\n1.0,1.0\n2.0,0.5\n")
+    assert main(["fit", "--csv", str(path), "--column", "v"]) == 1
+    assert "column 'v' or 't' not in ['time', 'v']" in capsys.readouterr().err
+    assert main(["fit", "--csv", str(path), "--column", "v", "--t-column", "time"]) == 1
+    assert "unrecognized arguments: --t-column" in capsys.readouterr().err
 
 
 def test_fit_too_few_points_is_usage_error(tmp_path, capsys):

@@ -283,6 +283,9 @@ def test_kappa_resolution():
     negative = dict(MINIMAL, potential={"kappa": -1.0})
     with pytest.raises(ConfigError, match="nonnegative"):
         config_from_dict(negative)
+    # a binding name made in code skips the parser's check
+    with pytest.raises(ValueError, match="unknown potential binding 'x'"):
+        PotentialSpec(kappa="x").resolve(cfg.params)
 
 
 def test_output_times_dyadic_and_explicit():
@@ -311,6 +314,10 @@ def test_initial_field_scaling():
     cfg = config_from_dict(doc)
     f = cfg.initial_field()
     assert f.values[32] == pytest.approx(2.5)
+    # the datum and the schedule are the document's: no other grid can be passed in
+    for method in (cfg.initial_field, cfg.output_times):
+        with pytest.raises(TypeError):
+            method(Grid(1, 16, 4.0))
 
 
 # an out-of-range value of each initial number: each positive one at its

@@ -197,9 +197,9 @@ def test_singular_amplitude_consistency():
 
 
 def test_singular_amplitude_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d=1, alpha=1.5, p=3.0"):
         singular_amplitude(ModelParams(1.5, 1, 3.0))  # d < alpha
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular exponent"):
         singular_amplitude(ModelParams(1.0, 3, 1.2))  # below singular exponent
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fraclab.field import (
     SnapshotMeta,
     WeightSpec,
     heat_propagate,
+    open_snapshot,
     read_snapshot,
     unfold,
     weight_values,
@@ -297,6 +299,14 @@ def test_snapshot_rejects_corruption(tmp_path):
     bad_magic.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(SnapshotFormatError):
         read_snapshot(bad_magic)
+
+    # a file that shrinks after its size check; 64^2 values outgrow the read buffer
+    shrinking = tmp_path / "shrinking.frdf"
+    write_snapshot(Field(Grid(2, 64, 1.0), np.zeros((64, 64))), shrinking, SnapshotMeta(1.0, 2.0, 0.0))
+    with open_snapshot(shrinking) as snapshot:
+        os.truncate(shrinking, shrinking.stat().st_size // 2)
+        with pytest.raises(SnapshotFormatError, match="payload shrank while it was read"):
+            list(snapshot.blocks(np.empty((64, 64))))
 
 
 def test_snapshot_rejects_a_payload_one_byte_too_long(tmp_path):
