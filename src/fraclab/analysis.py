@@ -26,7 +26,7 @@ from .constants import (
 from .field import (WeightSpec, _far_field_radius, image_safe_horizon, octant_norm,
                     octant_steady_state, octant_weight_values, thread_count)
 from .morrey import MorreyQuery, morrey_norm
-from .nonlinear_solver import Blowup, Global, NumericalFailure, evolve
+from .nonlinear_solver import Global, NumericalFailure, evolve
 
 
 # ---------------------------------------------------------------------------

@@ -314,14 +314,13 @@ def weighted_norm(field: Field, q: float, weight: WeightSpec | None = None) -> f
 
 def octant_norm(grid: Grid, octant: np.ndarray, q: float, phi: np.ndarray | None = None) -> float:
     """weighted_norm of the even lattice field with this octant (see fold),
-    phi being its weight on the octant (octant_weight_values) or None:
-    each octant point counts with its multiplicity."""
-    return _norm(octant, q, phi, grid, multiplicity(grid))
+    phi being its weight on the octant (octant_weight_values) or None."""
+    return _norm(octant, q, phi, grid)
 
 
-def _norm(v: np.ndarray, q: float, phi, grid: Grid, count=None) -> float:
-    """The discrete (sum count |v/phi|^q phi^2 h^d)^{1/q}, or max |v|/phi at
-    q = inf; count None counts every point once."""
+def _norm(v: np.ndarray, q: float, phi, grid: Grid) -> float:
+    """The discrete (sum |v/phi|^q phi^2 h^d)^{1/q}, or max |v|/phi at q = inf:
+    v of grid.shape is the lattice, any other its octant, counted by multiplicity."""
     if not q >= 1.0:
         raise ValueError(f"q must lie in [1, inf], got {q}")
     if math.isinf(q):
@@ -333,7 +332,7 @@ def _norm(v: np.ndarray, q: float, phi, grid: Grid, count=None) -> float:
         terms = np.abs(v) ** q
     else:
         terms = np.abs(v / phi) ** q * phi ** 2
-    total = np.sum(terms) if count is None else np.vdot(count, terms)
+    total = np.sum(terms) if v.shape == grid.shape else np.vdot(multiplicity(grid), terms)
     return float((total * h_d) ** (1.0 / q))
 
 
@@ -504,15 +503,6 @@ def _helper():
     return ThreadPoolExecutor(1, thread_name_prefix="fraclab-fft")
 
 
-def _in_pair(first, second, workers: int):
-    """(first(), second()), with second() on the helper thread when
-    workers >= 2.  Either way each runs the same arithmetic."""
-    if workers < 2:
-        return first(), second()
-    future = _helper().submit(second)
-    return first(), future.result()
-
-
 def _cosine_step(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """A new octant array: the type-1 DCT of an octant by _cosine_pass on
     every axis, times mult, the DCT again and 1/n^d (the DCT-I is its own
@@ -533,8 +523,13 @@ def _cosine_step(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
         write_rows = functools.partial(_cosine_pass, c, src, dst, k % d)
         if d < 3:
             write_rows(slice(None))
+        elif workers < 2:
+            write_rows(slice(0, half))
+            write_rows(slice(half, m))
         else:
-            _in_pair(lambda: write_rows(slice(0, half)), lambda: write_rows(slice(half, m)), workers)
+            second = _helper().submit(write_rows, slice(half, m))
+            write_rows(slice(0, half))
+            second.result()
         src = dst
     src *= 1.0 / (2 * (m - 1)) ** d
     return src

@@ -27,14 +27,13 @@ from .field import (
     _check_schedule,
     _far_field_radius,
     _hypot,
+    _norm,
     fold,
     heat_propagate,
-    octant_norm,
     octant_weight_values,
     propagator,
     unfold,
     weight_values,
-    weighted_norm,
 )
 
 
@@ -78,16 +77,22 @@ class HardyOperatorSpec:
         return WeightSpec(sigma=sigma, t=t, alpha=self.alpha)
 
 
-def _strang_intervals(values: np.ndarray, step, potential: np.ndarray, times, substeps: int):
+def _strang_intervals(values: np.ndarray, grid: Grid, spec: HardyOperatorSpec, times, substeps: int):
     """Yield (t, values) at each output time, covering every interval from
-    the previous time (0 first) by equal Strang substeps.
+    the previous time (0 first) by equal Strang substeps of spec's flow.
 
-    step(values, dt) is the diffusion (a propagator or its octant layout)
-    and potential the array in the same layout.  The potential half-steps
-    between two diffusions fuse into one e^{dt V}, and e^{dt V/2} is built
-    once per interval.  The input array is left alone, and a yielded array
-    is never written again.
+    A state of grid.shape is the lattice, stepped by the propagator with the
+    potential unfolded; any other is the octant (see field.fold; n >= 16
+    gives n/2 + 1 < n), stepped by its octant layout.  The potential
+    half-steps between two diffusions fuse into one e^{dt V}, and e^{dt V/2}
+    is built once per interval.  The input array is left alone, and a
+    yielded array is never written again.
     """
+    step, potential = propagator(grid, spec.alpha), spec.octant_potential(grid)
+    if values.shape == grid.shape:
+        potential = unfold(potential)
+    else:
+        step = step.octant
     t_prev = 0.0
     for t_out in times:
         dt = (t_out - t_prev) / substeps
@@ -101,17 +106,11 @@ def _strang_intervals(values: np.ndarray, step, potential: np.ndarray, times, su
         yield t_out, values
 
 
-def _lattice_flow(values: np.ndarray, spec: HardyOperatorSpec, grid: Grid, times, substeps: int):
-    """_strang_intervals on the full lattice of grid, its potential unfolded once."""
-    potential = unfold(spec.octant_potential(grid))
-    return _strang_intervals(values, propagator(grid, spec.alpha), potential, times, substeps)
-
-
 def hardy_step(w: Field, dt: float, spec: HardyOperatorSpec) -> Field:
     """One Strang step exp(V dt/2) exp(-dt (-Lap)^{a/2}) exp(V dt/2)."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ((_, values),) = _lattice_flow(w.values, spec, w.grid, (dt,), 1)
+    ((_, values),) = _strang_intervals(w.values, w.grid, spec, (dt,), 1)
     return Field._adopt(w.grid, values)
 
 
@@ -149,30 +148,25 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
     for each (q, weighted) in norms, and the Field at the last time.
 
     A datum even in every coordinate (see field.fold) runs on its octant,
-    where its potential is the octant potential, the diffusion the
-    propagator's octant layout and a norm weighs each point by its
-    multiplicity; the last output is unfolded once.  Any other datum runs
-    on the lattice.  Either way each output is checked finite.
+    where a norm weighs each point by its multiplicity and the last output
+    is unfolded once; any other datum runs on the lattice.  Both take the
+    one loop of _strang_intervals, and each output is checked finite.
     """
     if substeps < 1:
         raise ValueError("substeps_per_interval must be at least 1")
     if float(np.min(w0.values)) < 0.0:
         raise ValueError("w0 must be nonnegative")
     grid, rows = w0.grid, []
-    octant = fold(w0.values)
-    if not np.array_equal(unfold(octant), w0.values):
-        for t, values in _lattice_flow(w0.values, spec, grid, times, substeps):
-            w, weight = Field._adopt(grid, values), spec.weight(t)
-            rows.append([weighted_norm(w, q, weight if on else None) for q, on in norms])
-        return rows, w
-    step = propagator(grid, spec.alpha).octant
-    for t, values in _strang_intervals(octant, step, spec.octant_potential(grid), times, substeps):
+    values = fold(w0.values)
+    even = np.array_equal(unfold(values), w0.values)
+    weight_layout = octant_weight_values if even else weight_values
+    for t, values in _strang_intervals(values if even else w0.values, grid, spec, times, substeps):
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         weight = spec.weight(t)
-        phi = None if weight is None else octant_weight_values(grid, weight)
-        rows.append([octant_norm(grid, values, q, phi if on else None) for q, on in norms])
-    return rows, Field._adopt(grid, unfold(values))
+        phi = None if weight is None else weight_layout(grid, weight)
+        rows.append([_norm(values, q, phi if on else None, grid) for q, on in norms])
+    return rows, Field._adopt(grid, unfold(values) if even else values)
 
 
 def hardy_evolve(
@@ -264,7 +258,7 @@ def kernel_ratio_probe(
     off_origin = _hypot([grid.axis()] * grid.d) > 0.0
 
     rows = []  # (max, median, min) of the ratio at each output
-    for t_out, values in _lattice_flow(delta.values, spec, grid, times, substeps_per_interval):
+    for t_out, values in _strang_intervals(delta.values, grid, spec, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)

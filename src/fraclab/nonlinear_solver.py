@@ -199,9 +199,8 @@ class SandwichMonitor:
                  r_max: float | None = None):
         self._uinf = octant_steady_state(grid, params)
         self._v = None
-        spec = HardyOperatorSpec(params.alpha, params.d, kappa_from_params(params))
-        self._potential = spec.octant_potential(grid)
-        self._step = propagator(grid, params.alpha).octant
+        self._grid = grid
+        self._spec = HardyOperatorSpec(params.alpha, params.d, kappa_from_params(params))
         if r_min is None:
             r_min = 32.0 * grid.h
         if r_max is None:
@@ -220,7 +219,7 @@ class SandwichMonitor:
                 raise ValueError("sandwich monitor needs a datum below the steady state")
             self._v = uinf - values
         else:
-            ((_, self._v),) = _strang_intervals(self._v, self._step, self._potential, (dt,), 1)
+            ((_, self._v),) = _strang_intervals(self._v, self._grid, self._spec, (dt,), 1)
         m = self._mask
         lower = float(np.max((values[m] - uinf[m]) / uinf[m]))
         upper = float(np.max((uinf[m] - values[m] - self._v[m]) / uinf[m]))

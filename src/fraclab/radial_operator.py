@@ -68,6 +68,11 @@ class RadialProfile:
         out[mid] = np.exp(self._interp(np.log(r[mid])))
         return out
 
+    @property
+    def resolved(self) -> tuple:
+        """The radii (lo, hi) one decade inside the grid, where frac_lap_radial evaluates."""
+        return self.radii[0] * 10.0, self.radii[-1] / 10.0
+
 
 class _MonotoneCubic:
     """Piecewise cubic Hermite interpolant with PCHIP slopes on [x[0], x[-1]].
@@ -162,7 +167,7 @@ def frac_lap_radial(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    lo, hi = profile.radii[0] * 10.0, profile.radii[-1] / 10.0
+    lo, hi = profile.resolved
     if not lo <= r_eval <= hi:
         raise ValueError(
             f"r_eval={r_eval} outside the resolved annulus [{lo}, {hi}] "
@@ -220,7 +225,7 @@ def steady_residual(
     if not params.singular_regime:
         raise ValueError("steady_residual requires the singular regime (d > alpha, p > p_singular)")
     prof = steady_profile(params)
-    if not (prof.radii[0] * 10 <= r_min and r_max <= prof.radii[-1] / 10):
+    if not prof.resolved[0] <= r_min <= r_max <= prof.resolved[1]:
         raise ValueError(f"[{r_min}, {r_max}] outside the resolved annulus")
     s_amp = singular_amplitude(params)
     gamma = params.alpha / (params.p - 1.0)

@@ -207,18 +207,22 @@ def test_cell_delta_picks_the_nearest_cell_on_the_torus():
     assert idx == (0, 0) and f.mass() == pytest.approx(1.0, rel=1e-13)
 
 
-def test_octant_flow_stops_at_the_first_non_finite_output(monkeypatch):
-    # an even datum runs on its octant; a state that overflowed must raise
-    # before any norm reads it
-    finite, norm = [], lp.octant_norm
+@pytest.mark.parametrize("dip", [None, 5], ids=["even-octant", "off-centre-lattice"])
+def test_octant_flow_stops_at_the_first_non_finite_output(monkeypatch, dip):
+    # an even datum runs on its octant, one that is not on the lattice; in
+    # either layout a state that overflowed must raise before any norm reads it
+    finite, norm = [], lp._norm
 
-    def recording(grid, values, *args):
+    def recording(values, *args):
         finite.append(bool(np.all(np.isfinite(values))))
-        return norm(grid, values, *args)
+        return norm(values, *args)
 
-    monkeypatch.setattr(lp, "octant_norm", recording)
+    monkeypatch.setattr(lp, "_norm", recording)
     g = Grid(1, 64, 8.0)
-    w0 = Field(g, np.full(g.shape, 1e308))
+    values = np.full(g.shape, 1e308)
+    if dip is not None:
+        values[dip] = 1.0
+    w0 = Field(g, values)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):

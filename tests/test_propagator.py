@@ -51,7 +51,7 @@ from fraclab.field import (
 )
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
-    _lattice_flow,
+    _strang_intervals,
     hardy_evolve,
     hardy_step,
     hypercontractivity_measure,
@@ -522,7 +522,7 @@ def _lattice_rows(w0: Field, spec, times, substeps: int, norms):
     """The reference: norm rows and last values of the lattice flow, a
     Field and its weighted_norm at each output time."""
     rows = []
-    for t, values in _lattice_flow(w0.values, spec, w0.grid, times, substeps):
+    for t, values in _strang_intervals(w0.values, w0.grid, spec, times, substeps):
         w, weight = Field(w0.grid, values), spec.weight(t)
         rows.append([weighted_norm(w, q, weight if weighted else None) for q, weighted in norms])
     return np.array(rows), w.values

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+import fraclab.radial_operator as ro
 from fraclab.constants import ModelParams, power_map_coeff, singular_amplitude
 from fraclab.radial_operator import RadialProfile, _MonotoneCubic, frac_lap_radial, steady_residual
 
@@ -133,6 +134,23 @@ def test_steady_residual_rejects_bad_sampling():
         steady_residual(params, 0.5, 2.0, 0)
     with pytest.raises(ValueError, match="exceeds r_max"):
         steady_residual(params, 2.0, 0.5, 3)
+
+
+def test_steady_residual_rejects_an_unresolved_r_max_before_any_quadrature(monkeypatch):
+    # the steady profile resolves [1e-3, 1e3]; r = 0.5 and 31.6 lie inside
+    # it, so only the early check keeps their quadratures from running
+    calls = []
+
+    def counting(profile, alpha, r_eval, **kwargs):
+        calls.append(r_eval)
+        return frac_lap_radial(profile, alpha, r_eval, **kwargs)
+
+    monkeypatch.setattr(ro, "frac_lap_radial", counting)
+    params = ModelParams(1.0, 3, 2.0)
+    assert ro.steady_profile(params).resolved == pytest.approx((1e-3, 1e3), rel=1e-12)
+    with pytest.raises(ValueError, match="outside the resolved annulus"):
+        steady_residual(params, 0.5, 2e3, 3)
+    assert calls == []
 
 
 def test_malformed_positive_profiles_rejected():
