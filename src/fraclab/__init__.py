@@ -14,22 +14,22 @@ _PUBLIC = {
         ModelParams RegimeReport critical_exponents frac_lap_constant hardy_constant
         jl_condition kappa_from_delta kappa_from_params log_gamma power_map_coeff
         power_map_coeff_max regime_report singular_amplitude singular_morrey_norm
-        solve_sigma sigma_upper
+        solve_sigma
     """.split(),
     "field": """
         Field Grid SnapshotFormatError SnapshotMeta WeightSpec dyadic_schedule
-        heat_propagate image_safe_horizon open_snapshot read_snapshot steady_state weight_values
-        weighted_norm write_snapshot
+        heat_propagate image_safe_horizon open_snapshot read_snapshot steady_state thread_count
+        weight_values weighted_norm write_snapshot
     """.split(),
-    "radial_operator": "RadialProfile frac_lap_radial steady_profile steady_residual".split(),
+    "radial_operator": "RadialProfile frac_lap_radial steady_residual".split(),
     "linear_propagators": """
-        HardyOperatorSpec HypercontractivityResult NormSeries RatioProbeResult cell_delta
-        hardy_evolve hardy_step hypercontractivity_measure kernel_ratio_probe
+        HardyOperatorSpec HypercontractivityResult NormSeries RatioProbeResult hardy_evolve
+        hardy_step hypercontractivity_measure kernel_ratio_probe
     """.split(),
     "morrey": "MorreyEstimate MorreyQuery morrey_estimate morrey_norm morrey_smoothing_probe".split(),
     "nonlinear_solver": """
         BarrierMonitor Blowup CertificateResult Global NumericalFailure RunRecord
-        SandwichMonitor blowup_certificate evolve reaction_exact
+        SandwichMonitor blowup_certificate evolve
     """.split(),
     "config": """
         ConfigError ExperimentConfig GridSettings InitialSpec PotentialSpec TimeSettings
@@ -39,7 +39,7 @@ _PUBLIC = {
         ConvergenceRates DeficitEvolution EnvelopeMax FitResult MonotonicityError
         ThresholdBracket classify_threshold default_fit_window deficit_evolution
         envelope_max fit_power_law l2_stability_check run_sweep singular_convergence_rates
-        thread_count weighted_decay_check
+        weighted_decay_check
     """.split(),
 }
 

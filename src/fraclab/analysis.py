@@ -23,7 +23,7 @@ from .constants import (
     solve_sigma,
 )
 # thread_count stays imported while perfbench's tracer reads it from here
-from .field import (WeightSpec, _far_field_radius, image_safe_horizon, octant_norm,
+from .field import (WeightSpec, _far_field_radius, image_safe_horizon, norm,
                     octant_steady_state, octant_weight_values, thread_count)
 from .morrey import MorreyQuery, morrey_norm
 from .nonlinear_solver import Global, NumericalFailure, evolve
@@ -312,7 +312,7 @@ def classify_threshold(
 @dataclass(frozen=True)
 class DeficitEvolution:
     """Reference-minus-run differences at the schedule times inside the
-    image-safe horizon, each an octant (see field.fold; octant_norm measures
+    image-safe horizon, each an octant (see field.fold; field.norm measures
     it); floor, 1e-13 of the steady sup, is their rounding."""
 
     times: np.ndarray
@@ -468,7 +468,7 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
         )
     grid = config.build_grid()
     run = deficit_evolution(config)
-    values = np.array([octant_norm(grid, w, 2.0) for w in run.deficits])
+    values = np.array([norm(grid, w, 2.0) for w in run.deficits])
 
     peak = max(float(np.max(np.abs(w))) for w in run.deficits)
     if peak <= run.floor:
@@ -514,7 +514,7 @@ def weighted_decay_check(config: ExperimentConfig) -> dict:
 
     def measure(t, octant):
         phi = octant_weight_values(grid, WeightSpec(sigma, t, params.alpha))
-        return [octant_norm(grid, octant, q, phi) for q in qs]
+        return [norm(grid, octant, q, phi) for q in qs]
 
     times, norms = _horizon_run(config, measure)
     window = default_fit_window(times, grid, params.alpha)

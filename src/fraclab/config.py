@@ -176,9 +176,6 @@ class ExperimentConfig:
             "potential": {key: v for key, v in asdict(self.potential).items() if v is not None},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def config_hash(self) -> str:
         """sha256 of the canonical document, which is the whole computation."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -182,8 +182,8 @@ def kappa_from_delta(params: ModelParams, delta: float) -> float:
 def solve_sigma(kappa: float, d: int, alpha: float) -> float:
     """Smaller root sigma of C(sigma) = kappa on (0, (d - alpha)/2].
 
-    C is increasing on that interval, so bisection applies.  The companion
-    root d - alpha - sigma is exposed by sigma_upper.
+    C is increasing on that interval, so bisection applies.  C is symmetric
+    about (d - alpha)/2, so the companion root is d - alpha - sigma.
     """
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -209,11 +209,6 @@ def solve_sigma(kappa: float, d: int, alpha: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def sigma_upper(kappa: float, d: int, alpha: float) -> float:
-    """Larger root of C(sigma) = kappa, by symmetry about (d - alpha)/2."""
-    return d - alpha - solve_sigma(kappa, d, alpha)
 
 
 def sphere_area(d: int) -> float:

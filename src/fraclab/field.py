@@ -255,9 +255,6 @@ class Field:
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def mass(self) -> float:
-        return float(np.sum(self.values)) * self.grid.h ** self.grid.d
-
     def blocks(self, out: np.ndarray):
         """Yield the values copied into out, a block of len(out) rows along
         the first axis at a time (the whole line on d = 1)."""
@@ -309,30 +306,25 @@ def weighted_norm(field: Field, q: float, weight: WeightSpec | None = None) -> f
     q = 2 the weight cancels algebraically and the plain L^2 norm returns.
     """
     phi = None if weight is None else weight_values(field.grid, weight)
-    return _norm(field.values, q, phi, field.grid)
+    return norm(field.grid, field.values, q, phi)
 
 
-def octant_norm(grid: Grid, octant: np.ndarray, q: float, phi: np.ndarray | None = None) -> float:
-    """weighted_norm of the even lattice field with this octant (see fold),
-    phi being its weight on the octant (octant_weight_values) or None."""
-    return _norm(octant, q, phi, grid)
-
-
-def _norm(v: np.ndarray, q: float, phi, grid: Grid) -> float:
-    """The discrete (sum |v/phi|^q phi^2 h^d)^{1/q}, or max |v|/phi at q = inf:
-    v of grid.shape is the lattice, any other its octant, counted by multiplicity."""
+def norm(grid: Grid, values: np.ndarray, q: float, phi: np.ndarray | None = None) -> float:
+    """The discrete (sum |v/phi|^q phi^2 h^d)^{1/q}, or max |v|/phi at q = inf, of
+    v = values: of grid.shape the lattice, of any other shape its octant (see
+    fold), counted by multiplicity.  phi is the weight in that layout, or None."""
     if not q >= 1.0:
         raise ValueError(f"q must lie in [1, inf], got {q}")
     if math.isinf(q):
         if phi is None:
-            return float(np.max(np.abs(v)))
-        return float(np.max(np.abs(v) / phi))
+            return float(np.max(np.abs(values)))
+        return float(np.max(np.abs(values) / phi))
     h_d = grid.h ** grid.d
     if phi is None:
-        terms = np.abs(v) ** q
+        terms = np.abs(values) ** q
     else:
-        terms = np.abs(v / phi) ** q * phi ** 2
-    total = np.sum(terms) if v.shape == grid.shape else np.vdot(multiplicity(grid), terms)
+        terms = np.abs(values / phi) ** q * phi ** 2
+    total = np.sum(terms) if values.shape == grid.shape else np.vdot(multiplicity(grid), terms)
     return float((total * h_d) ** (1.0 / q))
 
 

@@ -27,9 +27,9 @@ from .field import (
     _check_schedule,
     _far_field_radius,
     _hypot,
-    _norm,
     fold,
     heat_propagate,
+    norm,
     octant_weight_values,
     propagator,
     unfold,
@@ -165,7 +165,7 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
             raise ValueError("field values must be finite")
         weight = spec.weight(t)
         phi = None if weight is None else weight_layout(grid, weight)
-        rows.append([_norm(values, q, phi if on else None, grid) for q, on in norms])
+        rows.append([norm(grid, values, q, phi if on else None) for q, on in norms])
     return rows, Field._adopt(grid, unfold(values) if even else values)
 
 
@@ -205,7 +205,7 @@ class RatioProbeResult:
         return float(np.max(self.max_ratio))
 
 
-def cell_delta(grid: Grid, y) -> tuple[Field, tuple]:
+def _cell_delta(grid: Grid, y) -> tuple[Field, tuple]:
     """Unit-mass indicator of the grid cell nearest to the point y on the
     torus, y in the box [-L, L)^d: index rint((y + L)/h) mod n per axis, so
     a point past the last cell's midpoint wraps to cell 0 and a tie takes
@@ -248,7 +248,7 @@ def kernel_ratio_probe(
             "the kernel bound hypothesis fails"
         )
     times = _check_schedule(times)
-    delta, idx = cell_delta(grid, y)
+    delta, idx = _cell_delta(grid, y)
     y_point = tuple(grid.axis()[i] for i in idx)
     if window_radius is None:
         window_radius = _far_field_radius(grid)

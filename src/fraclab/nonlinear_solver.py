@@ -22,7 +22,7 @@ from .field import (
     dyadic_schedule,
     heat_propagate,
     image_safe_horizon,
-    octant_norm,
+    norm,
     octant_steady_state,
     propagator,
 )
@@ -80,18 +80,6 @@ class RunRecord:
 
 # ---------------------------------------------------------------------------
 # substeps
-
-
-def reaction_exact(u: float, dt: float, p: float) -> float:
-    """Exact solution of u' = u^p over dt; returns inf at or past the pole."""
-    if not u >= 0.0:
-        raise ValueError(f"u must be nonnegative, got {u}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    u = np.float64(u)  # numpy scalars overflow to inf where floats raise
-    if _room(u, dt, p) <= 0.0:
-        return math.inf
-    return float(_flow(u, dt, p))
 
 
 def _room(v, dt: float, p: float):
@@ -157,6 +145,8 @@ class BarrierMonitor:
 
     def __init__(self, grid: Grid, params: ModelParams, barrier="singular",
                  r_max: float | None = None):
+        if grid.d != params.d:
+            raise ValueError(f"grid dimension {grid.d} does not match params.d = {params.d}")
         if r_max is None:
             r_max = _far_field_radius(grid)
         self._mask = grid.octant_radius() <= r_max
@@ -197,6 +187,8 @@ class SandwichMonitor:
 
     def __init__(self, grid: Grid, params: ModelParams, r_min: float | None = None,
                  r_max: float | None = None):
+        if grid.d != params.d:
+            raise ValueError(f"grid dimension {grid.d} does not match params.d = {params.d}")
         self._uinf = octant_steady_state(grid, params)
         self._v = None
         self._grid = grid
@@ -253,7 +245,7 @@ def evolve(
     a loose dt_max cannot inflate.  Diffusion ringing below zero is clipped
     to keep the state nonnegative.  At t = 0 and at each output time
     reached, one row goes into the record: t, sup, L2 norm and mass
-    (octant_norm), the pre-clip minimum and the step that landed there.
+    (field.norm), the pre-clip minimum and the step that landed there.
     on_output(k, t, octant) is called with the k-th row and is the one way
     to see the field: a caller writes, reduces or keeps each output as it
     is reached.
@@ -281,7 +273,7 @@ def evolve(
     rows = []
 
     def record(t, dt_used, min_raw):
-        l2, mass = octant_norm(grid, values, 2.0), octant_norm(grid, values, 1.0)
+        l2, mass = norm(grid, values, 2.0), norm(grid, values, 1.0)
         rows.append((t, float(np.max(values)), l2, mass, min_raw, dt_used))
         if on_output is not None:  # a copy: the next half-reaction writes values in place
             octant = values.copy()

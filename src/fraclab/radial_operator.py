@@ -194,15 +194,6 @@ def frac_lap_radial(
     return frac_lap_constant(profile.d, alpha) * sphere_area(profile.d) * total
 
 
-def steady_profile(params) -> RadialProfile:
-    """The singular steady state s |x|^{-alpha/(p-1)} sampled on 2048 log
-    nodes over [1e-4, 1e4]."""
-    gamma = params.alpha / (params.p - 1.0)
-    s_amp = singular_amplitude(params)
-    radii = np.geomspace(1e-4, 1e4, 2048)
-    return RadialProfile(radii, s_amp * radii ** (-gamma), params.d, tail_exponent=gamma)
-
-
 def steady_residual(
     params,
     r_min: float,
@@ -215,8 +206,8 @@ def steady_residual(
     """Relative defect of the steady equation (-Delta)^{a/2} u = u^p on [r_min, r_max].
 
     Returns (max_relative_residual, per_point) with per_point a list of
-    (r, residual).  The profile spans 8 decades so the requested annulus
-    sits well inside the resolved region.
+    (r, residual).  The profile, s |x|^{-alpha/(p-1)} on 2048 log nodes over
+    [1e-4, 1e4], spans 8 decades so the annulus sits well inside its resolved region.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
@@ -224,11 +215,12 @@ def steady_residual(
         raise ValueError(f"r_min = {r_min} exceeds r_max = {r_max}")
     if not params.singular_regime:
         raise ValueError("steady_residual requires the singular regime (d > alpha, p > p_singular)")
-    prof = steady_profile(params)
+    gamma = params.alpha / (params.p - 1.0)
+    s_amp = singular_amplitude(params)
+    radii = np.geomspace(1e-4, 1e4, 2048)
+    prof = RadialProfile(radii, s_amp * radii ** (-gamma), params.d, tail_exponent=gamma)
     if not prof.resolved[0] <= r_min <= r_max <= prof.resolved[1]:
         raise ValueError(f"[{r_min}, {r_max}] outside the resolved annulus")
-    s_amp = singular_amplitude(params)
-    gamma = params.alpha / (params.p - 1.0)
     per_point = []
     for r in np.geomspace(r_min, r_max, n_points):
         lhs = frac_lap_radial(

@@ -26,7 +26,7 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import (Grid, fft_workers, image_safe_horizon, octant_norm,
+from fraclab.field import (Grid, fft_workers, image_safe_horizon, norm,
                            octant_steady_state)
 from fraclab.nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
@@ -440,7 +440,7 @@ def test_deficit_evolution_is_the_difference_of_two_runs():
 def test_l2_deficit_series_monotone():
     run = deficit_evolution(l2_config(0.1))
     grid = l2_config(0.1).build_grid()
-    values = np.array([octant_norm(grid, w, 2.0) for w in run.deficits])
+    values = np.array([norm(grid, w, 2.0) for w in run.deficits])
     assert np.all(np.diff(values) < 0.0)
     assert min(float(w.min()) for w in run.deficits) > -1e-8 * values.max()
 

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import os
@@ -387,7 +388,10 @@ def test_every_public_name_is_declared_once_by_its_module():
     for module, declared in fraclab._PUBLIC.items():
         source = importlib.import_module(f"fraclab.{module}")
         for name in declared:
-            assert getattr(fraclab, name) is getattr(source, name), name
+            obj = getattr(source, name)
+            assert getattr(fraclab, name) is obj, name
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == f"fraclab.{module}", name
 
 
 def test_one_dimensional_commands_load_no_scipy(tmp_path):

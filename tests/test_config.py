@@ -33,6 +33,10 @@ MINIMAL = {
 }
 
 
+def _to_json(cfg):
+    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+
+
 def test_minimal_config_fills_defaults():
     cfg = config_from_dict(MINIMAL)
     assert cfg.grid.n == 4096
@@ -46,9 +50,9 @@ def test_minimal_config_fills_defaults():
 
 def test_round_trip_identity():
     cfg = config_from_dict(MINIMAL)
-    again = parse_config(cfg.to_json())
+    again = parse_config(_to_json(cfg))
     assert again == cfg
-    assert again.to_json() == cfg.to_json()
+    assert _to_json(again) == _to_json(cfg)
     assert again.config_hash() == cfg.config_hash()
 
 
@@ -93,7 +97,7 @@ def config_docs(draw):
 @given(doc=config_docs())
 def test_config_round_trips_through_json(doc):
     cfg = config_from_dict(doc)
-    again = config_from_dict(json.loads(cfg.to_json()))
+    again = config_from_dict(json.loads(_to_json(cfg)))
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
     assert set(cfg.to_dict()["initial"]) == _INITIAL_KEYS[cfg.initial.kind] | {"kind"}
@@ -150,7 +154,7 @@ def test_mutated_documents_parse_or_raise_config_error(doc):
     except ConfigError as exc:
         assert exc.errors and all(isinstance(e, str) for e in exc.errors)
     else:
-        assert config_from_dict(json.loads(cfg.to_json())) == cfg
+        assert config_from_dict(json.loads(_to_json(cfg))) == cfg
 
 
 @pytest.mark.parametrize(

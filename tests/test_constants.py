@@ -28,7 +28,6 @@ from fraclab.constants import (
     regime_report,
     singular_amplitude,
     singular_morrey_norm,
-    sigma_upper,
     solve_sigma,
 )
 
@@ -290,8 +289,8 @@ def test_solve_sigma_errors():
 def test_sigma_upper_symmetry():
     kappa = 0.5 * power_map_coeff_max(3, 1.0)
     lo = solve_sigma(kappa, 3, 1.0)
-    hi = sigma_upper(kappa, 3, 1.0)
-    assert lo + hi == pytest.approx(2.0, abs=1e-10)
+    hi = 3 - 1.0 - lo  # C is symmetric about (d - alpha)/2
+    assert lo < 1.0 < hi
     assert power_map_coeff(hi, 3, 1.0) == pytest.approx(kappa, rel=1e-10)
 
 

@@ -1,11 +1,16 @@
-"""Every module of the package uses each name it imports at module level."""
+"""Every module of the package uses each name it imports at module level,
+and every public name has a use outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fraclab"
+import fraclab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fraclab"
 
 # (module, name) imported for a reader outside the module, with the reason
 ALLOWED = {
@@ -28,3 +33,29 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_module_uses_every_import(path):
     unused = _unused_imports(ast.parse(path.read_text(), str(path)))
     assert [name for name in unused if (path.stem, name) not in ALLOWED] == []
+
+
+# public names whose only callers are tests: the paper's subcritical
+# asymptotics, which tests/test_analysis.py checks
+UNCALLED_PUBLIC = {"singular_convergence_rates", "l2_stability_check", "weighted_decay_check"}
+
+
+def _references(path: Path) -> set:
+    """Names a module reads, reads as an attribute or imports; a def or
+    class statement does not count as a use of its own name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_is_used_by_the_package_the_criteria_or_readme():
+    users = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_references, users), _references(ROOT / "tests" / "test_acceptance.py"))
+    used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    assert [name for name in fraclab.__all__[1:] if name not in used | UNCALLED_PUBLIC] == []

@@ -10,7 +10,7 @@ from fraclab.field import Field, Grid, dyadic_schedule, heat_propagate
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     HypercontractivityResult,
-    cell_delta,
+    _cell_delta,
     hardy_evolve,
     hardy_step,
     hypercontractivity_measure,
@@ -179,11 +179,11 @@ def test_free_bump_sup_slope():
 
 def test_cell_delta_unit_mass():
     g = Grid(2, 32, 4.0)
-    f, idx = cell_delta(g, (0.6, -1.1))
-    assert f.mass() == pytest.approx(1.0, rel=1e-13)
+    f, idx = _cell_delta(g, (0.6, -1.1))
+    assert np.sum(f.values) * f.grid.h ** 2 == pytest.approx(1.0, rel=1e-13)
     assert f.values[idx] == pytest.approx(g.h ** -2)
     with pytest.raises(ValueError):
-        cell_delta(g, (0.0,))
+        _cell_delta(g, (0.0,))
 
 
 @pytest.mark.parametrize("y", [40.0, 32.0, -100.0, float("nan"), float("inf")])
@@ -191,33 +191,33 @@ def test_cell_delta_rejects_sources_outside_the_box(y):
     # a source outside [-L, L) or not finite used to land on an edge cell
     g = Grid(1, 256, 32.0)
     with pytest.raises(ValueError, match=r"\[-L, L\)"):
-        cell_delta(g, y)
-    assert cell_delta(g, -32.0)[1] == (0,)
+        _cell_delta(g, y)
+    assert _cell_delta(g, -32.0)[1] == (0,)
 
 
 def test_cell_delta_picks_the_nearest_cell_on_the_torus():
     g = Grid(1, 256, 32.0)  # h = 0.25: cell 255 sits at x = 31.75, cell 0 at -32 = 32 - 2L
-    assert cell_delta(g, 31.9)[1] == (0,)
-    assert cell_delta(g, 31.8)[1] == (255,)
-    assert cell_delta(g, -31.9)[1] == (0,)
+    assert _cell_delta(g, 31.9)[1] == (0,)
+    assert _cell_delta(g, 31.8)[1] == (255,)
+    assert _cell_delta(g, -31.9)[1] == (0,)
     # a point halfway between two cells takes the even index
-    assert cell_delta(g, 0.125)[1] == (128,)
-    assert cell_delta(g, 0.375)[1] == (130,)
-    f, idx = cell_delta(Grid(2, 32, 4.0), (3.9, -3.9))
-    assert idx == (0, 0) and f.mass() == pytest.approx(1.0, rel=1e-13)
+    assert _cell_delta(g, 0.125)[1] == (128,)
+    assert _cell_delta(g, 0.375)[1] == (130,)
+    f, idx = _cell_delta(Grid(2, 32, 4.0), (3.9, -3.9))
+    assert idx == (0, 0) and np.sum(f.values) * f.grid.h ** 2 == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("dip", [None, 5], ids=["even-octant", "off-centre-lattice"])
 def test_octant_flow_stops_at_the_first_non_finite_output(monkeypatch, dip):
     # an even datum runs on its octant, one that is not on the lattice; in
     # either layout a state that overflowed must raise before any norm reads it
-    finite, norm = [], lp._norm
+    finite, norm = [], lp.norm
 
-    def recording(values, *args):
+    def recording(grid, values, *args):
         finite.append(bool(np.all(np.isfinite(values))))
-        return norm(values, *args)
+        return norm(grid, values, *args)
 
-    monkeypatch.setattr(lp, "_norm", recording)
+    monkeypatch.setattr(lp, "norm", recording)
     g = Grid(1, 64, 8.0)
     values = np.full(g.shape, 1e308)
     if dip is not None:

@@ -16,7 +16,6 @@ from fraclab.nonlinear_solver import (
     SandwichMonitor,
     blowup_certificate,
     evolve,
-    reaction_exact,
 )
 
 PARAMS = ModelParams(alpha=0.5, d=1, p=3.0)
@@ -33,31 +32,23 @@ def make_config(**overrides):
 
 
 def test_reaction_exact_values():
-    assert reaction_exact(0.0, 1.0, 3.0) == 0.0
-    # p = 2: u / (1 - u dt)
-    assert reaction_exact(1.0, 0.5, 2.0) == pytest.approx(2.0, rel=1e-14)
-    # p = 3: u (1 - 2 u^2 dt)^{-1/2}
-    assert reaction_exact(0.5, 1.0, 3.0) == pytest.approx(0.5 / math.sqrt(0.5), rel=1e-14)
+    # the flow of u' = u^p over dt is u (1 - (p-1) dt u^{p-1})^{-1/(p-1)}
+    for u, dt, p in [(0.0, 1.0, 3.0), (1.0, 0.5, 2.0), (0.5, 1.0, 3.0), (0.3, 0.7, 1.5), (2.0, 0.01, 4.0)]:
+        exact = u * math.pow(1.0 - (p - 1.0) * dt * math.pow(u, p - 1.0), -1.0 / (p - 1.0))
+        assert ns._flow(np.float64(u), dt, p) == pytest.approx(exact, rel=1e-14)
 
 
 def test_reaction_exact_pole():
-    assert reaction_exact(1.0, 1.0, 2.0) == math.inf
-    assert reaction_exact(1.0, 5.0, 2.0) == math.inf
-
-
-def test_reaction_exact_domain():
-    with pytest.raises(ValueError, match="nonnegative"):
-        reaction_exact(-0.1, 1.0, 2.0)
-    with pytest.raises(ValueError, match="positive"):
-        reaction_exact(1.0, 0.0, 2.0)
+    # u' = u^2 from 1 has its pole at dt = 1: at it and past it the substep refuses
+    for dt in (1.0, 5.0):
+        assert ns._reaction(np.array([1.0, 0.5]), dt, 2.0, np.float64(1.0)) is None
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: reaction_exact(math.nan, 1.0, 2.0), "u"),
     (lambda: HardyOperatorSpec(0.5, 1, math.nan), "kappa"),
     (lambda: WeightSpec(0.5, math.nan, 0.5), "t"),
     (lambda: heat_propagate(Field(Grid(1, 16, 2.0), np.ones(16)), math.nan, 1.0), "t"),
-], ids=["reaction_exact-u", "HardyOperatorSpec-kappa", "WeightSpec-t", "heat_propagate-t"])
+], ids=["HardyOperatorSpec-kappa", "WeightSpec-t", "heat_propagate-t"])
 def test_nan_fails_the_nonnegative_range_checks(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got nan$"):
         call()
@@ -380,6 +371,13 @@ def test_sandwich_monitor_records_a_state_above_the_steady_state():
     assert mon.maxima()["sandwich_violation_lower"] == 0.0
     mon.observe(0.01, 1.2 * uinf)
     assert mon.maxima()["sandwich_violation_lower"] == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("monitor", [BarrierMonitor, SandwichMonitor])
+def test_monitors_reject_a_grid_of_another_dimension(monitor):
+    # a 3-d steady state on a 2-d octant used to be observed without error
+    with pytest.raises(ValueError, match="grid dimension 2 does not match params.d = 3"):
+        monitor(Grid(2, 64, 32.0), ModelParams(1.0, 3, 2.0))
 
 
 # ---------------------------------------------------------------------------

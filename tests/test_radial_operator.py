@@ -147,10 +147,11 @@ def test_steady_residual_rejects_an_unresolved_r_max_before_any_quadrature(monke
 
     monkeypatch.setattr(ro, "frac_lap_radial", counting)
     params = ModelParams(1.0, 3, 2.0)
-    assert ro.steady_profile(params).resolved == pytest.approx((1e-3, 1e3), rel=1e-12)
     with pytest.raises(ValueError, match="outside the resolved annulus"):
         steady_residual(params, 0.5, 2e3, 3)
     assert calls == []
+    steady_residual(params, 0.5, 31.6, 1)
+    assert calls == [0.5]
 
 
 def test_malformed_positive_profiles_rejected():
