@@ -105,14 +105,16 @@ def fit_power_law(times, values, window=None) -> FitResult:
 
 
 def run_sweep(configs) -> list:
-    """Evolve configs in order, with the caller's FFT workers (fft_workers).
+    """Evolve classify's probes in order, with the caller's FFT workers
+    (fft_workers).  Each runs with evolve's certify, so a Blowup run may
+    end early at its box time.
 
     Runs are deterministic per config, so any worker count yields the
     same records.  They run one after another: a small 1-d run is Python
     work that holds the interpreter lock, so a pool of runs would take
     turns.
     """
-    return [evolve(cfg) for cfg in configs]
+    return [evolve(cfg, certify=True) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +240,10 @@ def classify_threshold(
     ratio drops to 1 + tol.
 
     The endpoints must straddle the transition (lambda_lo Global,
-    lambda_hi Blowup).  Every verdict lands in a monotonicity check;
-    with reverify the final bracket is reclassified at halved eta.
+    lambda_hi Blowup).  Every probe runs through run_sweep, so a Blowup
+    probe ends once its box mean must blow up before t_end.  Every
+    verdict lands in a monotonicity check; with reverify the final
+    bracket is reclassified at halved eta.
     Returns the bracket with the Morrey norm of the scaled datum at
     both ends, at the critical index s = d (p - 1) / alpha.
     """

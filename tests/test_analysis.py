@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fraclab.analysis as an
+import fraclab.nonlinear_solver as ns
 from fraclab.analysis import (
     ConvergenceRates,
     EnvelopeMax,
@@ -125,6 +126,27 @@ def test_classify_threshold_brackets_transition():
     )
 
 
+def test_classify_certified_probes_keep_every_answer_in_fewer_steps(tmp_path, monkeypatch):
+    # criterion 10's config: near the threshold the box mean binds, so a
+    # Blowup probe ends at its certificate long before its pole
+    cfg = classify_config(time={"t_end": 1000.0, "output_schedule": [100.0, 1000.0]})
+    diffusions = []
+    diffuse = ns._diffuse
+    monkeypatch.setattr(ns, "_diffuse", lambda *a: diffusions.append(1) or diffuse(*a))
+
+    def classify(name):
+        diffusions.clear()
+        state = tmp_path / name
+        bracket = classify_threshold(cfg, 0.5, 3.0, tol=0.1, state_path=str(state))
+        return bracket, json.loads(state.read_text())["observations"], len(diffusions)
+
+    bracket, observations, certified = classify("certified.json")
+    real = an.evolve
+    monkeypatch.setattr(an, "evolve", lambda cfg, certify=False: real(cfg))
+    assert classify("full.json")[:2] == (bracket, observations)
+    assert certified <= 0.6 * len(diffusions), (certified, len(diffusions))
+
+
 def test_classify_threshold_state_resume(tmp_path, monkeypatch):
     state = tmp_path / "bisect.json"
     cfg = classify_config()
@@ -218,7 +240,7 @@ def test_classify_threshold_validation():
 
 def test_classify_threshold_reverify_catches_eta_sensitivity(monkeypatch):
     # rig verdicts to flip when eta is halved: the bracket must be rejected
-    def fake_evolve(cfg):
+    def fake_evolve(cfg, certify=False):
         lam = cfg.initial.scale
         threshold = 1.5 if cfg.time.eta >= 0.1 else 0.75
 
@@ -237,7 +259,7 @@ def test_classify_threshold_gives_up_after_the_bisection_cap(monkeypatch):
     # 40 halvings of log(3.0/0.5) leave a ratio near 1 + 1.6e-12, still above 1 + tol
     runs = []
 
-    def fake_evolve(cfg):
+    def fake_evolve(cfg, certify=False):
         runs.append(cfg.initial.scale)
 
         class R:
@@ -255,7 +277,7 @@ def test_classify_threshold_stops_on_a_numerical_failure(monkeypatch):
     class R:
         status = NumericalFailure("synthetic")
 
-    monkeypatch.setattr(an, "evolve", lambda cfg: R())
+    monkeypatch.setattr(an, "evolve", lambda cfg, certify=False: R())
     with pytest.raises(RuntimeError, match="numerical failure during classification: synthetic"):
         classify_threshold(classify_config(), 0.5, 3.0)
 

@@ -621,7 +621,7 @@ def test_classify_monotonicity_violation_exits_three(tmp_path, capsys):
 def test_classify_numerical_failure_exits_three(tmp_path, monkeypatch, capsys):
     import fraclab.analysis as analysis
 
-    def broken(config):
+    def broken(config, certify=False):
         return RunRecord(*[np.array([0.0])] * 6, status=NumericalFailure(reason="synthetic"),
                          monitor_maxima={})
 
@@ -688,9 +688,9 @@ def test_classify_threads_sets_the_fft_workers_of_every_probe(tmp_path, capsys, 
     monkeypatch.setenv("FRACLAB_THREADS", "1")
     seen, run = [], analysis.evolve
 
-    def recording(cfg):
+    def recording(cfg, certify=False):
         seen.append(getattr(field._FFT_SHARE, "workers", None))
-        return run(cfg)
+        return run(cfg, certify=certify)
 
     monkeypatch.setattr(analysis, "evolve", recording)
     assert main(classify_args(tmp_path) + ["--tol", "0.5", "--threads", "3"]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fraclab.nonlinear_solver as ns
 from fraclab.config import config_from_dict
@@ -216,6 +218,55 @@ def test_overflowing_datum_rejected():
 
 
 # ---------------------------------------------------------------------------
+# evolve: the box-mean certificate
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 16), (1, 32), (1, 64), (2, 16), (2, 32)]),
+    L=st.sampled_from([4.0, 8.0, 16.0, 32.0]),
+    alpha=st.sampled_from([0.5, 1.5]),
+    p=st.sampled_from([2.0, 3.0]),
+    amplitude=st.floats(0.05, 50.0),
+    width_per_L=st.floats(0.02, 2.0),
+    t_end=st.sampled_from([2.0, 20.0, 200.0]),
+)
+# a broad datum of mean 3.7, whose box time lies close to the full run's t_star
+@example(shape=(1, 16), L=4.0, alpha=0.5, p=2.0, amplitude=5.0, width_per_L=1.0, t_end=2.0)
+def test_a_certified_blowup_is_the_full_runs_verdict(shape, L, alpha, p, amplitude, width_per_L, t_end):
+    # a certified run is the full run cut short: the same rows up to its
+    # end, and a Blowup only where the full run blows up, no later than the
+    # certified t_star plus the half step the full run's t_star may carry
+    d, n = shape
+    cfg = make_config(params={"alpha": alpha, "d": d, "p": p}, grid={"n": n, "L": L},
+                      initial={"kind": "gaussian", "amplitude": amplitude, "width": width_per_L * L},
+                      time={"t_end": t_end, "dt_max": t_end / 200.0,
+                            "output_schedule": [t_end / 2.0, t_end]})
+    certified, full = evolve(cfg, certify=True), evolve(cfg)
+    rows = len(certified.times)
+    for column in ("times", "sup_norm", "l2_norm", "mass", "min_value", "dt"):
+        np.testing.assert_array_equal(getattr(certified, column), getattr(full, column)[:rows])
+    if isinstance(certified.status, Blowup):
+        assert isinstance(full.status, Blowup)
+        assert full.status.t_star <= certified.status.t_star + cfg.time.dt_max / 2.0
+    else:
+        assert certified.status == full.status
+
+
+def test_an_overflowing_box_mean_certifies_at_once():
+    # a flat datum just below the overflow of the dt rule: one step takes
+    # 2 mean^2 past the largest double, the box time reads 0, and the
+    # certified run ends where the full run's dt underflow ends it
+    cfg = make_config(grid={"n": 16, "L": 4.0},
+                      initial={"kind": "gaussian", "amplitude": 9e153, "width": 1e3},
+                      time={"blowup_sup_threshold": 1e300})
+    with np.errstate(over="ignore"):
+        certified, full = evolve(cfg, certify=True), evolve(cfg)
+    assert certified.status == full.status
+    assert certified.status.t_star > 0.0  # one step was taken
+
+
+# ---------------------------------------------------------------------------
 # evolve: accuracy and structure
 
 
@@ -255,14 +306,15 @@ def test_eta_refinement_stability():
 
 
 class _StepLog:
-    """A monitor that keeps the dt of every accepted step."""
+    """A monitor that keeps the dt and the sup of every accepted step."""
 
     def __init__(self):
-        self.dts = []
+        self.dts, self.sups = [], []
 
     def observe(self, dt, values):
         if dt > 0.0:  # dt = 0 is the observation at t = 0
             self.dts.append(dt)
+            self.sups.append(float(np.max(values)))
 
     def maxima(self):
         return {}
@@ -287,6 +339,30 @@ def test_fixed_dt_runs_converge_at_second_order():
     reference = run(1.0 / 64.0)
     errors = np.array([np.abs(run(dt) - reference) for dt in (0.5, 0.25, 0.125, 0.0625)])
     ratios = errors[:-1] / errors[1:]
+    assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 5.0])
+def test_blowup_time_converges_at_second_order_and_the_type_one_rate(amplitude):
+    # Strang splitting: each halving of eta quarters the t_star error, where
+    # a Lie splitting would halve it.  Near t_star the sup follows the ODE
+    # profile ((p-1)(t_star - t))^{-1/(p-1)}.
+    p = PARAMS.p
+    t_stars = []
+    for k in range(5):
+        steps = _StepLog()
+        rec = evolve(make_config(grid={"n": 64, "L": 8.0},
+                                 initial={"kind": "gaussian", "amplitude": amplitude},
+                                 time={"eta": 0.1 / 2 ** k}), monitors=[steps])
+        assert isinstance(rec.status, Blowup)
+        t_stars.append(rec.status.t_star)
+        if k == 0:
+            t, sup = np.cumsum(steps.dts), np.array(steps.sups)
+            late = sup > 1e3
+            rate = sup[late] * ((p - 1.0) * (rec.status.t_star - t[late])) ** (1.0 / (p - 1.0))
+            assert abs(np.median(rate) - 1.0) < 1e-3, np.median(rate)
+    gaps = np.diff(t_stars)
+    ratios = gaps[:-1] / gaps[1:]
     assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
 
 

@@ -584,7 +584,7 @@ def test_fft_workers_scope_and_sweep_share(monkeypatch):
     assert getattr(_FFT_SHARE, "workers", None) is None
 
     seen = []
-    monkeypatch.setattr(analysis, "evolve", lambda cfg: seen.append(_FFT_SHARE.workers))
+    monkeypatch.setattr(analysis, "evolve", lambda cfg, certify=False: seen.append(_FFT_SHARE.workers))
     cfg = _evolve_3d_config()
     with fft_workers(2):
         analysis.run_sweep([cfg, cfg])  # runs in turn, each with every worker
