@@ -7,7 +7,6 @@ rejected at all levels so sweep generators fail loudly on typos.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -178,6 +177,8 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """sha256 of the canonical document, which is the whole computation."""
+        import hashlib  # no CLI start-up needs it
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 

@@ -60,10 +60,10 @@ class MorreyEstimate:
     argmax_center: tuple
     argmax_radius: float
     radii: np.ndarray
-    radius_values: np.ndarray
 
 
 _BLOCK_BYTES = 1 << 19  # the estimator's one real block of rows
+_MARGIN = 1e-6  # of sum |u|^q, on every radius's bound (see morrey_estimate)
 
 
 def _rfftn_rows(blocks, out: np.ndarray) -> np.ndarray:
@@ -82,10 +82,13 @@ def _rfftn_rows(blocks, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _powers(blocks, q: float):
+def _powers(blocks, q: float, totals: list):
+    """|u|^q block by block; totals becomes [sum, max] of |u|^q."""
     for block in blocks:
         np.abs(block, out=block)
         block **= q
+        totals[0] += float(block.sum())
+        totals[1] = max(totals[1], float(block.max()))
         yield block
 
 
@@ -101,6 +104,33 @@ def _ball_rows(squares: np.ndarray, d: int, R: float, buf: np.ndarray):
         yield block
 
 
+def _ball_count(n: int, d: int, r: float) -> int:
+    """Lattice offsets k in [-n/2, n/2)^d with |k| <= r, never fewer than
+    the ball mask of radius r h holds: the squared radius is widened by
+    1e-9, far above the rounding of the mask's float distances."""
+    half = n // 2
+    # the squared offsets 0, 1, 1, 4, 4, ..., (n/2)^2 of one axis, ascending
+    ascending = np.repeat(np.arange(half + 1.0) ** 2, [1] + [2] * (half - 1) + [1])
+    room = np.array([r * r * (1.0 + 1e-9)])  # what is left of r^2 after the leading axes
+    for _ in range(d - 1):
+        room = np.subtract.outer(room, ascending)
+        room = room[room >= 0.0]
+    return int(np.searchsorted(ascending, room, "right").sum())
+
+
+def _value(grid: Grid, query: MorreyQuery, R: float, ball_sum: float) -> float:
+    """[R^{d(q/s-1)} h^d ball_sum]^{1/q}, a negative sum read as 0."""
+    top = max(ball_sum * grid.h ** grid.d, 0.0)
+    return (R ** (grid.d * (query.q / query.s - 1.0)) * top) ** (1.0 / query.q)
+
+
+def _value_bounds(grid: Grid, query: MorreyQuery, radii, total: float, peak: float) -> list:
+    """Per radius, the value of min(total, N_R peak) plus the margin, where
+    total = sum |u|^q, peak = max |u|^q and N_R counts the ball's points."""
+    counts = (_ball_count(grid.n, grid.d, R / grid.h) for R in radii)
+    return [_value(grid, query, R, min(total, N * peak) + _MARGIN * total) for R, N in zip(radii, counts)]
+
+
 def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> MorreyEstimate:
     """Estimator detail: the value plus where the sup was attained.
 
@@ -109,8 +139,22 @@ def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> Morrey
     of |u|^q and one complex work array, and one real block of rows, in
     which each ball mask is built from the 1-d axis and each ball sum is
     formed.  The passes are numpy's rfftn/irfftn ones, so the numbers are
-    those of whole-array transforms; ties go to the first center in
-    row-major order.
+    those of whole-array transforms.
+
+    Only the radii that can hold the sup are transformed.  A ball sum of
+    radius R is at most min(sum |u|^q, N_R max |u|^q), N_R the lattice
+    points of the ball, which bounds each radius's value before its ball is
+    transformed.  The bound carries a margin of 1e-6 sum |u|^q for
+    rounding: a ball sum from the FFT convolution errs by at most about
+    eps log2(n^d) N_R sum |u|^q (the normwise bound), under 1e-8 sum |u|^q
+    up to n^d = 2^20 points, so no computed value exceeds its bound.  Radii
+    are visited in decreasing order of bound, and the first whose bound
+    lies strictly below the best value so far ends the search: every
+    radius after it is bounded lower still, so none of them could reach or
+    tie the best.  Each radius's value does not depend on the order of
+    visits, so the answer is the exhaustive one: ties between radii go to
+    the first radius in query order, and ties between centers to the first
+    center in row-major order.
     """
     grid = field.grid
     n, d = grid.n, grid.d
@@ -118,17 +162,18 @@ def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> Morrey
     rows = n if d == 1 else max(1, min(n, _BLOCK_BYTES // (8 * n ** (d - 1))))
     buf = np.empty((rows,) + grid.shape[1:])
     spectrum = np.empty(grid.shape[:-1] + (n // 2 + 1,), complex)
-    _rfftn_rows(_powers(field.blocks(buf), query.q), spectrum)
+    totals = [0.0, 0.0]  # sum and max of |u|^q
+    _rfftn_rows(_powers(field.blocks(buf), query.q, totals), spectrum)
     work = np.empty_like(spectrum)
     squares = np.fft.ifftshift(grid.axis()) ** 2  # the ball about index 0
-    h_d = grid.h ** grid.d
-    expo = grid.d * (query.q / query.s - 1.0)
+    bounds = _value_bounds(grid, query, radii, *totals)
 
     best = -np.inf
-    best_idx = None
-    best_radius = None
-    per_radius = []
-    for R in radii:
+    best_i = best_idx = None
+    for i in sorted(range(len(radii)), key=lambda i: -bounds[i]):  # stable: ties in query order
+        if bounds[i] < best:
+            break
+        R = radii[i]
         np.multiply(spectrum, _rfftn_rows(_ball_rows(squares, d, R, buf), work), out=work)
         if d > 1:
             np.fft.ifft(work, axis=0, out=work)
@@ -142,20 +187,15 @@ def morrey_estimate(field: Field | SnapshotBlocks, query: MorreyQuery) -> Morrey
             if sums[idx] > top:  # the first maximum in row-major order
                 top = float(sums[idx])
                 top_idx = (start + idx[0],) + idx[1:]
-        top = max(top * h_d, 0.0)
-        value = (R ** expo * top) ** (1.0 / query.q)
-        per_radius.append(value)
-        if value > best:
-            best = value
-            best_idx = top_idx
-            best_radius = float(R)
+        value = _value(grid, query, R, top)
+        if value > best or value == best and i < best_i:  # the first radius in query order
+            best, best_i, best_idx = value, i, top_idx
     axis = grid.axis()
     return MorreyEstimate(
         value=best,
         argmax_center=tuple(float(axis[i]) for i in best_idx),
-        argmax_radius=best_radius,
+        argmax_radius=float(radii[best_i]),
         radii=radii,
-        radius_values=np.array(per_radius),
     )
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .constants import frac_lap_constant, log_gamma, sphere_area, singular_amplitude
 
@@ -126,6 +125,8 @@ def _end_slope(h0, h1, m0, m1):
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """leggauss(n) as read-only arrays, built once per n."""
+    from numpy.polynomial.legendre import leggauss  # no CLI start-up needs it
+
     nodes, weights = leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

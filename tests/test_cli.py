@@ -364,21 +364,32 @@ def test_evolve_snapshots_read_back_with_their_csv_rows(tmp_path, d, n, every):
         assert np.array_equal(field.values, unfold(fold(field.values)))
 
 
-def _scipy_modules_after(argv):
-    """Exit code and the scipy modules loaded by one CLI call in a fresh interpreter."""
-    code = ("import sys; from fraclab.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+def _fresh_python(code, *argv):
+    """The last line code prints when run with argv in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", code, *argv],
                          capture_output=True, text=True, check=True, env=env)
-    rc, modules = out.stdout.strip().splitlines()[-1].split(" ", 1)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _scipy_modules_after(argv):
+    """Exit code and the scipy modules loaded by one CLI call in a fresh interpreter."""
+    code = ("import sys; from fraclab.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    rc, modules = _fresh_python(code, *argv).split(" ", 1)
     return int(rc), modules
 
 
 def test_import_cli_leaves_scipy_unloaded():
     assert _scipy_modules_after(["--version"]) == (0, "[]")
+
+
+def test_import_cli_loads_neither_hashlib_nor_numpy_polynomial():
+    # config_hash and the Gauss-Legendre rule import them on first use
+    code = "import sys, fraclab.cli; print(sorted({'hashlib', 'numpy.polynomial'} & set(sys.modules)))"
+    assert _fresh_python(code) == "[]"
 
 
 def test_every_public_name_is_declared_once_by_its_module():

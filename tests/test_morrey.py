@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -134,11 +135,12 @@ def test_estimate_matches_a_brute_force_ball_sum(d, n, q):
         for R in radii
     ]
     est = morrey_estimate(Field(grid, u), MorreyQuery(s=s, q=q))
+    got = _radius_values(Field(grid, u), MorreyQuery(s=s, q=q))
     want = [
         (R ** (d * (q / s - 1.0)) * sums.max() * grid.h ** d) ** (1.0 / q)
         for R, sums in zip(radii, ball_sums)
     ]
-    np.testing.assert_allclose(est.radius_values, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     best = int(np.argmax(want))
     top = np.unravel_index(int(np.argmax(ball_sums[best])), ball_sums[best].shape)
     assert est.value == pytest.approx(want[best], rel=1e-12)
@@ -202,6 +204,15 @@ def _estimate_in_blocks(field: Field, query: MorreyQuery, rows: int):
         return morrey_estimate(field, query)
 
 
+def _single_radius_estimates(field, query: MorreyQuery, estimate=morrey_estimate) -> list:
+    """The estimate of each radius of the query on its own, in query order."""
+    return [estimate(field, replace(query, radii=(R,))) for R in query.resolve_radii(field.grid)]
+
+
+def _radius_values(field, query: MorreyQuery, estimate=morrey_estimate) -> np.ndarray:
+    return np.array([e.value for e in _single_radius_estimates(field, query, estimate)])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.sampled_from([1, 2, 3]),
@@ -217,7 +228,8 @@ def test_blocked_estimator_is_bit_identical_to_whole_array_transforms(d, q, rows
     query = MorreyQuery(s=3.0 * q, q=q, radii=radii)
     est = _estimate_in_blocks(Field(grid, u), query, rows)
     values, centers = _whole_array_estimate(u, grid, query)
-    assert est.radius_values.tobytes() == values.tobytes()
+    blocked = _radius_values(Field(grid, u), query, lambda f, q: _estimate_in_blocks(f, q, rows))
+    assert blocked.tobytes() == values.tobytes()
     best = int(np.argmax(values))
     assert est.value == values[best]
     assert est.argmax_radius == query.resolve_radii(grid)[best]
@@ -233,8 +245,72 @@ def test_constant_field_ties_resolve_to_the_first_strided_center(d, rows):
     query = MorreyQuery(s=4.0)
     est = _estimate_in_blocks(Field(grid, u), query, rows)
     values, _ = _whole_array_estimate(u, grid, query)
-    assert est.radius_values.tobytes() == values.tobytes()
+    blocked = _radius_values(Field(grid, u), query, lambda f, q: _estimate_in_blocks(f, q, rows))
+    assert blocked.tobytes() == values.tobytes()
     assert est.argmax_center == (-4.0,) * d
+
+
+def _datum(grid: Grid, kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal(grid.shape)
+    if kind in ("constant", "zero"):  # every radius ties on the zero field
+        return np.full(grid.shape, rng.uniform(0.1, 3.0) if kind == "constant" else 0.0)
+    if kind == "spike":
+        u = np.zeros(grid.shape)
+        u[tuple(rng.integers(0, grid.n, grid.d))] = rng.uniform(0.5, 20.0)
+        return u
+    center = rng.uniform(-grid.half_length, grid.half_length, grid.d)
+    width = rng.uniform(grid.h, grid.half_length)
+    r2 = sum(((grid.axis() - c) ** 2).reshape((-1,) + (1,) * (grid.d - 1 - k)) for k, c in enumerate(center))
+    return np.exp(-r2 / width ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    q=st.sampled_from([1.0, 2.0]),
+    kind=st.sampled_from(["normal", "spike", "bump", "constant", "zero"]),
+    steps=st.none() | st.lists(st.integers(0, 10), min_size=1, max_size=6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_pruned_estimate_is_the_best_single_radius_estimate(d, q, kind, steps, seed):
+    # explicit radii h 2^{k/2} capped at L come duplicated and in any order;
+    # a tie between radii goes to the first in query order
+    grid = Grid(d, {1: 64, 2: 32, 3: 16}[d], 4.0)
+    radii = None if steps is None else tuple(min(grid.h * 2.0 ** (k / 2), grid.half_length) for k in steps)
+    field = Field(grid, _datum(grid, kind, seed))
+    query = MorreyQuery(s=3.0 * q, q=q, radii=radii)
+    est = morrey_estimate(field, query)
+    singles = _single_radius_estimates(field, query)
+    best = singles[int(np.argmax([e.value for e in singles]))]  # the first of equal values
+    assert (est.value, est.argmax_radius, est.argmax_center) == (
+        best.value, best.argmax_radius, best.argmax_center)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_each_radius_bound_holds_its_value_and_binds_on_a_constant_field(d, n, q):
+    # every ball sum is N_R c^q, and the transforms of a constant give it
+    # to the bit, so each bound lies above its radius's value by the margin
+    grid = Grid(d, n, 4.0)
+    c = 0.7
+    query = MorreyQuery(s=3.0 * q, q=q)
+    values = _radius_values(Field(grid, np.full(grid.shape, c)), query)
+    bounds = np.array(morrey._value_bounds(grid, query, query.resolve_radii(grid), n ** d * c ** q, c ** q))
+    assert np.all(values < bounds) and np.all(bounds < values * (1.0 + 1e-3))
+
+
+def test_a_bump_transforms_only_the_radii_that_can_hold_the_sup():
+    # the bounds of R = 2 and 1 pass the best value; R = 2 holds it
+    grid = Grid(2, 128, 16.0)
+    x = grid.axis()
+    field = Field(grid, np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 4.0))
+    query = MorreyQuery(s=4.0)
+    with mock.patch.object(morrey, "_ball_rows", wraps=morrey._ball_rows) as balls:
+        est = morrey_estimate(field, query)
+    assert len(query.resolve_radii(grid)) == 7 and balls.call_count <= 3
+    assert est.value == max(e.value for e in _single_radius_estimates(field, query))
 
 
 @pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
@@ -248,9 +324,12 @@ def test_estimate_is_invariant_under_the_critical_scaling(d, n, mu, q):
     s = 3.0 * q
     u = np.random.default_rng(d + int(4 * mu)).random((n,) * d)
     query = MorreyQuery(s=s, q=q)
-    base = morrey_estimate(Field(Grid(d, n, 6.0), u), query)
-    scaled = morrey_estimate(Field(Grid(d, n, 6.0 / mu), mu ** (d / s) * u), query)
-    np.testing.assert_allclose(scaled.radius_values, base.radius_values, rtol=1e-13, atol=0.0)
+    base_field = Field(Grid(d, n, 6.0), u)
+    scaled_field = Field(Grid(d, n, 6.0 / mu), mu ** (d / s) * u)
+    base = morrey_estimate(base_field, query)
+    scaled = morrey_estimate(scaled_field, query)
+    np.testing.assert_allclose(_radius_values(scaled_field, query), _radius_values(base_field, query),
+                               rtol=1e-13, atol=0.0)
     assert scaled.value == pytest.approx(base.value, rel=1e-13)
     assert scaled.argmax_radius == base.argmax_radius / mu
     assert scaled.argmax_center == tuple(x / mu for x in base.argmax_center)
