@@ -7,6 +7,7 @@ rejected at all levels so sweep generators fail loudly on typos.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import warnings
@@ -177,10 +178,22 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """sha256 of the canonical document, which is the whole computation."""
-        import hashlib  # no CLI start-up needs it
-
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return _sha256()(canonical.encode()).hexdigest()
+
+
+def _sha256():
+    """Python's builtin sha256 (_sha2 from 3.12, _sha256 before), imported
+    on first use.  hashlib's is the fallback only: it maps OpenSSL's
+    libcrypto, about 3.5 MB of RSS for one short digest."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def clear_grid_cache():
         _GRID_CACHE.clear()
     propagator.cache_clear()
     _cosine_matrix.cache_clear()
-    _dct3_phases.cache_clear()
+    _halving_twiddles.cache_clear()
 
 
 def _hypot(axes) -> np.ndarray:
@@ -388,65 +388,122 @@ def fft_workers(n: int):
 
 
 # Octant lines of at most _DCT1_BASE + 1 points take their type-1 DCT as
-# one rfft of the unfolded line; longer ones halve first (see _dct1).
+# one rfft of the unfolded line; longer ones halve first (see _dct1_forward).
 _DCT1_BASE = 4096
 
 
-def _dct1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The unnormalized type-1 DCT of a line of N + 1 points, N a power of
-    two: rfft(unfold(x)).real, the spectrum of the even line whose octant
-    is x.  It is written to out (a new array if None), which is returned.
+@functools.lru_cache(maxsize=None)
+def _halving_twiddles(m: int):
+    """(phases, weighted) for k in [0, m/2]: phases_k = e^{i pi k/(2m)},
+    and weighted_k = w_k conj(phases_k) with w_k = 1 at k = 0 and m/2 and 2
+    between.  They serve the top level of halving a line of 2m + 1 points;
+    the level below reads every second entry.  clear_grid_cache drops them."""
+    phases = np.exp((0.5j * np.pi / m) * np.arange(m // 2 + 1))
+    weighted = 2.0 * phases.conj()
+    weighted[0] *= 0.5
+    weighted[-1] *= 0.5
+    phases.flags.writeable = weighted.flags.writeable = False
+    return phases, weighted
 
-    With M = N/2 the even outputs are the DCT-I of g_j = x_j + x_{N-j}
-    (j < M), g_M = 2 x_M, and the odd outputs the DCT-III of
-    h_j = x_j - x_{N-j} (j < M), done by _dct3 (Makhoul 1980).
+
+def _dct1_forward(x: np.ndarray) -> np.ndarray:
+    """F x, a new array: the unnormalized type-1 DCT rfft(unfold(x)).real of
+    a line of N + 1 points, N a power of two, in transform order.
+
+    Each halving level (Makhoul 1980), with M = N/2 and h_j = x_j - x_{N-j},
+    writes the odd outputs to its own block of M points: the irfft of the
+    Hermitian spectrum e^{i pi k/(2M)} (h_k - i h_{M-k}), k in [0, M/2],
+    which holds the outputs 4k + 1 ascending and then 4k + 3 descending.
+    The level below takes the even outputs, the DCT-I of g_j = x_j + x_{N-j}
+    (j < M), g_M = 2 x_M, held reversed in the rest of the output; at most
+    _DCT1_BASE + 1 points are left as one block in natural order, the rfft
+    of their unfolded line.  _transform_order gives the permutation.
     """
-    n = x.size - 1
-    if out is None:
-        out = np.empty(n + 1)
-    if n <= _DCT1_BASE:
-        out[...] = np.fft.rfft(unfold(x)).real
-        return out
-    m = n // 2
-    head, tail = x[:m], x[n:m:-1]
-    g = np.empty(m + 1)
-    np.add(head, tail, out=g[:m])
-    g[m] = 2.0 * x[m]
-    _dct3(head - tail, out[1::2])
-    _dct1(g, out[0::2])
+    out = top = np.empty(x.size)
+    n, level = x.size - 1, 0
+    while n > _DCT1_BASE:
+        m, q = n // 2, n // 4
+        if level == 0:
+            phases, spectrum = _halving_twiddles(m)[0], np.empty(q + 1, dtype=complex)
+        s = spectrum[: q + 1]
+        np.subtract(x[: q + 1], x[n : n - q - 1 : -1], out=s.real)
+        s.imag[0] = 0.0
+        np.subtract(x[m + 1 : m + q + 1], x[m - 1 : m - q - 1 : -1], out=s.imag[1:])
+        s *= phases[:: 1 << level]
+        # g over x's own even half: below the top level x is out reversed,
+        # so g_j lands where x_j was read
+        g = out[m:][::-1]
+        np.add(x[:m], x[n:m:-1], out=g[:m])
+        g[m] = 2.0 * x[m]
+        np.fft.irfft(s, m, norm="forward", out=out[:m])
+        x, out, n, level = g, out[m:], m, level + 1
+    out[...] = np.fft.rfft(unfold(x)).real
+    return top
+
+
+def _dct1_transpose(y: np.ndarray):
+    """Overwrite y with F^T y, F being _dct1_forward's map, in natural order.
+
+    The levels run bottom up.  The base block takes the transpose of its
+    DCT-I C_b = K_b W_b (K_b the symmetric cosine kernel, W_b = diag(1, 2,
+    ..., 2, 1)), which is W_b C_b W_b^{-1}.  Each level above takes
+    T = w conj(e^{i pi k/(2M)}) rfft(block) (see _halving_twiddles), the
+    irfft transposed, unpacks it as b_j = Re T_j for j < M/2,
+    b_{M/2} = Re T_{M/2} - Im T_{M/2} and b_{M-k} = -Im T_k, and runs one
+    butterfly with the level below's result a: x_j = a_j + b_j,
+    x_{N-j} = a_j - b_j, x_M = 2 a_M.  Every level below the top writes
+    its result reversed in its region, so each butterfly writes one half
+    to the block its rfft has read and the other over a in place.
+    """
+    regions, n = [], y.size - 1
+    while n > _DCT1_BASE:
+        regions.append((y, len(regions) > 0))  # (region, written reversed)
+        y, n = y[n // 2 :], n // 2
+    u = unfold(y)
+    u[0] *= 2.0
+    u[n] *= 2.0
+    base = np.fft.rfft(u).real
+    base[0] *= 0.5
+    base[-1] *= 0.5
+    (y[::-1] if regions else y)[...] = base
+    if not regions:
+        return
+    weighted = _halving_twiddles(regions[0][0].size // 2)[1]
+    spectrum = np.empty(weighted.size, dtype=complex)
+    for level in range(len(regions) - 1, -1, -1):
+        region, flipped = regions[level]
+        n = region.size - 1
+        m, q = n // 2, n // 4
+        t = np.fft.rfft(region[:m], out=spectrum[: q + 1])
+        t *= weighted[:: 1 << level]
+        out, a = (region[::-1] if flipped else region), region[m:][::-1]
+        middle = t.real[q] - t.imag[q]
+        halves = ((out[:m], np.add, np.subtract), (out[n:m:-1], np.subtract, np.add))
+        for half, re_op, im_op in halves[::-1] if flipped else halves:
+            re_op(a[:q], t.real[:q], out=half[:q])
+            half[q] = re_op(a[q], middle)
+            im_op(a[q + 1 : m], t.imag[q - 1 : 0 : -1], out=half[q + 1 :])
+        out[m] = 2.0 * a[m]
+
+
+def _transform_order(line: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a line of N + 1 points, given in natural order, to out in the
+    order of _dct1_forward's output; return out's base block."""
+    n = line.size - 1
+    while n > _DCT1_BASE:
+        m, q = n // 2, n // 4
+        out[:q] = line[1::4]
+        out[q:m] = line[n - 1 :: -4]
+        line, out, n = line[::2], out[m:], m
+    out[...] = line
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _dct3_phases(m: int) -> np.ndarray:
-    """e^{i pi k/(2m)} for k in [0, m/2]."""
-    w = np.exp((0.5j * np.pi / m) * np.arange(m // 2 + 1))
-    w.flags.writeable = False
-    return w
-
-
-def _dct3(h: np.ndarray, out: np.ndarray):
-    """Write to out scipy's unnormalized type-3 DCT of a line of m points,
-    m even: y_k = h_0 + 2 sum_{j >= 1} h_j cos(pi (2k + 1) j/(2m)).  One
-    irfft of m points does it (Makhoul 1980): the spectrum
-    e^{i pi k/(2m)} (h_k - i h_{m-k}), with h_m = 0, is Hermitian, and its
-    inverse v holds y_{2k} = v_k and y_{2k+1} = v_{m-1-k}."""
-    m = h.size
-    q = m // 2
-    spectrum = np.empty(q + 1, dtype=complex)
-    spectrum.real = h[: q + 1]
-    spectrum.imag[0] = 0.0
-    np.negative(h[: q - 1 : -1], out=spectrum.imag[1:])
-    spectrum *= _dct3_phases(m)
-    v = np.fft.irfft(spectrum, m, norm="forward")
-    out[0::2] = v[:q]
-    out[1::2] = v[: q - 1 : -1]
-
-
 # Octants with at most GEMM_MAX points per axis (n <= 256) take their DCT-I
-# as one matrix product per axis (see _cosine_step), wider ones _dct1 on
-# d = 1 and scipy's dctn/idctn on d >= 2.  On a 2-core x86-64 host with one
-# BLAS thread, a step (DCT-I, multiplier, DCT-I) took, min/median in ms:
+# as one matrix product per axis (see _cosine_step), wider ones the
+# _dct1_forward/_dct1_transpose pair on d = 1 and scipy's dctn/idctn on
+# d >= 2.  On a 2-core x86-64 host with one BLAS thread, a step (DCT-I,
+# multiplier, DCT-I) took, min/median in ms:
 #   129:   GEMM 0.018/0.025 against 0.026/0.039 for the unfolded line's pair;
 #   65^3:  GEMM 8.9/11.5 on one thread and 6.4/9.1 split over two; scipy
 #          11.9/19.1 with one worker and 7.0/13.6 with two;
@@ -539,15 +596,25 @@ class SpectralPropagator:
     it as one matrix product per axis with a cached cosine matrix (see
     _cosine_step), in 3-d each pass in two fixed halves, one per worker
     when there are two, so the bits do not depend on the worker count.  A
-    wider one takes _dct1 twice on d = 1, and scipy.fft's dctn/idctn with
-    workers on d >= 2.
+    wider one takes scipy.fft's dctn/idctn with workers on d >= 2.
+
+    A wider 1-d octant steps in transform order.  Its DCT-I is C = K W,
+    K the symmetric cosine kernel and W = diag(1, 2, ..., 2, 1), and
+    _dct1_forward gives F = P C, P the permutation of _transform_order.
+    Since C^T = W C W^{-1}, a step is
+        (1/n) C m C x = (1/n) W^{-1} F^T (w_P m_P F x),
+    w_P and m_P being W's weights and the multiplier in transform order:
+    F, a diagonal product, and the exact transpose _dct1_transpose, with
+    no pass that puts the spectrum in natural order.  The multiplier of
+    such an octant is held in transform order with 1/n and w_P/2 folded
+    in, so after F^T only the two end points are doubled.
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
     but the last.  One cache entry holds the multipliers of the last t
-    (equal substeps reuse them), swapped as one tuple, so shared instances
-    are safe across threads.  The zero mode carries multiplier 1, so mass
-    is preserved exactly.
+    (equal substeps reuse them), each made on first use, swapped as one
+    tuple, so shared instances are safe across threads.  The zero mode
+    carries multiplier 1, so mass is preserved exactly.
     """
 
     def __init__(self, grid: Grid, alpha: float):
@@ -555,22 +622,41 @@ class SpectralPropagator:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
         self._symbol = _cached(grid, ("symbol", alpha), lambda g: _octant_freq_magnitude(g) ** alpha)
         self._shape = grid.shape
+        self._ordered = grid.d == 1 and grid.n // 2 + 1 > GEMM_MAX  # steps in transform order
         self._last = (None, None, None)  # t, octant multiplier, full-layout multiplier
 
-    def _multipliers(self, t: float, full: bool):
+    def _decay(self, t: float) -> np.ndarray:
+        """e^{-t|k|^alpha} on the octant, as a new array."""
+        decay = np.multiply(self._symbol, -t)
+        return np.exp(decay, out=decay)
+
+    def _multiplier(self, t: float, full: bool) -> np.ndarray:
+        """The multiplier of t in the full layout, or else in the octant's."""
         last_t, octant, whole = self._last
         if last_t != t:
-            octant = np.multiply(self._symbol, -t)
-            np.exp(octant, out=octant)
-            whole = None
-        if full and whole is None:
-            whole = octant if octant.ndim == 1 else _mirror(octant, octant.ndim - 1)
+            octant = whole = None
+        if self._ordered:
+            if full and whole is None:
+                whole = self._decay(t)
+            if not full and octant is None:
+                octant = np.empty(self._symbol.size)
+                base = _transform_order(self._symbol, octant)
+                np.multiply(octant, -t, out=octant)
+                np.exp(octant, out=octant)
+                octant *= 1.0 / self._shape[0]
+                base[0] *= 0.5
+                base[-1] *= 0.5
+        else:
+            if octant is None:
+                octant = self._decay(t)
+            if full and whole is None:
+                whole = octant if octant.ndim == 1 else _mirror(octant, octant.ndim - 1)
         self._last = (t, octant, whole)
-        return octant, whole
+        return whole if full else octant
 
     def multiplier(self, t: float) -> np.ndarray:
         """e^{-t|k|^alpha} in the rfftn layout of the full lattice."""
-        return self._multipliers(t, True)[1]
+        return self._multiplier(t, True)
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new full lattice array: values carried forward by time t."""
@@ -590,20 +676,19 @@ class SpectralPropagator:
         """A new octant array: the even field with this octant carried
         forward by time t, folded again."""
         if values.shape[0] <= GEMM_MAX:
-            return _cosine_step(values, self._multipliers(t, False)[0])
-        # The multiplier is made after the first transform: made first, it lay below
-        # that transform's work arrays, and glibc trimmed and regrew the heap each step.
+            return _cosine_step(values, self._multiplier(t, False))
         if values.ndim == 1:
-            spectrum = _dct1(values)  # the DCT-I is its own inverse up to 1/n
-            spectrum *= self._multipliers(t, False)[0]
-            out = _dct1(spectrum)
-            out *= 1.0 / self._shape[0]
+            out = _dct1_forward(values)
+            out *= self._multiplier(t, False)
+            _dct1_transpose(out)
+            out[0] *= 2.0
+            out[-1] *= 2.0
             return out
         import scipy.fft
 
         workers = _workers()
         spectrum = scipy.fft.dctn(values, type=1, workers=workers)
-        spectrum *= self._multipliers(t, False)[0]
+        spectrum *= self._multiplier(t, False)
         return scipy.fft.idctn(spectrum, type=1, workers=workers, overwrite_x=True)
 
 

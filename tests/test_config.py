@@ -1,11 +1,17 @@
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraclab
 from fraclab.config import (
     _DELTA_KINDS,
     _INITIAL_KEYS,
@@ -184,6 +190,30 @@ def test_hash_sensitivity():
     cfg = config_from_dict(MINIMAL)
     doc = dict(MINIMAL, grid={"n": 8192})
     assert config_from_dict(doc).config_hash() != cfg.config_hash()
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=config_docs())
+def test_config_hash_is_the_sha256_of_the_canonical_document(doc):
+    cfg = config_from_dict(doc)
+    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert cfg.config_hash() == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this Python has no builtin sha256 module")
+def test_config_hash_leaves_openssl_unloaded():
+    # hashlib's OpenSSL backend maps libcrypto; the builtin sha256 does not
+    code = ("import sys; from fraclab.config import config_from_dict; "
+            "config_from_dict({'params': {'alpha': 0.5, 'd': 1, 'p': 3.0}, "
+            "'initial': {'kind': 'gaussian'}}).config_hash(); "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(fraclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_alpha_range_error_names_interval():

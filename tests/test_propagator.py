@@ -13,13 +13,16 @@ every length.  Octants of up to GEMM_MAX points per axis take their DCT-I
 by cosine matrices in every dimension, which must match scipy's
 dctn/idctn, keep the zero mode, and give the same bits when one
 propagator is shared by threads; 1-d ones stay on the calling thread.  A
-wider 1-d octant takes a halving DCT-I that must equal the rfft of the
-unfolded line.  Every octant step agrees with the full layout to 1e-12.
+wider 1-d octant steps in transform order: its halving DCT-I must equal
+the rfft of the unfolded line, permuted, and its backward pass must be
+that map's exact transpose.  Every octant step agrees with the full
+layout to 1e-12.
 """
 
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclab.analysis as analysis
+import fraclab.field as field
 from fraclab.config import config_from_dict
 from fraclab.constants import power_map_coeff_max
 from fraclab.field import (
@@ -38,8 +42,10 @@ from fraclab.field import (
     _DCT1_BASE,
     _FFT_SHARE,
     _cosine_matrix,
-    _dct1,
-    _dct3_phases,
+    _dct1_forward,
+    _dct1_transpose,
+    _halving_twiddles,
+    _transform_order,
     clear_grid_cache,
     dyadic_schedule,
     fft_workers,
@@ -146,7 +152,7 @@ def test_weighted_octant_sums_are_lattice_sums(d, seed):
                             rel_tol=0.0, abs_tol=1e-12 * np.abs(full).sum())
 
 
-# 1-d lines of the cosine step, of _dct1's base case and of its halving; the
+# 1-d lines of the cosine step, of the DCT-I pair's base case and of its halving; the
 # d = 2 and 3 cosine steps; and a 257^2 octant, wider than GEMM_MAX, which
 # takes scipy's dctn/idctn
 OCTANT_GRIDS = [*(Grid(1, n, 4.0) for n in (64, 256, 4096, 2 ** 14, LONG)),
@@ -164,14 +170,56 @@ def test_octant_propagator_matches_the_full_lattice(grid, alpha, t, seed):
     assert np.max(np.abs(unfold(octant) - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+def _transform_indices(n: int) -> np.ndarray:
+    """The natural index of each output of the halving DCT-I of a line of
+    n + 1 points, in its order: per level the odd outputs y_k = C_{2k+1} as
+    one irfft leaves them (y_{2k} ascending, then y_{2k+1} descending),
+    then the level below on the even outputs; the base block in order."""
+    index, order = np.arange(n + 1), []
+    while index.size - 1 > field._DCT1_BASE:
+        odd = index[1::2]
+        order += [odd[0::2], odd[1::2][::-1]]
+        index = index[0::2]
+    return np.concatenate(order + [index])
+
+
 @PROPERTY
 @given(n=st.sampled_from([_DCT1_BASE // 4, _DCT1_BASE, 2 * _DCT1_BASE, 8 * _DCT1_BASE, LONG]),
        seed=seeds)
 def test_dct1_is_the_spectrum_of_the_unfolded_line(n, seed):
-    # lines of N + 1 points on both sides of the recursion floor
+    # lines of N + 1 points on both sides of the recursion floor: the
+    # forward pass is the spectrum read in transform order, bit for bit
+    # while one rfft does it
     x = np.random.default_rng(seed).standard_normal(n + 1)
     spectrum = np.fft.rfft(unfold(x)).real
-    assert np.max(np.abs(_dct1(x) - spectrum)) <= 1e-13 * np.max(np.abs(spectrum))
+    order = _transform_indices(n)
+    assert np.array_equal(np.sort(order), np.arange(n + 1))
+    forward = _dct1_forward(x)
+    if n <= _DCT1_BASE:
+        assert np.array_equal(forward, spectrum)
+    else:
+        assert np.max(np.abs(forward - spectrum[order])) <= 1e-13 * np.max(np.abs(spectrum))
+    ordered = np.empty(n + 1)
+    _transform_order(spectrum, ordered)
+    assert np.array_equal(ordered, spectrum[order])
+
+
+@pytest.mark.parametrize("base", [2, 8])
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_dct1_transpose_is_the_transpose_of_the_forward_pass(monkeypatch, base, n):
+    # a short line halves down to a lowered floor, so every part of both
+    # passes runs: the levels, their twiddles and weights, and the base block
+    monkeypatch.setattr(field, "_DCT1_BASE", base)
+
+    def transposed(y):
+        y = y.copy()
+        _dct1_transpose(y)
+        return y
+
+    eye = np.eye(n + 1)
+    forward = np.stack([_dct1_forward(e) for e in eye], axis=1)  # the matrix F
+    backward = np.stack([transposed(e) for e in eye], axis=1)
+    assert np.max(np.abs(backward - forward.T)) <= 1e-15 * np.max(np.abs(forward))
 
 
 @PROPERTY
@@ -232,12 +280,16 @@ def test_clear_grid_cache_drops_the_cosine_matrices():
     clear_grid_cache()
     assert _cosine_matrix.cache_info().currsize == 0
     assert _cosine_matrix(m) is not c
-    # and the phase factors of the halving DCT-I of a long octant
+    # and the twiddles of the halving DCT-I pair of a long octant: one
+    # read-only pair for its top level, which the levels below stride
     grid = Grid(1, LONG, 512.0)
     propagator(grid, 0.7).octant(fold(_even(grid, 3)), 0.3)
-    assert _dct3_phases.cache_info().currsize > 0
+    assert _halving_twiddles.cache_info().currsize == 1
+    phases, weighted = _halving_twiddles(LONG // 4)
+    assert phases.shape == weighted.shape == (LONG // 8 + 1,)
+    assert not phases.flags.writeable and not weighted.flags.writeable
     clear_grid_cache()
-    assert _dct3_phases.cache_info().currsize == 0
+    assert _halving_twiddles.cache_info().currsize == 0
 
 
 def test_split_propagator_shared_across_threads():
@@ -274,6 +326,64 @@ def test_split_propagator_shared_across_threads():
     for k, outs in results.items():
         assert len(outs) == 3 and all(np.array_equal(out, expected[k]) for out in outs)
     assert sorted(results) == [0, 1, 2, 3]
+
+
+def test_long_line_propagator_shared_across_threads():
+    # four threads with different t share one 2^18 propagator, so its
+    # transform-order multiplier is swapped under them at every call
+    grid = Grid(1, 2 * LONG, 512.0)
+    prop = SpectralPropagator(grid, 0.5)
+    octant = fold(_even(grid, 11))
+    steps = [0.1 * (k + 1) for k in range(4)]
+    expected = [prop.octant(octant, t) for t in steps]
+    results, errors = {}, []
+
+    def run(k):
+        try:
+            for _ in range(3):
+                results.setdefault(k, []).append(prop.octant(octant, steps[k]))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for k, outs in results.items():
+        assert len(outs) == 3 and all(np.array_equal(out, expected[k]) for out in outs)
+
+
+def test_long_octant_step_holds_little_memory():
+    # one step of a 2^17 + 1 point octant, its multiplier already made,
+    # allocates the output and a quarter-line spectrum (1.6x the octant's
+    # bytes; the natural-order halving peaked at 4.0x); afterwards the
+    # caches hold one symbol and one multiplier for the grid
+    clear_grid_cache()
+    grid = Grid(1, 2 * LONG, 512.0)
+    prop = propagator(grid, 0.5)
+    octant = fold(_even(grid, 13))
+    prop.octant(octant, 0.3)
+    tracemalloc.start()
+    try:
+        prop.octant(octant, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * octant.nbytes
+    slot = field._GRID_CACHE[(grid.d, grid.n, grid.half_length)]
+    assert list(slot) == [("symbol", 0.5)]
+    t, *multipliers = prop._last
+    assert t == 0.3 and [m is not None for m in multipliers] == [True, False]
+    assert multipliers[0].shape == octant.shape
+    clear_grid_cache()
 
 
 def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
