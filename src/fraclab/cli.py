@@ -157,9 +157,7 @@ def cmd_linear_evolve(args) -> int:
 def cmd_morrey(args) -> int:
     try:
         with open_snapshot(args.snapshot) as snapshot:
-            radii = tuple(args.radii) if args.radii is not None else None
-            query = MorreyQuery(s=args.s, q=args.q, radii=radii)
-            estimate = morrey_estimate(snapshot, query)
+            estimate = morrey_estimate(snapshot, MorreyQuery(s=args.s, q=args.q))
     except SnapshotFormatError as exc:
         raise SnapshotFormatError(f"snapshot {args.snapshot}: {exc}") from None
     payload = {
@@ -220,10 +218,6 @@ def cmd_fit(args) -> int:
 # parser
 
 
-def _radii_list(text):
-    return [float(piece) for piece in text.split(",")]
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="fraclab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"fraclab {__version__}")
@@ -271,7 +265,6 @@ def build_parser() -> _Parser:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--radii", type=_radii_list, help="comma-separated ball radii")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_morrey)
 

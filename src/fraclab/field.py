@@ -587,16 +587,15 @@ def _cosine_step(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
 class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
-    Calling it carries a full lattice array by real FFTs: numpy's
-    rfft/irfft on d = 1, which costs no import and runs on one thread, and
-    scipy.fft's rfftn/irfftn with workers on d >= 2, imported on first
-    use.  octant() carries the octant of a field that is even in every
-    coordinate (see fold), whose DFT is the type-1 DCT of the octant
-    (Martucci 1994).  An octant of at most GEMM_MAX points per axis takes
-    it as one matrix product per axis with a cached cosine matrix (see
-    _cosine_step), in 3-d each pass in two fixed halves, one per worker
-    when there are two, so the bits do not depend on the worker count.  A
-    wider one takes scipy.fft's dctn/idctn with workers on d >= 2.
+    Calling it carries a full lattice array by numpy's rfftn/irfftn at
+    every d, on the calling thread.  octant() carries the octant of a
+    field that is even in every coordinate (see fold), whose DFT is the
+    type-1 DCT of the octant (Martucci 1994).  An octant of at most
+    GEMM_MAX points per axis takes it as one matrix product per axis with
+    a cached cosine matrix (see _cosine_step), in 3-d each pass in two
+    fixed halves, one per worker when there are two, so the bits do not
+    depend on the worker count.  A wider one takes scipy.fft's dctn/idctn
+    with workers on d >= 2, the one place scipy is imported.
 
     A wider 1-d octant steps in transform order.  Its DCT-I is C = K W,
     K the symmetric cosine kernel and W = diag(1, 2, ..., 2, 1), and
@@ -660,17 +659,10 @@ class SpectralPropagator:
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new full lattice array: values carried forward by time t."""
-        mult = self.multiplier(t)
-        if len(self._shape) == 1:
-            spectrum = np.fft.rfft(values)
-            spectrum *= mult
-            return np.fft.irfft(spectrum, self._shape[0])
-        import scipy.fft  # deferred: only these steps and wide octants load it
-
-        workers = _workers()
-        spectrum = scipy.fft.rfftn(values, workers=workers)
-        spectrum *= mult
-        return scipy.fft.irfftn(spectrum, self._shape, workers=workers)
+        axes = tuple(range(len(self._shape)))
+        spectrum = np.fft.rfftn(values, axes=axes)
+        spectrum *= self.multiplier(t)
+        return np.fft.irfftn(spectrum, self._shape, axes=axes)
 
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new octant array: the even field with this octant carried
@@ -684,7 +676,7 @@ class SpectralPropagator:
             out[0] *= 2.0
             out[-1] *= 2.0
             return out
-        import scipy.fft
+        import scipy.fft  # deferred: only these octants load it
 
         workers = _workers()
         spectrum = scipy.fft.dctn(values, type=1, workers=workers)

@@ -88,6 +88,8 @@ def _strang_intervals(values: np.ndarray, grid: Grid, spec: HardyOperatorSpec, t
     is built once per interval.  The input array is left alone, and a
     yielded array is never written again.
     """
+    if substeps < 1:
+        raise ValueError("substeps_per_interval must be at least 1")
     step, potential = propagator(grid, spec.alpha), spec.octant_potential(grid)
     if values.shape == grid.shape:
         potential = unfold(potential)
@@ -152,8 +154,6 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
     is unfolded once; any other datum runs on the lattice.  Both take the
     one loop of _strang_intervals, and each output is checked finite.
     """
-    if substeps < 1:
-        raise ValueError("substeps_per_interval must be at least 1")
     if float(np.min(w0.values)) < 0.0:
         raise ValueError("w0 must be nonnegative")
     grid, rows = w0.grid, []

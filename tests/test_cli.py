@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import fraclab.cli as cli
 import fraclab.morrey as morrey
 from fraclab.cli import main
 from fraclab.constants import solve_sigma
-from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, read_snapshot, unfold,
-                           write_snapshot)
+from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, open_snapshot, read_snapshot,
+                           unfold, write_snapshot)
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
 
@@ -67,7 +68,7 @@ def test_help_exits_zero(capsys):
     ("steady-check", {"--alpha", "--d", "--p", "--r-min", "--r-max", "--n"}),
     ("evolve", {"--config", "--csv", "--snapshot-every", "--snapshot-dir"}),
     ("linear-evolve", {"--config", "--csv"}),
-    ("morrey", {"--snapshot", "--s", "--q", "--radii", "--json"}),
+    ("morrey", {"--snapshot", "--s", "--q", "--json"}),
     ("classify", {"--config", "--lambda-min", "--lambda-max", "--tol", "--state", "--threads"}),
     ("fit", {"--csv", "--column", "--t-min", "--t-max"}),
 ])
@@ -386,6 +387,29 @@ def test_import_cli_leaves_scipy_unloaded():
     assert _scipy_modules_after(["--version"]) == (0, "[]")
 
 
+def test_lattice_steps_leave_scipy_unloaded():
+    # a lattice step is numpy's rfftn/irfftn at every d; only an octant
+    # wider than GEMM_MAX on d >= 2 imports scipy.fft
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from fraclab.constants import power_map_coeff_max
+        from fraclab.field import Field, Grid, heat_propagate
+        from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve, kernel_ratio_probe
+        for d in (2, 3):
+            grid = Grid(d, 16, 4.0)
+            heat_propagate(Field(grid, np.ones(grid.shape)), 0.5, 1.0)
+        grid = Grid(2, 32, 8.0)
+        spec = HardyOperatorSpec(alpha=1.0, d=2, kappa=0.2 * power_map_coeff_max(2, 1.0))
+        kernel_ratio_probe(grid, spec, (0.5, 0.5), [0.5, 1.0], substeps_per_interval=2)
+        x = grid.axis()
+        w0 = Field(grid, np.exp(-(x[:, None] - 0.3) ** 2 - x[None, :] ** 2))  # not even
+        hardy_evolve(w0, spec, [0.5, 1.0], substeps_per_interval=2)
+        print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))
+    """)
+    assert _fresh_python(code) == "[]"
+
+
 def test_import_cli_loads_neither_hashlib_nor_numpy_polynomial():
     # config_hash and the Gauss-Legendre rule import them on first use
     code = "import sys, fraclab.cli; print(sorted({'hashlib', 'numpy.polynomial'} & set(sys.modules)))"
@@ -503,10 +527,21 @@ def test_morrey_snapshot_estimate(tmp_path, capsys):
     assert payload["argmax_radius"] == pytest.approx(32.0, rel=1e-12)
     assert payload["t"] == 0.25
 
-    assert main(["morrey", "--snapshot", str(path), "--s", "2", "--radii", "2,8", "--json"]) == 0
-    payload = _strict_json(capsys.readouterr().out)
-    assert payload["value"] == pytest.approx(2.0 * 8.0 / math.sqrt(8.0), rel=0.05)
-    assert payload["argmax_radius"] == 8.0
+    # explicit radii are a MorreyQuery field, read here through the
+    # snapshot the CLI opens
+    with open_snapshot(path) as snapshot:
+        estimate = morrey.morrey_estimate(snapshot, morrey.MorreyQuery(s=2.0, radii=(2.0, 8.0)))
+    assert estimate.value == pytest.approx(2.0 * 8.0 / math.sqrt(8.0), rel=0.05)
+    assert estimate.argmax_radius == 8.0
+
+
+def test_morrey_has_no_radii_option(tmp_path, capsys):
+    # the ladder of radii is the query's own, resolved on the snapshot's grid
+    grid = Grid(1, 64, 8.0)
+    path = tmp_path / "flat.frdf"
+    write_snapshot(Field(grid, np.ones(grid.shape)), path, SnapshotMeta(0.5, 3.0, 0.0))
+    assert main(["morrey", "--snapshot", str(path), "--s", "2", "--radii", "2,8"]) == 1
+    assert "unrecognized arguments: --radii 2,8" in capsys.readouterr().err
 
 
 def test_morrey_has_no_stride_option(tmp_path, capsys):

@@ -59,3 +59,30 @@ def test_every_public_name_is_used_by_the_package_the_criteria_or_readme():
     used = set().union(*map(_references, users), _references(ROOT / "tests" / "test_acceptance.py"))
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     assert [name for name in fraclab.__all__[1:] if name not in used | UNCALLED_PUBLIC] == []
+
+
+def _import_sites(tree: ast.AST, top: str, scope: str = "") -> list:
+    """Qualified names of the functions (or "" for module level) that
+    import package top, one entry per import statement."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            sites += _import_sites(node, top, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]  # a relative import names a fraclab module
+        else:
+            sites += _import_sites(node, top, scope)
+            continue
+        sites += [scope for module in modules if module.partition(".")[0] == top]
+    return sites
+
+
+def test_scipy_is_imported_only_for_wide_octants():
+    # every lattice step is numpy's; scipy.fft serves only the DCT-I of an
+    # octant wider than GEMM_MAX on d >= 2
+    sites = [f"{path.stem}:{site}" for path in sorted(SRC.glob("*.py"))
+             for site in _import_sites(ast.parse(path.read_text(), str(path)), "scipy")]
+    assert sites == ["field:SpectralPropagator.octant"]

@@ -55,6 +55,27 @@ def test_runs_reject_a_mismatched_spec_dimension():
         hypercontractivity_measure(f, spec, [(2.0, 1.0)], times, substeps_per_interval=2)
 
 
+@pytest.mark.parametrize("substeps", [0, -2])
+@pytest.mark.parametrize("run", ["hardy_evolve", "kernel_ratio_probe", "hypercontractivity_measure"])
+def test_runs_reject_fewer_than_one_substep_before_any_step(run, substeps, monkeypatch):
+    # _strang_intervals states the rule once, for every run, before any
+    # step: a nonpositive count would give kernel_ratio_probe finite or NaN
+    # ratios
+    g = Grid(1, 256, 32.0)
+    f = InitialSpec("gaussian").build(g, PARAMS)
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.01)
+    times = [0.5, 1.0, 2.0]
+    calls = {
+        "hardy_evolve": lambda: hardy_evolve(f, spec, times, substeps_per_interval=substeps),
+        "kernel_ratio_probe": lambda: kernel_ratio_probe(g, spec, [0.0], times, substeps_per_interval=substeps),
+        "hypercontractivity_measure": lambda: hypercontractivity_measure(
+            f, spec, [(2.0, 1.0)], times, substeps_per_interval=substeps),
+    }
+    monkeypatch.setattr(lp, "propagator", lambda *_: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match="substeps_per_interval must be at least 1"):
+        calls[run]()
+
+
 def test_zero_kappa_reduces_to_heat():
     g = Grid(1, 128, 16.0)
     f = InitialSpec("gaussian").build(g, PARAMS)

@@ -8,15 +8,15 @@ order; the Hardy runs of an even datum, on its octant, must agree with
 the lattice flow, and those of any other datum keep its bits; evolve must
 preserve order at matched steps; the reaction flow must compose; and a
 run must not depend on the FFT worker count.
-A 1-d lattice step is numpy's rfft/irfft pair on the calling thread at
-every length.  Octants of up to GEMM_MAX points per axis take their DCT-I
-by cosine matrices in every dimension, which must match scipy's
-dctn/idctn, keep the zero mode, and give the same bits when one
-propagator is shared by threads; 1-d ones stay on the calling thread.  A
-wider 1-d octant steps in transform order: its halving DCT-I must equal
-the rfft of the unfolded line, permuted, and its backward pass must be
-that map's exact transpose.  Every octant step agrees with the full
-layout to 1e-12.
+A lattice step is numpy's rfftn/irfftn pair on the calling thread at
+every d and length, and keeps scipy.fft's bits in 1-d and 2-d.  Octants
+of up to GEMM_MAX points per axis take their DCT-I by cosine matrices in
+every dimension, which must match scipy's dctn/idctn, keep the zero
+mode, and give the same bits when one propagator is shared by threads;
+1-d ones stay on the calling thread.  A wider 1-d octant steps in
+transform order: its halving DCT-I must equal the rfft of the unfolded
+line, permuted, and its backward pass must be that map's exact
+transpose.  Every octant step agrees with the full layout to 1e-12.
 """
 
 import math
@@ -118,6 +118,22 @@ def test_propagator_matches_numpy_fft(d, alpha, t, seed):
     v = _values(grid, seed)
     out = SpectralPropagator(grid, alpha)(v, t)
     assert np.max(np.abs(out - _reference(v, grid, t, alpha))) <= 1e-12 * np.max(np.abs(v))
+
+
+@PROPERTY
+@given(d=dims, n=st.sampled_from([16, 32, 64]), alpha=alphas, t=times, seed=seeds)
+def test_lattice_step_matches_the_scipy_pair(d, n, alpha, t, seed):
+    # numpy's rfftn/irfftn keep the bits of scipy.fft's pair in 1-d and
+    # 2-d; in 3-d they agree to rounding
+    grid = Grid(d, n, 4.0)
+    v = _values(grid, seed)
+    prop = SpectralPropagator(grid, alpha)
+    out = prop(v, t)
+    expected = scipy.fft.irfftn(scipy.fft.rfftn(v) * prop.multiplier(t), grid.shape)
+    if d < 3:
+        assert np.array_equal(out, expected)
+    else:
+        assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def _even(grid: Grid, seed: int) -> np.ndarray:
@@ -406,8 +422,9 @@ def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
 
 
 def test_only_split_steps_read_the_worker_count(monkeypatch):
-    # 1-d and 2-d octant steps, and 3-d ones below _GEMM_PAIR_MIN points per
-    # axis, run on the calling thread and never ask how many workers there are
+    # lattice steps at every d, 1-d and 2-d octant steps, and 3-d ones below
+    # _GEMM_PAIR_MIN points per axis, run on the calling thread and never
+    # ask how many workers there are
     class WorkerCountRead(Exception):
         pass
 
@@ -427,6 +444,8 @@ def test_only_split_steps_read_the_worker_count(monkeypatch):
 
     for d, n in ((1, 256), (2, 64), (3, 32)):
         assert isinstance(run(d, n).status, Global), d
+        grid = Grid(d, n, 8.0)
+        SpectralPropagator(grid, 1.0)(np.ones(grid.shape), 0.1)
     with pytest.raises(WorkerCountRead):  # a 65^3 octant splits its passes
         run(3, 128)
 
