@@ -156,6 +156,14 @@ def _is_observation(entry) -> bool:
     )
 
 
+def _check_folder(path, what: str):
+    """ValueError unless path is None or its directory exists: checked
+    before a run whose results could not be written there."""
+    folder = "" if path is None else os.path.dirname(os.fspath(path))
+    if folder and not os.path.isdir(folder):
+        raise ValueError(f"{what} {path}: directory {folder} does not exist")
+
+
 class _ObservationLog:
     """Amplitude -> verdict cache, optionally persisted as JSON so an
     interrupted bisection resumes instead of recomputing."""
@@ -164,13 +172,8 @@ class _ObservationLog:
         self.config_hash = config_hash
         self.path = path
         self.seen = {}
-        if path is None:
-            return
-        # checked before any run, whose verdict the state could not keep
-        folder = os.path.dirname(os.fspath(path))
-        if folder and not os.path.isdir(folder):
-            raise ValueError(f"state file {path}: directory {folder} does not exist")
-        if os.path.exists(path):
+        _check_folder(path, "state file")
+        if path is not None and os.path.exists(path):
             with open(path) as fh:
                 try:
                     state = json.load(fh)

@@ -14,14 +14,13 @@ structured results print as JSON.
 from __future__ import annotations
 
 import argparse
-import csv as csv_module
 import json
 import os
 import sys
 from dataclasses import asdict
 
 from . import __version__
-from .analysis import MonotonicityError, classify_threshold, fit_power_law
+from .analysis import MonotonicityError, _check_folder, classify_threshold, fit_power_law
 from .config import ConfigError, parse_config
 from .constants import (
     ModelParams,
@@ -122,6 +121,7 @@ def cmd_steady_check(args) -> int:
 
 def cmd_evolve(args) -> int:
     config = _load_config(args.config)
+    _check_folder(args.csv, "csv file")
     every, snapshot_dir = args.snapshot_every, args.snapshot_dir
     if every is not None and snapshot_dir is None:
         raise ValueError("--snapshot-every needs a snapshot directory (--snapshot-dir)")
@@ -147,6 +147,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_linear_evolve(args) -> int:
     config = _load_config(args.config)
+    _check_folder(args.csv, "csv file")
     spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
     series = hardy_evolve(config.initial_field(), spec, config.output_times())
     columns = "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf"
@@ -193,8 +194,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import csv  # deferred: the one command that reads CSV
+
     with open(args.csv) as fh:
-        rows = list(csv_module.DictReader(line for line in fh if not line.startswith("#")))
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     if not rows:
         raise ValueError(f"{args.csv} has no data rows")
     if args.column not in rows[0] or "t" not in rows[0]:

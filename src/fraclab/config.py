@@ -65,8 +65,8 @@ class InitialSpec:
 
     def build_octant(self, grid: Grid, params: ModelParams) -> np.ndarray:
         """The scaled datum on the octant (see field.fold), as a new
-        nonnegative array; ValueError if a number the kind reads lies
-        outside its range in _NUMBERS["initial"].
+        nonnegative array; ValueError if a number the kind reads is not
+        finite or lies outside its range in _NUMBERS["initial"].
 
         gaussian is A exp(-|x|^2/w^2).  The other kinds are built from
         u_inf = s |x|^{-alpha/(p-1)} at the half-cell capped radius:
@@ -77,10 +77,7 @@ class InitialSpec:
         """
         if self.kind not in _INITIAL_KEYS:
             raise ValueError(f"unknown initial kind {self.kind!r}")
-        for key in sorted(_INITIAL_KEYS[self.kind]):
-            _, ok, phrase = _NUMBERS["initial"][key]
-            if not ok(getattr(self, key)):
-                raise ValueError(f"initial.{key}: {phrase}, got {getattr(self, key)}")
+        _check_numbers("initial", self, sorted(_INITIAL_KEYS[self.kind]))
         if self.kind == "zero":
             return np.zeros((grid.n // 2 + 1,) * grid.d)
         capped = grid.octant_capped_radius() if self.kind in _SINGULAR_KINDS else None
@@ -152,7 +149,8 @@ class ExperimentConfig:
         return self.potential.resolve(self.params, self.initial)
 
     def output_times(self) -> np.ndarray:
-        """The dyadic schedule, or the listed times checked as the parser checks them."""
+        """The dyadic schedule, or the listed times: the time section checked as the parser checks it."""
+        _check_numbers("time", self.time, _NUMBERS["time"])
         if isinstance(self.time.output_schedule, str):
             if self.time.output_schedule != "dyadic":
                 raise ValueError(f"unknown named schedule {self.time.output_schedule!r}")
@@ -239,6 +237,19 @@ _DELTA_KINDS = tuple(kind for kind, keys in _INITIAL_KEYS.items() if "delta" in 
 
 # kinds built from the singular steady profile, admissible only when it exists
 _SINGULAR_KINDS = set(_INITIAL_KEYS) - {"zero", "gaussian"}
+
+
+def _check_numbers(section: str, settings, keys):
+    """ValueError, in the parser's words, on the first of keys whose value
+    in settings is not finite or lies outside its range in _NUMBERS[section]:
+    the parser's rule for numbers made in code."""
+    for key in keys:
+        value = getattr(settings, key)
+        _, ok, phrase = _NUMBERS[section][key]
+        if not _finite(value):
+            raise ValueError(f"{section}.{key}: must be finite, got {value}")
+        if not ok(value):
+            raise ValueError(f"{section}.{key}: {phrase}, got {value}")
 
 
 def _fields(cls) -> set:

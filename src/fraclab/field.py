@@ -653,15 +653,11 @@ class SpectralPropagator:
         self._last = (t, octant, whole)
         return whole if full else octant
 
-    def multiplier(self, t: float) -> np.ndarray:
-        """e^{-t|k|^alpha} in the rfftn layout of the full lattice."""
-        return self._multiplier(t, True)
-
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new full lattice array: values carried forward by time t."""
         axes = tuple(range(len(self._shape)))
         spectrum = np.fft.rfftn(values, axes=axes)
-        spectrum *= self.multiplier(t)
+        spectrum *= self._multiplier(t, True)
         return np.fft.irfftn(spectrum, self._shape, axes=axes)
 
     def octant(self, values: np.ndarray, t: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 V_h is the inverse-power potential |x|^{-alpha} floored at the half-cell
 radius.  Steps use Strang splitting (potential, diffusion, potential).  The
-potential substep is positive, but the lattice diffusion kernel is not:
-below the first resolved time 4 h^alpha of field.dyadic_schedule it rings, and
-order and nonnegativity fail by percents (2.7% of the sup at 0.01 of that
-time).  From that time on both hold, which the order property in
+potential substep is positive; the lattice diffusion step is positive at
+every dt only for d = 1 with alpha <= 1, where its generator is a Z-matrix.
+Elsewhere it rings below the first resolved time 4 h^alpha of
+field.dyadic_schedule (1.3% of the peak for a 1-d unit spike at alpha 1.9,
+at 0.01 of that time); from that time on order and nonnegativity hold, as
 tests/test_propagator.py checks.  Runs over distinct fields share nothing
 mutable beyond the per-grid cache.
 """
@@ -147,12 +148,12 @@ class NormSeries:
 def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, norms):
     """Run e^{-tH} w0 through the schedule; return one row per output time
     t, holding weighted_norm(w(t), q, spec.weight(t) if weighted else None)
-    for each (q, weighted) in norms, and the Field at the last time.
+    for each (q, weighted) in norms, and the state array at the last time.
 
     A datum even in every coordinate (see field.fold) runs on its octant,
-    where a norm weighs each point by its multiplicity and the last output
-    is unfolded once; any other datum runs on the lattice.  Both take the
-    one loop of _strang_intervals, and each output is checked finite.
+    where a norm weighs each point by its multiplicity, and the last state
+    is that octant; any other datum runs on the lattice.  Both take the one
+    loop of _strang_intervals, and each output is checked finite.
     """
     if float(np.min(w0.values)) < 0.0:
         raise ValueError("w0 must be nonnegative")
@@ -166,7 +167,7 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
         weight = spec.weight(t)
         phi = None if weight is None else weight_layout(grid, weight)
         rows.append([norm(grid, values, q, phi if on else None) for q, on in norms])
-    return rows, Field._adopt(grid, unfold(values) if even else values)
+    return rows, values
 
 
 def hardy_evolve(
@@ -185,7 +186,8 @@ def hardy_evolve(
     times = _check_schedule(times)
     sigma = spec.sigma()  # raises for supercritical kappa before any work
     norms = [(q, weighted) for weighted in (False, True) for q in (1.0, 2.0, math.inf)]
-    rows, final = _nonnegative_flow(w0, spec, times, substeps_per_interval, norms)
+    rows, last = _nonnegative_flow(w0, spec, times, substeps_per_interval, norms)
+    final = Field._adopt(w0.grid, unfold(last) if last.shape != w0.grid.shape else last)
     return NormSeries(times, sigma, *np.array(rows).T, final=final)
 
 
@@ -197,7 +199,6 @@ def hardy_evolve(
 class RatioProbeResult:
     times: np.ndarray
     max_ratio: np.ndarray
-    median_ratio: np.ndarray
     min_ratio: np.ndarray
 
     @property
@@ -257,14 +258,14 @@ def kernel_ratio_probe(
     in_window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
     off_origin = _hypot([grid.axis()] * grid.d) > 0.0
 
-    rows = []  # (max, median, min) of the ratio at each output
+    rows = []  # (max, min) of the ratio at each output
     for t_out, values in _strang_intervals(delta.values, grid, spec, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)
         mask = in_window & off_origin & (free.values > _SUPPORT_FLOOR * np.max(free.values))
         ratio = values[mask] / (phi[mask] * phi[idx] * free.values[mask])
-        rows.append((np.max(ratio), np.median(ratio), np.min(ratio)))
+        rows.append((np.max(ratio), np.min(ratio)))
     return RatioProbeResult(times, *np.array(rows).T)
 
 

@@ -67,7 +67,6 @@ class RunRecord:
     dt: np.ndarray
     status: Global | Blowup | NumericalFailure
     monitor_maxima: dict
-    config_hash: str = ""
     # evolve hands outputs to on_output and leaves this None; it stays
     # while perfbench's tracer reads it
     snapshots: list | None = None
@@ -376,9 +375,7 @@ def evolve(
     maxima = {}
     for mon in monitors:
         maxima.update(mon.maxima())
-    return RunRecord(
-        *np.array(rows).T, status=status, monitor_maxima=maxima, config_hash=config.config_hash()
-    )
+    return RunRecord(*np.array(rows).T, status=status, monitor_maxima=maxima)
 
 
 # ---------------------------------------------------------------------------

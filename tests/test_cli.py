@@ -411,8 +411,10 @@ def test_lattice_steps_leave_scipy_unloaded():
 
 
 def test_import_cli_loads_neither_hashlib_nor_numpy_polynomial():
-    # config_hash and the Gauss-Legendre rule import them on first use
-    code = "import sys, fraclab.cli; print(sorted({'hashlib', 'numpy.polynomial'} & set(sys.modules)))"
+    # config_hash and the Gauss-Legendre rule import them on first use, and
+    # fit, the one command that reads CSV, imports csv when it runs
+    late = {"hashlib", "numpy.polynomial", "csv", "_csv"}
+    code = f"import sys, fraclab.cli; print(sorted({late!r} & set(sys.modules)))"
     assert _fresh_python(code) == "[]"
 
 
@@ -462,6 +464,21 @@ def test_wide_two_dimensional_evolve_loads_scipy_fft(tmp_path):
     assert rc == 0
     assert "'scipy.fft'" in modules
     assert "scipy.interpolate" not in modules
+
+
+@pytest.mark.parametrize("command", ["evolve", "linear-evolve"])
+def test_csv_in_a_missing_directory_fails_before_any_run(command, tmp_path, capsys, monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "evolve", run)
+    monkeypatch.setattr(cli, "hardy_evolve", run)
+    path = tmp_path / "missing" / "out.csv"
+    snapshots = ["--snapshot-dir", str(tmp_path / "snaps")] if command == "evolve" else []
+    assert main([command, "--config", str(run_config(tmp_path)), "--csv", str(path)] + snapshots) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: csv file {path}: directory {path.parent} does not exist\n"
+    assert not path.parent.exists() and not (tmp_path / "snaps").exists()
 
 
 def test_evolve_snapshots_need_directory(tmp_path, capsys):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,7 @@ from fraclab.constants import (
     kappa_from_params,
 )
 from fraclab.field import Grid, dyadic_schedule
+from fraclab.nonlinear_solver import evolve
 
 MINIMAL = {
     "params": {"alpha": 0.5, "d": 1, "p": 3.0},
@@ -284,6 +286,39 @@ def test_output_times_checks_a_schedule_made_in_code(schedule, message):
     assert dataclasses.replace(cfg, time=timing).output_times().tolist() == [1.0, 4.0]
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dt_max", -1.0, "time.dt_max: must be positive, got -1.0"),
+        ("eta", 0.0, "time.eta: must lie in (0, 1], got 0.0"),
+        ("blowup_sup_threshold", -1.0, "time.blowup_sup_threshold: must be positive, got -1.0"),
+        ("eta", math.nan, "time.eta: must be finite, got nan"),
+        ("dt_max", math.nan, "time.dt_max: must be finite, got nan"),
+        ("t_end", math.inf, "time.t_end: must be finite, got inf"),
+    ],
+)
+def test_evolve_checks_time_numbers_made_in_code(key, value, message):
+    # a time section built in code skips the parser; evolve reads it through
+    # output_times before its first step.  Run unchecked, these cases end in
+    # Blowup(t_star=-0.5), Blowup(0.0), Blowup(0.1), Global and
+    # NumericalFailure, and a Global run to t_end = inf never ends
+    doc = {
+        "params": {"alpha": 0.5, "d": 1, "p": 3.0},
+        "grid": {"n": 256, "L": 32.0},
+        "time": {"output_schedule": [1.0, 8.0]},
+        "initial": {"kind": "gaussian", "amplitude": 0.5},
+    }
+    cfg = config_from_dict(doc)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(dict(doc, time=dict(doc["time"], **{key: value})))
+    assert message in err.value.errors  # the parser's words
+    bad = dataclasses.replace(cfg, time=dataclasses.replace(cfg.time, **{key: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evolve(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bad.output_times()
+
+
 def test_output_times_rejects_an_unknown_named_schedule_made_in_code():
     # the parser rejects the name; a config built in code must not run the
     # dyadic ladder while it hashes under another name
@@ -368,6 +403,14 @@ OUT_OF_RANGE = dict.fromkeys(("amplitude", "width", "delta", "gamma0", "ell"), 0
 def test_build_rejects_each_out_of_range_number(kind, key):
     spec = InitialSpec(kind, **{key: OUT_OF_RANGE[key]})
     with pytest.raises(ValueError, match=f"initial.{key}: must be"):
+        spec.build(Grid(1, 16, 4.0), ModelParams(alpha=0.5, d=1, p=3.0))
+
+
+def test_build_rejects_an_infinite_number():
+    # the parser's rule: every range holds infinity on one side, so the
+    # range alone would build an infinite datum
+    spec = InitialSpec("gaussian", amplitude=math.inf)
+    with pytest.raises(ValueError, match="^initial.amplitude: must be finite, got inf$"):
         spec.build(Grid(1, 16, 4.0), ModelParams(alpha=0.5, d=1, p=3.0))
 
 

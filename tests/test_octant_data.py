@@ -255,6 +255,22 @@ def test_even_hardy_runs_cache_no_lattice_array(d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_hypercontractivity_builds_no_field(d, monkeypatch):
+    # its fits read norms only, so the last octant is never unfolded into
+    # a lattice Field
+    grid = Grid(d, 32 if d < 3 else 16, 4.0)
+    spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
+    w0 = InitialSpec("gaussian").build(grid, ModelParams(alpha=0.5, d=d, p=3.0))
+
+    def adopt(cls, grid, values):
+        raise AssertionError("a Field was built")
+
+    monkeypatch.setattr(Field, "_adopt", classmethod(adopt))
+    (result,) = hypercontractivity_measure(w0, spec, [(2.0, 1.0)], [0.1, 0.2, 0.4], 2)
+    assert np.all(np.isfinite(result.norms))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_analysis_caches_no_lattice_array(d):
     tail = _analysis_config(d, {"kind": "steady_deficit_tail", "b": 0.0, "ell": _DEFICIT[d][2]},
                             [0.5, 0.75, 1.0])

@@ -129,7 +129,7 @@ def test_lattice_step_matches_the_scipy_pair(d, n, alpha, t, seed):
     v = _values(grid, seed)
     prop = SpectralPropagator(grid, alpha)
     out = prop(v, t)
-    expected = scipy.fft.irfftn(scipy.fft.rfftn(v) * prop.multiplier(t), grid.shape)
+    expected = scipy.fft.irfftn(scipy.fft.rfftn(v) * prop._multiplier(t, True), grid.shape)
     if d < 3:
         assert np.array_equal(out, expected)
     else:
@@ -417,7 +417,7 @@ def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
         with fft_workers(2):
             full = prop(v, 0.3)
             octant = prop.octant(fold(v), 0.3)
-        assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop.multiplier(0.3), grid.n))
+        assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop._multiplier(0.3, True), grid.n))
         assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
 
 
@@ -452,10 +452,72 @@ def test_only_split_steps_read_the_worker_count(monkeypatch):
 
 def test_propagator_reuses_the_multiplier_of_the_last_time():
     prop = SpectralPropagator(_grid(2), 1.0)
-    first = prop.multiplier(0.25)
-    assert prop.multiplier(0.25) is first
-    assert prop.multiplier(0.5) is not first
+    first = prop._multiplier(0.25, True)
+    assert prop._multiplier(0.25, True) is first
+    assert prop._multiplier(0.5, True) is not first
     assert propagator(_grid(2), 1.0) is propagator(_grid(2), 1.0)
+
+
+# Where the diffusion step is positive.  e^{-tA}, A the lattice generator
+# F^{-1}|k|^alpha F, is >= 0 for every t exactly when A is a Z-matrix: every
+# off-diagonal entry <= 0 (its rows sum to 0, the symbol being 0 at k = 0).
+# The entries are the lattice kernel irfftn(|k|^alpha), whose first entry
+# is the diagonal; rescaling k leaves their signs and ratios alone.
+
+
+def _largest_off_diagonal(d: int, n: int, alpha: float) -> float:
+    """The largest off-diagonal entry of the lattice generator, over its diagonal."""
+    full, half = np.abs(np.fft.fftfreq(n, 1.0 / n)), np.arange(n // 2 + 1.0)
+    axes = [full] * (d - 1) + [half]
+    k2 = sum(np.reshape(a * a, [-1 if i == j else 1 for j in range(d)]) for i, a in enumerate(axes))
+    kernel = np.fft.irfftn(k2 ** (0.5 * alpha), (n,) * d, axes=tuple(range(d))).ravel()
+    return float(np.max(kernel[1:]) / kernel[0])
+
+
+@pytest.mark.parametrize("n", [64, 256, 4096])
+def test_the_one_dimensional_generator_is_a_z_matrix_only_up_to_alpha_one(n):
+    for alpha in (0.3, 0.5, 0.9):
+        assert _largest_off_diagonal(1, n, alpha) < 0.0, alpha
+    # alpha = 1: the kernel's even offsets are exact zeros, so the sign is
+    # decided to 1e-12 of the diagonal, against -2.6e-5 at alpha 0.9 and
+    # +1.3e-2 at 1.1 for n 256
+    assert _largest_off_diagonal(1, n, 1.0) <= 1e-12
+    for alpha in (1.1, 1.5, 1.9):
+        assert _largest_off_diagonal(1, n, alpha) > 1e-2, alpha
+
+
+@pytest.mark.parametrize("d, n", [(2, 128), (3, 64)])
+def test_no_generator_past_one_dimension_is_a_z_matrix(d, n):
+    # the symbol is cut off by the cube of frequencies, not by a ball
+    for alpha in (0.3, 0.5, 0.9, 1.0, 1.5, 1.9):
+        assert _largest_off_diagonal(d, n, alpha) > 1e-5, alpha
+
+
+def _spike_step_minimum(d: int, n: int, alpha: float) -> float:
+    """The least min/max of one octant step of a unit spike at the origin,
+    over t in {1e-4, 1e-2, 1} h^alpha."""
+    grid = Grid(d, n, 32.0)
+    prop, worst = SpectralPropagator(grid, alpha), math.inf
+    for scale in (1e-4, 1e-2, 1.0):
+        spike = np.zeros((n // 2 + 1,) * d)
+        spike.flat[0] = 1.0
+        out = prop.octant(spike, scale * grid.h ** alpha)
+        worst = min(worst, float(out.min() / out.max()))
+    return worst
+
+
+@pytest.mark.parametrize("n", [256, 1024, 32768])  # the matrix and the transform-order routes
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+def test_one_dimensional_steps_up_to_alpha_one_are_positive(n, alpha):
+    # at alpha = 1 and t = 1e-4 h the minimum is the rounding of the
+    # transforms (5.6e-17 at n 32768), so 1e-14 of the peak is let through
+    assert _spike_step_minimum(1, n, alpha) >= -1e-14
+
+
+@pytest.mark.parametrize("d, n, alpha", [(1, 256, 1.5), (2, 64, 0.5), (3, 32, 0.5)])
+def test_steps_past_one_dimension_or_alpha_one_ring_below_zero(d, n, alpha):
+    # -1.5e-3, -3.8e-5 and -2.0e-3 of the peak
+    assert _spike_step_minimum(d, n, alpha) < -1e-5
 
 
 @PROPERTY
