@@ -465,9 +465,11 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
     -(d - 2 sigma)/(2 alpha).
 
     Raises if the difference dips negative beyond rounding (order
-    preservation must hold between the run and its reference), if the
-    series is not monotone non-increasing on the fit window, or if the
-    deficit sits at the rounding floor (b = 0: nothing to fit).
+    preservation must hold between the run and its reference, from the
+    first resolved time 4 h^alpha of field.dyadic_schedule; before it the
+    lattice kernel rings), if the series is not monotone non-increasing on
+    the fit window, or if the deficit sits at the rounding floor (b = 0:
+    nothing to fit).
     """
     if config.initial.kind != "steady_deficit_bump":
         raise ValueError(
@@ -480,12 +482,14 @@ def l2_stability_check(config: ExperimentConfig) -> FitResult:
     peak = max(float(np.max(np.abs(w))) for w in run.deficits)
     if peak <= run.floor:
         raise ValueError("deficit at the rounding floor; no rate to fit")
-    worst = min(float(np.min(w)) for w in run.deficits)
-    if worst < -1e-6 * peak:
-        raise RuntimeError(
-            f"deficit went negative ({worst:.3g} against peak {peak:.3g}); "
-            "the run overtook its reference"
-        )
+    minima = np.array([np.min(w) for w in run.deficits])
+    k = int(np.argmin(minima))
+    if minima[k] < -1e-6 * peak:
+        t0 = 4.0 * grid.h ** config.params.alpha  # dyadic_schedule's first resolved time
+        resolved_dip = np.any(minima[run.times >= t0] < -1e-6 * peak)
+        cause = "the run overtook its reference" if resolved_dip else (
+            f"at t = {run.times[k]:.3g}, before 4 h^alpha = {t0:.3g}, the lattice kernel is under-resolved")
+        raise RuntimeError(f"deficit went negative ({minima[k]:.3g} against peak {peak:.3g}); {cause}")
     window = default_fit_window(run.times, grid, config.params.alpha)
     in_window = _in_window(run.times, window)
     if not _monotone(values[in_window]):

@@ -200,6 +200,9 @@ def cmd_fit(args) -> int:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     if not rows:
         raise ValueError(f"{args.csv} has no data rows")
+    for k, row in enumerate(rows, 1):
+        if None in row or None in row.values():  # a long row, or a short one
+            raise ValueError(f"{args.csv}: data row {k} has not as many fields as the header")
     if args.column not in rows[0] or "t" not in rows[0]:
         raise ValueError(f"column {args.column!r} or 't' not in {sorted(rows[0])}")
     times = [float(row["t"]) for row in rows]

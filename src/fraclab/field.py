@@ -587,15 +587,16 @@ def _cosine_step(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
 class SpectralPropagator:
     """exp(-t (-Laplace)^{alpha/2}) on one grid, in two layouts.
 
-    Calling it carries a full lattice array by numpy's rfftn/irfftn at
-    every d, on the calling thread.  octant() carries the octant of a
-    field that is even in every coordinate (see fold), whose DFT is the
-    type-1 DCT of the octant (Martucci 1994).  An octant of at most
-    GEMM_MAX points per axis takes it as one matrix product per axis with
-    a cached cosine matrix (see _cosine_step), in 3-d each pass in two
-    fixed halves, one per worker when there are two, so the bits do not
-    depend on the worker count.  A wider one takes scipy.fft's dctn/idctn
-    with workers on d >= 2, the one place scipy is imported.
+    Calling it reads the layout from the array, as norm does.  The grid's
+    shape is the full lattice, carried by numpy's rfftn/irfftn on the
+    calling thread; the octant of a field even in every coordinate (see
+    fold) has the type-1 DCT of the octant for its DFT (Martucci 1994),
+    taken on a route the grid fixes.  At most GEMM_MAX points per axis
+    take one matrix product per axis with a cached cosine matrix (see
+    _cosine_step), in 3-d each pass in two fixed halves, one per worker
+    when there are two, so the bits do not depend on the worker count.  A
+    wider octant takes scipy.fft's dctn/idctn with workers on d >= 2, the
+    one place scipy is imported.
 
     A wider 1-d octant steps in transform order.  Its DCT-I is C = K W,
     K the symmetric cosine kernel and W = diag(1, 2, ..., 2, 1), and
@@ -610,10 +611,10 @@ class SpectralPropagator:
 
     The symbol |k|^alpha lives on the rfftfreq half axis in every
     dimension; the full layout's multiplier is its reflection on all axes
-    but the last.  One cache entry holds the multipliers of the last t
-    (equal substeps reuse them), each made on first use, swapped as one
-    tuple, so shared instances are safe across threads.  The zero mode
-    carries multiplier 1, so mass is preserved exactly.
+    but the last.  Each layout keeps the multiplier of its last t (equal
+    substeps reuse it), as one (t, multiplier) tuple swapped whole, so
+    shared instances are safe across threads.  The zero mode carries
+    multiplier 1, so mass is preserved exactly.
     """
 
     def __init__(self, grid: Grid, alpha: float):
@@ -621,51 +622,43 @@ class SpectralPropagator:
             raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
         self._symbol = _cached(grid, ("symbol", alpha), lambda g: _octant_freq_magnitude(g) ** alpha)
         self._shape = grid.shape
-        self._ordered = grid.d == 1 and grid.n // 2 + 1 > GEMM_MAX  # steps in transform order
-        self._last = (None, None, None)  # t, octant multiplier, full-layout multiplier
-
-    def _decay(self, t: float) -> np.ndarray:
-        """e^{-t|k|^alpha} on the octant, as a new array."""
-        decay = np.multiply(self._symbol, -t)
-        return np.exp(decay, out=decay)
+        self._route = "cosine" if grid.n // 2 + 1 <= GEMM_MAX else "ordered" if grid.d == 1 else "scipy"
+        self._last = {True: (None, None), False: (None, None)}  # per layout: t, multiplier
 
     def _multiplier(self, t: float, full: bool) -> np.ndarray:
         """The multiplier of t in the full layout, or else in the octant's."""
-        last_t, octant, whole = self._last
-        if last_t != t:
-            octant = whole = None
-        if self._ordered:
-            if full and whole is None:
-                whole = self._decay(t)
-            if not full and octant is None:
-                octant = np.empty(self._symbol.size)
-                base = _transform_order(self._symbol, octant)
-                np.multiply(octant, -t, out=octant)
-                np.exp(octant, out=octant)
-                octant *= 1.0 / self._shape[0]
-                base[0] *= 0.5
-                base[-1] *= 0.5
+        last_t, mult = self._last[full]
+        if last_t == t:
+            return mult
+        if full or self._route != "ordered":
+            mult = np.multiply(self._symbol, -t)
+            np.exp(mult, out=mult)
+            if full and mult.ndim > 1:
+                mult = _mirror(mult, mult.ndim - 1)
         else:
-            if octant is None:
-                octant = self._decay(t)
-            if full and whole is None:
-                whole = octant if octant.ndim == 1 else _mirror(octant, octant.ndim - 1)
-        self._last = (t, octant, whole)
-        return whole if full else octant
+            mult = np.empty(self._symbol.size)
+            base = _transform_order(self._symbol, mult)
+            np.multiply(mult, -t, out=mult)
+            np.exp(mult, out=mult)
+            mult *= 1.0 / self._shape[0]
+            base[0] *= 0.5
+            base[-1] *= 0.5
+        self._last[full] = (t, mult)
+        return mult
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
-        """A new full lattice array: values carried forward by time t."""
-        axes = tuple(range(len(self._shape)))
-        spectrum = np.fft.rfftn(values, axes=axes)
-        spectrum *= self._multiplier(t, True)
-        return np.fft.irfftn(spectrum, self._shape, axes=axes)
-
-    def octant(self, values: np.ndarray, t: float) -> np.ndarray:
-        """A new octant array: the even field with this octant carried
-        forward by time t, folded again."""
-        if values.shape[0] <= GEMM_MAX:
+        """A new array in the layout of values, carried forward by time t:
+        the lattice, or the even field with this octant, folded again."""
+        if values.shape == self._shape:
+            axes = tuple(range(values.ndim))
+            spectrum = np.fft.rfftn(values, axes=axes)
+            spectrum *= self._multiplier(t, True)
+            return np.fft.irfftn(spectrum, self._shape, axes=axes)
+        if values.shape != self._symbol.shape:
+            raise ValueError(f"shape {values.shape} is neither {self._shape} nor {self._symbol.shape}")
+        if self._route == "cosine":
             return _cosine_step(values, self._multiplier(t, False))
-        if values.ndim == 1:
+        if self._route == "ordered":
             out = _dct1_forward(values)
             out *= self._multiplier(t, False)
             _dct1_transpose(out)

@@ -82,9 +82,9 @@ def _strang_intervals(values: np.ndarray, grid: Grid, spec: HardyOperatorSpec, t
     """Yield (t, values) at each output time, covering every interval from
     the previous time (0 first) by equal Strang substeps of spec's flow.
 
-    A state of grid.shape is the lattice, stepped by the propagator with the
-    potential unfolded; any other is the octant (see field.fold; n >= 16
-    gives n/2 + 1 < n), stepped by its octant layout.  The potential
+    A state of grid.shape is the lattice, whose potential is unfolded; any
+    other is the octant (see field.fold; n >= 16 gives n/2 + 1 < n).  The
+    propagator reads the layout from the state, as norm does.  The potential
     half-steps between two diffusions fuse into one e^{dt V}, and e^{dt V/2}
     is built once per interval.  The input array is left alone, and a
     yielded array is never written again.
@@ -92,10 +92,7 @@ def _strang_intervals(values: np.ndarray, grid: Grid, spec: HardyOperatorSpec, t
     if substeps < 1:
         raise ValueError("substeps_per_interval must be at least 1")
     step, potential = propagator(grid, spec.alpha), spec.octant_potential(grid)
-    if values.shape == grid.shape:
-        potential = unfold(potential)
-    else:
-        step = step.octant
+    potential = unfold(potential) if values.shape == grid.shape else potential
     t_prev = 0.0
     for t_out in times:
         dt = (t_out - t_prev) / substeps
@@ -251,19 +248,21 @@ def kernel_ratio_probe(
     times = _check_schedule(times)
     delta, idx = _cell_delta(grid, y)
     y_point = tuple(grid.axis()[i] for i in idx)
-    if window_radius is None:
-        window_radius = _far_field_radius(grid)
+    window_radius = _far_field_radius(grid) if window_radius is None else window_radius
 
     # distance from the source point, unwrapped coordinates
-    in_window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
-    off_origin = _hypot([grid.axis()] * grid.d) > 0.0
+    window = _hypot([grid.axis() - c for c in y_point]) <= window_radius
+    window &= _hypot([grid.axis()] * grid.d) > 0.0  # off the origin cell
+    if not (0.0 < window_radius < math.inf and np.any(window)):
+        raise ValueError(f"window_radius must be positive and finite, and the window must hold a "
+                         f"lattice point off the origin; got {window_radius}")
 
     rows = []  # (max, min) of the ratio at each output
     for t_out, values in _strang_intervals(delta.values, grid, spec, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
         wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)
-        mask = in_window & off_origin & (free.values > _SUPPORT_FLOOR * np.max(free.values))
+        mask = window & (free.values > _SUPPORT_FLOOR * np.max(free.values))
         ratio = values[mask] / (phi[mask] * phi[idx] * free.values[mask])
         rows.append((np.max(ratio), np.min(ratio)))
     return RatioProbeResult(times, *np.array(rows).T)

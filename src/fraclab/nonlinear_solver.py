@@ -124,8 +124,8 @@ def _reaction(values: np.ndarray, dt: float, p: float, peak: float):
 
 
 def _diffuse(values: np.ndarray, grid: Grid, dt: float, alpha: float) -> np.ndarray:
-    """Diffusion substep on the octant state of evolve."""
-    return propagator(grid, alpha).octant(values, dt)
+    """Diffusion substep on evolve's octant state; the propagator reads its layout from the shape."""
+    return propagator(grid, alpha)(values, dt)
 
 
 # ---------------------------------------------------------------------------

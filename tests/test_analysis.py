@@ -411,22 +411,43 @@ def test_l2_stability_zero_bump_is_floor():
         l2_stability_check(l2_config(0.0))
 
 
-@pytest.mark.parametrize("dip, scales, phrase", [
-    (-2e-6, np.geomspace(1.0, 0.1, 10), "went negative"),  # below -1e-6 of the peak
-    (0.0, [1.0, 0.9, 0.8, 0.7, 0.6, 0.65, 0.5, 0.4, 0.3, 0.2], "not monotone"),
+@pytest.mark.parametrize("dip, at, scales, phrase", [
+    # below -1e-6 of the peak, at t = 1.72 before the first resolved time
+    # 4 h^alpha = 2, and at t = 2.85 after it
+    pytest.param(-2e-6, 3, np.geomspace(1.0, 0.1, 10),
+                 r"went negative.*at t = 1.72, before 4 h\^alpha = 2, the lattice kernel is under-resolved",
+                 id="-2e-06-scales0-went negative"),
+    pytest.param(0.0, 3, [1.0, 0.9, 0.8, 0.7, 0.6, 0.65, 0.5, 0.4, 0.3, 0.2], "not monotone",
+                 id="0.0-scales1-not monotone"),
+    pytest.param(-2e-6, 5, np.geomspace(1.0, 0.1, 10), "went negative.*the run overtook its reference",
+                 id="-2e-06-scales2-overtook"),
 ])
-def test_l2_stability_rejects_a_negative_or_rising_deficit(monkeypatch, dip, scales, phrase):
+def test_l2_stability_rejects_a_negative_or_rising_deficit(monkeypatch, dip, at, scales, phrase):
     cfg = l2_config(0.1)
     times = np.geomspace(0.8, 8.0, 10)  # the fit window (0.8, 8) holds them all
     bump = np.exp(-cfg.build_grid().octant_radius() ** 2)
     deficits = tuple(c * bump for c in scales)
-    deficits[3][-1] = dip  # a far-field point, where the bump is 0
+    deficits[at][-1] = dip  # a far-field point, where the bump is 0
 
     def crafted(config):
         return an.DeficitEvolution(times, deficits, reference_drift=0.0, floor=1e-13)
 
     monkeypatch.setattr(an, "deficit_evolution", crafted)
     with pytest.raises(RuntimeError, match=phrase):
+        l2_stability_check(cfg)
+
+
+def test_l2_stability_blames_an_unresolved_dip_on_the_kernel():
+    # every negative output of this 3-d deficit lies at t <= 1.44, below
+    # 4 h^alpha = 4, where the lattice kernel rings (see linear_propagators)
+    cfg = config_from_dict({
+        "params": {"alpha": 1.0, "d": 3, "p": 1.575},
+        "grid": {"n": 64, "L": 32.0},
+        "time": {"t_end": 4.0, "output_schedule": list(np.geomspace(0.4, 4.0, 10))},
+        "initial": {"kind": "steady_deficit_bump", "b": 0.1},
+    })
+    with pytest.raises(RuntimeError, match=r"went negative .*; at t = 0.4, before 4 h\^alpha = 4, "
+                                           r"the lattice kernel is under-resolved$"):
         l2_stability_check(cfg)
 
 

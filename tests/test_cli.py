@@ -811,6 +811,20 @@ def test_fit_too_few_points_is_usage_error(tmp_path, capsys):
         assert words in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, k", [("3", 3), ("2,1,7", 2)])
+def test_fit_rejects_a_row_with_the_wrong_field_count(tmp_path, capfd, row, k):
+    # csv.DictReader fills a short row with None and files a long row's
+    # extra fields under the key None; both are refused by row number
+    path = tmp_path / "series.csv"
+    lines = ["1,1", "2,0.5", "4,0.25", "8,0.125", "16,0.0625"]
+    lines[k - 1] = row
+    path.write_text("t,sup_norm\n" + "\n".join(lines) + "\n")
+    assert main(["fit", "--csv", str(path), "--column", "sup_norm"]) == 1
+    out, err = capfd.readouterr()
+    assert err == f"error: {path}: data row {k} has not as many fields as the header\n"
+    assert out == ""
+
+
 def test_fit_window_with_one_distinct_time_is_usage_error(tmp_path, capfd):
     # one distinct time leaves the least-squares system singular, which LAPACK reports on its own
     path = tmp_path / "series.csv"

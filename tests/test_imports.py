@@ -85,4 +85,4 @@ def test_scipy_is_imported_only_for_wide_octants():
     # octant wider than GEMM_MAX on d >= 2
     sites = [f"{path.stem}:{site}" for path in sorted(SRC.glob("*.py"))
              for site in _import_sites(ast.parse(path.read_text(), str(path)), "scipy")]
-    assert sites == ["field:SpectralPropagator.octant"]
+    assert sites == ["field:SpectralPropagator.__call__"]

@@ -282,6 +282,17 @@ def test_kernel_ratio_rejects_supercritical_kappa():
         kernel_ratio_probe(g, spec, (0.5,), [1.0])
 
 
+@pytest.mark.parametrize("radius", [0.125, 0.0, -1.0, math.nan, math.inf])
+def test_kernel_ratio_rejects_an_empty_or_invalid_window(monkeypatch, radius):
+    # h/2 = 0.125 around y = 0 holds only the origin cell, which the probe
+    # drops; the window is checked before the first interval's flow
+    monkeypatch.setattr(lp, "_strang_intervals", lambda *_: pytest.fail("a flow ran"))
+    g = Grid(1, 256, 32.0)
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
+    with pytest.raises(ValueError, match="window_radius"):
+        kernel_ratio_probe(g, spec, 0.0, [1.0, 2.0], window_radius=radius)
+
+
 def test_hypercontractivity_no_gain_at_equal_exponents():
     # a constant field is invariant under the free flow: slope exactly 0
     g = Grid(1, 64, 8.0)

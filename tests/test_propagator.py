@@ -16,7 +16,10 @@ mode, and give the same bits when one propagator is shared by threads;
 1-d ones stay on the calling thread.  A wider 1-d octant steps in
 transform order: its halving DCT-I must equal the rfft of the unfolded
 line, permuted, and its backward pass must be that map's exact
-transpose.  Every octant step agrees with the full layout to 1e-12.
+transpose.  Every octant step agrees with the full layout to 1e-12.  One
+call serves both layouts: it reads the layout from the array's shape,
+refuses an array of neither shape, and keeps the multiplier of each
+layout's last step apart.
 """
 
 import math
@@ -181,7 +184,7 @@ OCTANT_GRIDS = [*(Grid(1, n, 4.0) for n in (64, 256, 4096, 2 ** 14, LONG)),
 def test_octant_propagator_matches_the_full_lattice(grid, alpha, t, seed):
     v = _even(grid, seed)
     prop = SpectralPropagator(grid, alpha)
-    octant = prop.octant(fold(v), t)
+    octant = prop(fold(v), t)
     full = prop(v, t)
     assert np.max(np.abs(unfold(octant) - full)) <= 1e-12 * np.max(np.abs(full))
 
@@ -247,7 +250,7 @@ def test_octant_propagator_does_not_depend_on_fft_workers(d, alpha, t, seed):
     outs = []
     for workers in (1, 2):
         with fft_workers(workers):
-            outs.append(prop.octant(octant, t))
+            outs.append(prop(octant, t))
     assert np.array_equal(*outs)
 
 
@@ -271,7 +274,7 @@ def test_cosine_octant_step_matches_scipy_dct1(d, n):
     outs = []
     for workers in (1, 2):
         with fft_workers(workers):
-            outs.append(prop.octant(x, 0.05))
+            outs.append(prop(x, 0.05))
     assert np.max(np.abs(outs[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.array_equal(*outs)
 
@@ -282,7 +285,7 @@ def test_cosine_octant_step_keeps_the_zero_mode(d, n, alpha, t, seed):
     # the zero mode of the octant's DCT-I is its mass: the multiplicity-weighted sum
     grid = Grid(d, n, 4.0)
     x = np.random.default_rng(seed).standard_normal((n // 2 + 1,) * d)
-    out = propagator(grid, alpha).octant(x, t)
+    out = propagator(grid, alpha)(x, t)
     weights = multiplicity(grid)
     assert math.isclose(np.vdot(weights, out), np.vdot(weights, x),
                         rel_tol=0.0, abs_tol=1e-12 * np.vdot(weights, np.abs(x)))
@@ -299,7 +302,7 @@ def test_clear_grid_cache_drops_the_cosine_matrices():
     # and the twiddles of the halving DCT-I pair of a long octant: one
     # read-only pair for its top level, which the levels below stride
     grid = Grid(1, LONG, 512.0)
-    propagator(grid, 0.7).octant(fold(_even(grid, 3)), 0.3)
+    propagator(grid, 0.7)(fold(_even(grid, 3)), 0.3)
     assert _halving_twiddles.cache_info().currsize == 1
     phases, weighted = _halving_twiddles(LONG // 4)
     assert phases.shape == weighted.shape == (LONG // 8 + 1,)
@@ -317,14 +320,14 @@ def test_split_propagator_shared_across_threads():
     octant = np.random.default_rng(7).standard_normal((grid.n // 2 + 1,) * 3)
     steps = [0.1 * (k + 1) for k in range(4)]
     with fft_workers(1):
-        expected = [prop.octant(octant, t) for t in steps]
+        expected = [prop(octant, t) for t in steps]
     results, errors = {}, []
 
     def run(k):
         try:
             with fft_workers(2):
                 for _ in range(3):
-                    results.setdefault(k, []).append(prop.octant(octant, steps[k]))
+                    results.setdefault(k, []).append(prop(octant, steps[k]))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -351,13 +354,13 @@ def test_long_line_propagator_shared_across_threads():
     prop = SpectralPropagator(grid, 0.5)
     octant = fold(_even(grid, 11))
     steps = [0.1 * (k + 1) for k in range(4)]
-    expected = [prop.octant(octant, t) for t in steps]
+    expected = [prop(octant, t) for t in steps]
     results, errors = {}, []
 
     def run(k):
         try:
             for _ in range(3):
-                results.setdefault(k, []).append(prop.octant(octant, steps[k]))
+                results.setdefault(k, []).append(prop(octant, steps[k]))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -386,19 +389,19 @@ def test_long_octant_step_holds_little_memory():
     grid = Grid(1, 2 * LONG, 512.0)
     prop = propagator(grid, 0.5)
     octant = fold(_even(grid, 13))
-    prop.octant(octant, 0.3)
+    prop(octant, 0.3)
     tracemalloc.start()
     try:
-        prop.octant(octant, 0.3)
+        prop(octant, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * octant.nbytes
     slot = field._GRID_CACHE[(grid.d, grid.n, grid.half_length)]
     assert list(slot) == [("symbol", 0.5)]
-    t, *multipliers = prop._last
-    assert t == 0.3 and [m is not None for m in multipliers] == [True, False]
-    assert multipliers[0].shape == octant.shape
+    t, multiplier = prop._last[False]
+    assert t == 0.3 and multiplier.shape == octant.shape
+    assert prop._last[True] == (None, None)  # no lattice step was taken
     clear_grid_cache()
 
 
@@ -416,7 +419,7 @@ def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
         v = _even(grid, 5)
         with fft_workers(2):
             full = prop(v, 0.3)
-            octant = prop.octant(fold(v), 0.3)
+            octant = prop(fold(v), 0.3)
         assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop._multiplier(0.3, True), grid.n))
         assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
 
@@ -456,6 +459,38 @@ def test_propagator_reuses_the_multiplier_of_the_last_time():
     assert prop._multiplier(0.25, True) is first
     assert prop._multiplier(0.5, True) is not first
     assert propagator(_grid(2), 1.0) is propagator(_grid(2), 1.0)
+
+
+@pytest.mark.parametrize("grid", [_grid(2), Grid(1, 2 * LONG, 512.0)])
+def test_each_layout_keeps_the_multiplier_of_its_last_step(grid):
+    # an octant step at another t between two lattice steps at one t
+    # leaves the lattice's multiplier in place, on the cosine route and on
+    # the transform-order one
+    prop = SpectralPropagator(grid, 0.7)
+    v = _even(grid, 19)
+    prop(v, 0.25)
+    first = prop._multiplier(0.25, True)
+    prop(fold(v), 0.5)
+    prop(v, 0.25)
+    assert prop._multiplier(0.25, True) is first
+
+
+def _wrong_shapes(grid: Grid) -> list:
+    """Arrays of neither the lattice's shape nor the octant's: a point too
+    many or too few on one axis, and an axis too many."""
+    n, m, d = grid.n, grid.n // 2 + 1, grid.d
+    shapes = [(m + 1,) * d, (m,) * (d - 1) + (m - 1,), (n,) * (d - 1) + (n - 1,), (1,) + (m,) * d]
+    return [np.ones(shape) for shape in shapes]
+
+
+# the cosine route at d = 1, 2 and 3, the transform-order route and scipy's
+@pytest.mark.parametrize("grid", [_grid(1), _grid(2), _grid(3), Grid(1, 2 * LONG, 512.0), Grid(2, 512, 4.0)])
+def test_an_array_of_neither_layout_is_refused(grid):
+    prop = SpectralPropagator(grid, 0.7)
+    for values in _wrong_shapes(grid):
+        with pytest.raises(ValueError, match="neither"):
+            prop(values, 0.3)
+    assert prop._last == {True: (None, None), False: (None, None)}  # no multiplier was made
 
 
 # Where the diffusion step is positive.  e^{-tA}, A the lattice generator
@@ -501,7 +536,7 @@ def _spike_step_minimum(d: int, n: int, alpha: float) -> float:
     for scale in (1e-4, 1e-2, 1.0):
         spike = np.zeros((n // 2 + 1,) * d)
         spike.flat[0] = 1.0
-        out = prop.octant(spike, scale * grid.h ** alpha)
+        out = prop(spike, scale * grid.h ** alpha)
         worst = min(worst, float(out.min() / out.max()))
     return worst
 

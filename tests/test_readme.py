@@ -1,7 +1,13 @@
-"""README's Python example runs as written and prints what it says."""
+"""README's Python example runs as written and prints what it says, and every
+command in its table parses."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from fraclab.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +19,16 @@ def test_readme_python_example_runs():
     bracket = namespace["bracket"]
     assert bracket.ratio <= 1.1
     assert (round(bracket.lambda_global, 3), round(bracket.lambda_blowup, 3)) == (0.979, 1.035)
+
+
+def test_readme_commands_parse():
+    # every command of README's table is one the parser accepts, so a flag
+    # renamed in cli.py cannot leave the table stale
+    commands = re.findall(r"^\| `fraclab ([^`]*)` \|", README.read_text(), re.M)
+    assert len(commands) == 8
+    for command in commands:
+        try:
+            args = build_parser().parse_args(shlex.split(command))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fraclab {command}")
+        assert args.command == command.split()[0]
