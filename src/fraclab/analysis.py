@@ -105,8 +105,8 @@ def fit_power_law(times, values, window=None) -> FitResult:
 
 
 def run_sweep(configs) -> list:
-    """Evolve classify's probes in order, with the caller's FFT workers
-    (fft_workers).  Each runs with evolve's certify, so a Blowup run may
+    """Evolve classify's probes in order, with the process's worker count
+    (thread_count).  Each runs with evolve's certify, so a Blowup run may
     end early at its box time.
 
     Runs are deterministic per config, so any worker count yields the

@@ -30,8 +30,7 @@ from .constants import (
     singular_morrey_norm,
     solve_sigma,
 )
-from .field import (SnapshotFormatError, SnapshotMeta, fft_workers, open_snapshot, thread_count,
-                    write_octant_snapshot)
+from .field import SnapshotFormatError, SnapshotMeta, open_snapshot, thread_count, write_octant_snapshot
 from .linear_propagators import HardyOperatorSpec, hardy_evolve
 from .morrey import MorreyQuery, morrey_estimate
 from .nonlinear_solver import NumericalFailure, evolve
@@ -120,6 +119,7 @@ def cmd_steady_check(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    thread_count()  # a malformed FRACLAB_THREADS fails before any work
     config = _load_config(args.config)
     _check_folder(args.csv, "csv file")
     every, snapshot_dir = args.snapshot_every, args.snapshot_dir
@@ -146,6 +146,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_linear_evolve(args) -> int:
+    thread_count()
     config = _load_config(args.config)
     _check_folder(args.csv, "csv file")
     spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
@@ -175,11 +176,11 @@ def cmd_morrey(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    os.environ["FRACLAB_THREADS"] = str(thread_count(args.threads))  # this process's worker count
     config = _load_config(args.config)
-    with fft_workers(thread_count(args.threads)):
-        bracket = classify_threshold(
-            config, args.lambda_min, args.lambda_max, tol=args.tol, state_path=args.state
-        )
+    bracket = classify_threshold(
+        config, args.lambda_min, args.lambda_max, tol=args.tol, state_path=args.state
+    )
     context = (
         singular_morrey_norm(config.params) if config.params.singular_regime else None
     )
@@ -205,8 +206,16 @@ def cmd_fit(args) -> int:
             raise ValueError(f"{args.csv}: data row {k} has not as many fields as the header")
     if args.column not in rows[0] or "t" not in rows[0]:
         raise ValueError(f"column {args.column!r} or 't' not in {sorted(rows[0])}")
-    times = [float(row["t"]) for row in rows]
-    values = [float(row[args.column]) for row in rows]
+
+    def cells(column):
+        for k, row in enumerate(rows, 1):
+            try:
+                yield float(row[column])
+            except ValueError:
+                raise ValueError(f"{args.csv}: data row {k}, column {column!r}: {row[column]!r} "
+                                 "is not a number") from None
+
+    times, values = list(cells("t")), list(cells(args.column))
     positive = [t for t in times if t > 0.0]
     if not positive:
         raise ValueError("no positive times to fit")
@@ -280,7 +289,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--tol", type=float, default=0.1)
     p.add_argument("--state", help="resumable bisection state (JSON)")
-    p.add_argument("--threads", type=int, help="FFT workers; FRACLAB_THREADS as fallback")
+    p.add_argument("--threads", type=int, help="worker count: sets FRACLAB_THREADS for this process")
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("fit", help="power-law fit of a CSV column against t")

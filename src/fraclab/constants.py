@@ -185,6 +185,8 @@ def solve_sigma(kappa: float, d: int, alpha: float) -> float:
     C is increasing on that interval, so bisection applies.  C is symmetric
     about (d - alpha)/2, so the companion root is d - alpha - sigma.
     """
+    if not d > alpha:
+        raise ValueError(f"a weight exponent needs d > alpha, got d={d}, alpha={alpha}")
     if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     top = (d - alpha) / 2.0

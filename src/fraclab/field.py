@@ -352,12 +352,11 @@ def octant_steady_state(grid: Grid, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fractional heat flow
 
-_FFT_SHARE = threading.local()
-
 
 def thread_count(threads=None) -> int:
     """Worker count: explicit argument, else FRACLAB_THREADS, else every CPU
-    this process may run on."""
+    this process may run on.  Every step that takes workers asks here, with
+    no argument; classify --threads sets FRACLAB_THREADS."""
     if threads is not None:
         n = int(threads)
     else:
@@ -374,17 +373,6 @@ def thread_count(threads=None) -> int:
     if n < 1:
         raise ValueError(f"thread count must be positive, got {n}")
     return n
-
-
-@contextmanager
-def fft_workers(n: int):
-    """Give this thread's spectral transforms n workers inside the block;
-    outside any block they take thread_count()."""
-    previous, _FFT_SHARE.workers = getattr(_FFT_SHARE, "workers", None), n
-    try:
-        yield
-    finally:
-        _FFT_SHARE.workers = previous
 
 
 # Octant lines of at most _DCT1_BASE + 1 points take their type-1 DCT as
@@ -562,7 +550,7 @@ def _cosine_step(values: np.ndarray, mult: np.ndarray) -> np.ndarray:
     per axis.  Only such a step reads the worker count."""
     m, d = values.shape[0], values.ndim
     c, half = _cosine_matrix(m), m // 2
-    workers = _workers() if d == 3 and m >= _GEMM_PAIR_MIN else 1
+    workers = thread_count() if d == 3 and m >= _GEMM_PAIR_MIN else 1
     buffers = np.empty(values.shape), np.empty(values.shape)
     src = values
     for k in range(2 * d):
@@ -667,14 +655,10 @@ class SpectralPropagator:
             return out
         import scipy.fft  # deferred: only these octants load it
 
-        workers = _workers()
+        workers = thread_count()
         spectrum = scipy.fft.dctn(values, type=1, workers=workers)
         spectrum *= self._multiplier(t, False)
         return scipy.fft.idctn(spectrum, type=1, workers=workers, overwrite_x=True)
-
-
-def _workers() -> int:
-    return getattr(_FFT_SHARE, "workers", None) or thread_count()
 
 
 @functools.lru_cache(maxsize=None)

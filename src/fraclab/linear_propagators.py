@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import power_map_coeff_max, solve_sigma
+from .constants import solve_sigma
 from .field import (
     Field,
     Grid,
@@ -64,8 +64,8 @@ class HardyOperatorSpec:
     def sigma(self) -> float:
         """Weight exponent: the smaller root of the power-map equation.
 
-        Raises for kappa beyond the critical coupling (no root exists and
-        the weighted theory does not apply).
+        Raises for a positive kappa beyond the critical coupling, or with
+        d <= alpha (no root exists and the weighted theory does not apply).
         """
         if self.kappa == 0.0:
             return 0.0
@@ -152,6 +152,7 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
     is that octant; any other datum runs on the lattice.  Both take the one
     loop of _strang_intervals, and each output is checked finite.
     """
+    spec.sigma()  # raises for a supercritical kappa before any work
     if float(np.min(w0.values)) < 0.0:
         raise ValueError("w0 must be nonnegative")
     grid, rows = w0.grid, []
@@ -181,11 +182,10 @@ def hardy_evolve(
     coordinate runs on its octant (see _nonnegative_flow).
     """
     times = _check_schedule(times)
-    sigma = spec.sigma()  # raises for supercritical kappa before any work
     norms = [(q, weighted) for weighted in (False, True) for q in (1.0, 2.0, math.inf)]
     rows, last = _nonnegative_flow(w0, spec, times, substeps_per_interval, norms)
     final = Field._adopt(w0.grid, unfold(last) if last.shape != w0.grid.shape else last)
-    return NormSeries(times, sigma, *np.array(rows).T, final=final)
+    return NormSeries(times, spec.sigma(), *np.array(rows).T, final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +239,7 @@ def kernel_ratio_probe(
     drop the origin cell (the continuum weight is singular there), and drop
     points where the free kernel has decayed under the support floor.
     """
-    bound = power_map_coeff_max(spec.d, spec.alpha)
-    if spec.kappa > bound + 1e-12:
-        raise ValueError(
-            f"kappa = {spec.kappa} exceeds the critical coupling {bound}; "
-            "the kernel bound hypothesis fails"
-        )
+    spec.sigma()  # raises for a supercritical kappa before any work
     times = _check_schedule(times)
     delta, idx = _cell_delta(grid, y)
     y_point = tuple(grid.axis()[i] for i in idx)

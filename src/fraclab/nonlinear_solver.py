@@ -159,6 +159,8 @@ class BarrierMonitor:
         else:
             raise TypeError(f"barrier must be 'singular' or an InitialSpec, got {barrier!r}")
         self._barrier = values[self._mask]
+        if not np.all(self._barrier > 0.0):  # observe divides by it
+            raise ValueError(f"the barrier is not positive at every grid point inside radius {r_max}")
         self.max_violation = 0.0
 
     def observe(self, dt: float, values: np.ndarray):

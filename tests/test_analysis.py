@@ -27,8 +27,7 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import (Grid, fft_workers, image_safe_horizon, norm,
-                           octant_steady_state)
+from fraclab.field import Grid, image_safe_horizon, norm, octant_steady_state
 from fraclab.nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
 
@@ -642,12 +641,12 @@ def test_thread_count_names_a_malformed_environment_value(monkeypatch):
         thread_count()
 
 
-def test_run_sweep_deterministic_across_workers():
+def test_run_sweep_deterministic_across_workers(monkeypatch):
     configs = [classify_config(initial={"kind": "gaussian", "scale": s}) for s in (0.4, 2.5)]
-    with fft_workers(1):
-        serial = run_sweep(configs)
-    with fft_workers(2):
-        threaded = run_sweep(configs)
+    monkeypatch.setenv("FRACLAB_THREADS", "1")
+    serial = run_sweep(configs)
+    monkeypatch.setenv("FRACLAB_THREADS", "2")
+    threaded = run_sweep(configs)
     for a, b in zip(serial, threaded):
         assert type(a.status) is type(b.status)
         np.testing.assert_array_equal(a.times, b.times)

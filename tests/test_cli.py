@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ from fraclab.field import (GEMM_MAX, Field, Grid, SnapshotMeta, fold, open_snaps
                            unfold, write_snapshot)
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve
 from fraclab.nonlinear_solver import NumericalFailure, RunRecord, evolve
+
+
+@pytest.fixture(autouse=True)
+def _own_environment():
+    # classify pins FRACLAB_THREADS in its process; no test passes that on
+    with mock.patch.dict(os.environ):
+        yield
 
 
 def _strict_json(text: str):
@@ -187,6 +195,11 @@ def test_sigma_supercritical_coupling_fails(capsys):
     # and with neither --kappa nor --p there is no coupling at all
     assert main(["sigma", "--alpha", "0.5", "--d", "1"]) == 1
     assert "sigma needs --kappa, or --p" in capsys.readouterr().err
+
+
+def test_sigma_names_d_and_alpha_when_d_is_not_above_alpha(capsys):
+    assert main(["sigma", "--alpha", "1.5", "--d", "1", "--kappa", "0.1"]) == 1
+    assert capsys.readouterr().err == "error: a weight exponent needs d > alpha, got d=1, alpha=1.5\n"
 
 
 def test_steady_check_emits_residual_csv(capsys):
@@ -752,14 +765,26 @@ def test_classify_threads_sets_the_fft_workers_of_every_probe(tmp_path, capsys, 
     seen, run = [], analysis.evolve
 
     def recording(cfg, certify=False):
-        seen.append(getattr(field._FFT_SHARE, "workers", None))
+        seen.append(field.thread_count())
         return run(cfg, certify=certify)
 
     monkeypatch.setattr(analysis, "evolve", recording)
     assert main(classify_args(tmp_path) + ["--tol", "0.5", "--threads", "3"]) == 0
     assert _strict_json(capsys.readouterr().out)["ratio"] <= 1.5
     assert len(seen) >= 4 and set(seen) == {3}
-    assert getattr(field._FFT_SHARE, "workers", None) is None
+    assert os.environ["FRACLAB_THREADS"] == "3"  # pinned for the process
+
+
+@pytest.mark.parametrize("command, extra", [("evolve", []), ("linear-evolve", []),
+                                            ("classify", ["--lambda-min", "0.5", "--lambda-max", "3"])])
+def test_stepping_commands_refuse_a_malformed_thread_count_first(command, extra, tmp_path, capsys,
+                                                                 monkeypatch):
+    # a 1-d run reads no worker count, so each command checks it before any work
+    monkeypatch.setenv("FRACLAB_THREADS", "abc")
+    monkeypatch.setattr(cli, "_load_config", lambda path: pytest.fail("work began"))
+    cfg = run_config(tmp_path)
+    assert main([command, "--config", str(cfg)] + extra) == 1
+    assert capsys.readouterr().err == "error: FRACLAB_THREADS must be a positive integer, got 'abc'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +847,19 @@ def test_fit_rejects_a_row_with_the_wrong_field_count(tmp_path, capfd, row, k):
     assert main(["fit", "--csv", str(path), "--column", "sup_norm"]) == 1
     out, err = capfd.readouterr()
     assert err == f"error: {path}: data row {k} has not as many fields as the header\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("column, k, row", [("sup_norm", 3, "4,x"), ("t", 2, "two,0.5")])
+def test_fit_names_the_cell_it_cannot_read(tmp_path, capfd, column, k, row):
+    path = tmp_path / "series.csv"
+    lines = ["1,1", "2,0.5", "4,0.25", "8,0.125", "16,0.0625"]
+    lines[k - 1] = row
+    path.write_text("t,sup_norm\n" + "\n".join(lines) + "\n")
+    assert main(["fit", "--csv", str(path), "--column", "sup_norm"]) == 1
+    out, err = capfd.readouterr()
+    cell = dict(zip(["t", "sup_norm"], row.split(",")))[column]
+    assert err == f"error: {path}: data row {k}, column {column!r}: {cell!r} is not a number\n"
     assert out == ""
 
 

@@ -282,6 +282,35 @@ def test_kernel_ratio_rejects_supercritical_kappa():
         kernel_ratio_probe(g, spec, (0.5,), [1.0])
 
 
+def test_sigma_names_d_and_alpha_when_d_is_not_above_alpha():
+    assert HardyOperatorSpec(1.5, 1, 0.0).sigma() == 0.0  # the free flow needs no weight
+    with pytest.raises(ValueError, match=r"needs d > alpha, got d=1, alpha=1\.5"):
+        HardyOperatorSpec(1.5, 1, 0.1).sigma()
+
+
+def test_kernel_ratio_runs_the_free_flow_at_d_below_alpha():
+    # the coupling is checked by spec.sigma() alone, which asks nothing of kappa = 0
+    res = kernel_ratio_probe(Grid(1, 256, 32.0), HardyOperatorSpec(1.5, 1, 0.0), (0.5,), [1.0, 2.0])
+    assert res.max_ratio == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert res.min_ratio == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("run", ["hardy_evolve", "kernel_ratio_probe", "hypercontractivity_measure"])
+def test_runs_reject_a_supercritical_kappa_before_any_step(run, monkeypatch):
+    g = Grid(1, 256, 32.0)
+    f = InitialSpec("gaussian").build(g, PARAMS)
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=2.0 * CMAX_1D_HALF)
+    times = [1.0, 2.0, 4.0]
+    calls = {
+        "hardy_evolve": lambda: hardy_evolve(f, spec, times),
+        "kernel_ratio_probe": lambda: kernel_ratio_probe(g, spec, (0.5,), times),
+        "hypercontractivity_measure": lambda: hypercontractivity_measure(f, spec, [(2.0, 1.0)], times),
+    }
+    monkeypatch.setattr(lp, "propagator", lambda *_: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match="exceeds the coefficient maximum"):
+        calls[run]()
+
+
 @pytest.mark.parametrize("radius", [0.125, 0.0, -1.0, math.nan, math.inf])
 def test_kernel_ratio_rejects_an_empty_or_invalid_window(monkeypatch, radius):
     # h/2 = 0.125 around y = 0 holds only the origin cell, which the probe

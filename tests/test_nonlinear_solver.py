@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraclab.nonlinear_solver as ns
-from fraclab.config import ExperimentConfig, config_from_dict
+from fraclab.config import ExperimentConfig, InitialSpec, config_from_dict
 from fraclab.constants import ModelParams
 from fraclab.field import Field, Grid, WeightSpec, fold, heat_propagate, steady_state, unfold
 from fraclab.linear_propagators import HardyOperatorSpec
@@ -459,6 +459,15 @@ def test_monitors_reject_a_grid_of_another_dimension(monitor):
     # a 3-d steady state on a 2-d octant used to be observed without error
     with pytest.raises(ValueError, match="grid dimension 2 does not match params.d = 3"):
         monitor(Grid(2, 64, 32.0), ModelParams(1.0, 3, 2.0))
+
+
+@pytest.mark.parametrize("barrier", [InitialSpec("gaussian"), InitialSpec("zero")])
+def test_barrier_monitor_rejects_a_barrier_that_is_not_positive_inside_r_max(barrier):
+    # observe divides by the barrier: where it is 0, 0/0 is NaN, and the
+    # whole observation used to read as no violation (a unit gaussian
+    # underflows at 403 of the 513 points within L/4 = 128)
+    with pytest.raises(ValueError, match="not positive at every grid point inside radius 128.0"):
+        BarrierMonitor(Grid(1, 4096, 512.0), PARAMS, barrier)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ layout's last step apart.
 """
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +45,6 @@ from fraclab.field import (
     Grid,
     SpectralPropagator,
     _DCT1_BASE,
-    _FFT_SHARE,
     _cosine_matrix,
     _dct1_forward,
     _dct1_transpose,
@@ -51,7 +52,6 @@ from fraclab.field import (
     _transform_order,
     clear_grid_cache,
     dyadic_schedule,
-    fft_workers,
     fold,
     multiplicity,
     propagator,
@@ -248,8 +248,8 @@ def test_octant_propagator_does_not_depend_on_fft_workers(d, alpha, t, seed):
     octant = fold(_even(grid, seed))
     prop = propagator(grid, alpha)
     outs = []
-    for workers in (1, 2):
-        with fft_workers(workers):
+    for workers in ("1", "2"):
+        with mock.patch.dict(os.environ, {"FRACLAB_THREADS": workers}):
             outs.append(prop(octant, t))
     assert np.array_equal(*outs)
 
@@ -264,7 +264,7 @@ def _octant_multiplier(grid: Grid, t: float, alpha: float) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_cosine_octant_step_matches_scipy_dct1(d, n):
+def test_cosine_octant_step_matches_scipy_dct1(d, n, monkeypatch):
     assert n // 2 + 1 <= GEMM_MAX  # every size here takes the matrix path
     grid = Grid(d, n, 4.0)
     x = np.random.default_rng(n + d).standard_normal((n // 2 + 1,) * d)
@@ -272,9 +272,9 @@ def test_cosine_octant_step_matches_scipy_dct1(d, n):
     expected = scipy.fft.idctn(scipy.fft.dctn(x, type=1) * mult, type=1)
     prop = SpectralPropagator(grid, 1.3)
     outs = []
-    for workers in (1, 2):
-        with fft_workers(workers):
-            outs.append(prop(x, 0.05))
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FRACLAB_THREADS", workers)
+        outs.append(prop(x, 0.05))
     assert np.max(np.abs(outs[0] - expected)) <= 1e-13 * np.max(np.abs(expected))
     assert np.array_equal(*outs)
 
@@ -311,7 +311,7 @@ def test_clear_grid_cache_drops_the_cosine_matrices():
     assert _halving_twiddles.cache_info().currsize == 0
 
 
-def test_split_propagator_shared_across_threads():
+def test_split_propagator_shared_across_threads(monkeypatch):
     # callers in four threads share one propagator, its cache of the last
     # t and the helper thread, which runs the second half of each split
     # pass of a 65^3 octant; a short switch interval interleaves them
@@ -319,15 +319,15 @@ def test_split_propagator_shared_across_threads():
     prop = SpectralPropagator(grid, 0.7)
     octant = np.random.default_rng(7).standard_normal((grid.n // 2 + 1,) * 3)
     steps = [0.1 * (k + 1) for k in range(4)]
-    with fft_workers(1):
-        expected = [prop(octant, t) for t in steps]
+    monkeypatch.setenv("FRACLAB_THREADS", "1")
+    expected = [prop(octant, t) for t in steps]
+    monkeypatch.setenv("FRACLAB_THREADS", "2")
     results, errors = {}, []
 
     def run(k):
         try:
-            with fft_workers(2):
-                for _ in range(3):
-                    results.setdefault(k, []).append(prop(octant, steps[k]))
+            for _ in range(3):
+                results.setdefault(k, []).append(prop(octant, steps[k]))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -413,13 +413,13 @@ def test_one_dimensional_steps_stay_on_the_calling_thread(monkeypatch):
         raise AssertionError("a 1-d step reached the helper thread")
 
     monkeypatch.setattr("fraclab.field._helper", no_helper)
+    monkeypatch.setenv("FRACLAB_THREADS", "2")
     for n in (2 * LONG, 256):
         grid = Grid(1, n, 512.0)
         prop = SpectralPropagator(grid, 0.7)
         v = _even(grid, 5)
-        with fft_workers(2):
-            full = prop(v, 0.3)
-            octant = prop(fold(v), 0.3)
+        full = prop(v, 0.3)
+        octant = prop(fold(v), 0.3)
         assert np.array_equal(full, np.fft.irfft(np.fft.rfft(v) * prop._multiplier(0.3, True), grid.n))
         assert np.max(np.abs(octant - fold(full))) <= 1e-12 * np.max(np.abs(full))
 
@@ -802,20 +802,13 @@ def test_hardy_runs_of_data_that_is_not_even_keep_the_lattice_bits(d, alpha_frac
 
 
 def test_fft_workers_scope_and_sweep_share(monkeypatch):
-    monkeypatch.setenv("FRACLAB_THREADS", "2")
-    with fft_workers(1):
-        with fft_workers(3):
-            assert _FFT_SHARE.workers == 3
-        assert _FFT_SHARE.workers == 1
-    assert getattr(_FFT_SHARE, "workers", None) is None
-
     seen = []
-    monkeypatch.setattr(analysis, "evolve", lambda cfg, certify=False: seen.append(_FFT_SHARE.workers))
+    monkeypatch.setattr(analysis, "evolve", lambda cfg, certify=False: seen.append(field.thread_count()))
     cfg = _evolve_3d_config()
-    with fft_workers(2):
-        analysis.run_sweep([cfg, cfg])  # runs in turn, each with every worker
-    with fft_workers(3):
-        analysis.run_sweep([cfg])
+    monkeypatch.setenv("FRACLAB_THREADS", "2")
+    analysis.run_sweep([cfg, cfg])  # runs in turn, each with every worker
+    monkeypatch.setenv("FRACLAB_THREADS", "3")
+    analysis.run_sweep([cfg])
     assert seen == [2, 2, 3]
 
 

@@ -1,5 +1,5 @@
-"""README's Python example runs as written and prints what it says, and every
-command in its table parses."""
+"""README's Python example runs as written and prints what it says, every
+command in its table parses, and every flag it names exists."""
 
 import re
 import shlex
@@ -32,3 +32,12 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: fraclab {command}")
         assert args.command == command.split()[0]
+
+
+def test_readme_names_only_flags_that_exist():
+    # a --flag in the prose is an option of some subcommand; pip's is not ours
+    (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+    options = {s for p in commands.choices.values() for a in p._actions for s in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?(?![\w-])", README.read_text()))
+    named.discard("--no-build-isolation")
+    assert len(named) > 20 and named <= options, sorted(named - options)
