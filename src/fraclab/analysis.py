@@ -105,14 +105,14 @@ def fit_power_law(times, values, window=None) -> FitResult:
 
 
 def run_sweep(configs) -> list:
-    """Evolve classify's probes in order, with the process's worker count
-    (thread_count).  Each runs with evolve's certify, so a Blowup run may
-    end early at its box time.
+    """Evolve classify's probes one after another, each with evolve's
+    certify: a Blowup run may end early at its box time, and a Global run
+    on a 1-d lattice with alpha <= 1 and eta < 1 at the sup's ODE bound.
 
-    Runs are deterministic per config, so any worker count yields the
-    same records.  They run one after another: a small 1-d run is Python
-    work that holds the interpreter lock, so a pool of runs would take
-    turns.
+    It passes no worker count: a step that uses workers reads the
+    process's (thread_count), and runs are deterministic per config, so
+    any count yields the same records.  A small 1-d run is Python work
+    that holds the interpreter lock, so a pool of runs would take turns.
     """
     return [evolve(cfg, certify=True) for cfg in configs]
 
@@ -244,9 +244,10 @@ def classify_threshold(
 
     The endpoints must straddle the transition (lambda_lo Global,
     lambda_hi Blowup).  Every probe runs through run_sweep, so a Blowup
-    probe ends once its box mean must blow up before t_end.  Every
-    verdict lands in a monotonicity check; with reverify the final
-    bracket is reclassified at halved eta.
+    probe ends once its box mean must blow up before t_end, and a Global
+    one, where the lattice step is monotone, once the sup's ODE bound
+    rules out blowup before t_end.  Every verdict lands in a monotonicity
+    check; with reverify the final bracket is reclassified at halved eta.
     Returns the bracket with the Morrey norm of the scaled datum at
     both ends, at the critical index s = d (p - 1) / alpha.
     """

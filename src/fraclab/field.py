@@ -634,6 +634,17 @@ class SpectralPropagator:
         self._last[full] = (t, mult)
         return mult
 
+    @functools.cached_property
+    def z_matrix(self) -> bool:
+        """Whether the lattice generator F^{-1} |k|^alpha F is a Z-matrix,
+        so that every step is a kernel >= 0 of sum 1: d = 1 (past it the
+        cube of frequencies cuts the symbol off) and alpha <= 1.  alpha = 1
+        has exact zeros, so an entry counts above 1e-12 of the diagonal."""
+        if len(self._shape) != 1:
+            return False
+        kernel = np.fft.irfft(self._symbol, self._shape[0])
+        return bool(kernel[1:].max() <= 1e-12 * kernel[0])
+
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         """A new array in the layout of values, carried forward by time t:
         the lattice, or the even field with this octant, folded again."""

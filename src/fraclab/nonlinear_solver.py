@@ -260,14 +260,16 @@ def evolve(
     read-only copy of the octant, which a caller unfolds if it needs the
     lattice; evolve builds no lattice array.
 
-    With certify, a run ends as soon as its box mean must blow up before
-    t_end.  After each accepted step the mean u_bar = mass/(2L)^d of the
-    clipped state gives the box time t + 1/((p-1) u_bar^{p-1}); when that
-    falls before t_end the run ends Blowup with it as t_star, an upper
-    bound on the run's own (an overflowing u_bar^{p-1} gives t).  The
-    verdict is the full run's, by Kaplan's argument (CPAM 16, 1963) with
-    the constant eigenfunction.  Take a step R D R, each R a half reaction
-    whose flow Phi is convex and increasing on u >= 0:
+    With certify, a run ends as soon as its verdict is known, by one of
+    two bounds checked after each accepted step on the clipped state.
+
+    Blowup: the box mean u_bar = mass/(2L)^d gives the box time t +
+    1/((p-1) u_bar^{p-1}); when that falls before t_end the run ends
+    Blowup with it as t_star, an upper bound on the run's own (an
+    overflowing u_bar^{p-1} gives t).  The verdict is the full run's, by
+    Kaplan's argument (CPAM 16, 1963) with the constant eigenfunction.
+    Take a step R D R, each R a half reaction whose flow Phi is convex and
+    increasing on u >= 0:
     - by Jensen, mean(R v) >= Phi(mean v), or the sup's pole check has
       already ended the run;
     - D keeps the k = 0 mode, so the mean;
@@ -275,10 +277,29 @@ def evolve(
       and Phi increases, so after the clip mean >= Phi(mean of D's output).
     So the discrete mean stays at or above the solution of u_bar' =
     u_bar^p, whose pole comes before t_end, and so does the full run's
-    Blowup.  The exit changes when a verdict is known, not what it is; the
-    one exception is a run that would fail numerically (a non-finite
-    field) after the bound fires: certified, it ends Blowup.  Without
-    certify the run goes on to its own t_star.
+    Blowup.
+
+    Global: the same argument turned around, with the sup s and the
+    spatially constant supersolution.  Where the lattice generator is a
+    Z-matrix (SpectralPropagator.z_matrix: d = 1 and alpha <= 1), D is a
+    kernel >= 0 of sum 1 and does not raise the sup; Phi increases and the
+    clip at 0 raises no sup, so a step maps s to at most Phi_dt(s), the
+    ODE's own flow.  So the full run's sup stays at or below the solution
+    of v' = v^p from s, which reaches S_end = s/room^{1/(p-1)} at t_end,
+    room = 1 - (p-1)(t_end - t) s^{p-1} (a margin of 1e-9 on the horizon
+    covers rounding).  The run ends Global(t_end) once that rules out each
+    of its Blowup triggers:
+    - room > 0, so the ODE has no pole before t_end;
+    - S_end < blowup_sup_threshold, so the sup never passes it;
+    - the dt rule at S_end stays above the dt floor, so dt cannot underflow;
+    - eta < 1, so neither half reaction reaches its pole: the first has
+      (p-1)(dt/2) s^{p-1} <= eta/2, and the second, on at most Phi_{dt/2}(s),
+      has room (1 - eta)/(1 - eta/2) or more.
+
+    Either exit changes when a verdict is known, not what it is; the one
+    exception is a run that would fail numerically (a non-finite field)
+    after the box mean fires: certified, it ends Blowup.  Without certify
+    the run goes on to its own t_star or to t_end.
     """
     params = config.params
     p, alpha = params.p, params.alpha
@@ -321,6 +342,7 @@ def evolve(
     # where a step takes 54 us (2-vCPU x86-64)
     if certify:
         weights, cells = multiplicity(grid), grid.n ** grid.d
+        sup_bound = eta < 1.0 and propagator(grid, alpha).z_matrix
     status = None
     t = 0.0
     out_idx = 0
@@ -371,6 +393,11 @@ def evolve(
                 box_time = 1.0 / ((p - 1.0) * mean ** (p - 1.0))
                 if t + (1.0 + 1e-9) * box_time < t_end:  # the margin covers the mean's rounding
                     status = Blowup(float(t + box_time))
+            rest = (1.0 + 1e-9) * (t_end - t)  # the margin covers the sup's rounding
+            if status is None and sup_bound and _room(sup, rest, p) > 0.0:
+                sup_end = _flow(sup, rest, p)  # the ODE's value at t_end
+                if sup_end < sup_threshold and step(sup_end) > dt_floor:
+                    status = Global(horizon=t_end)
 
     if status is None:
         status = Global(horizon=t_end)

@@ -27,7 +27,7 @@ from fraclab.analysis import (
 )
 from fraclab.config import config_from_dict
 from fraclab.constants import ModelParams, kappa_from_params, singular_amplitude, solve_sigma
-from fraclab.field import Grid, image_safe_horizon, norm, octant_steady_state
+from fraclab.field import Grid, SpectralPropagator, image_safe_horizon, norm, octant_steady_state
 from fraclab.nonlinear_solver import Blowup, Global, NumericalFailure, evolve
 
 
@@ -144,6 +144,19 @@ def test_classify_certified_probes_keep_every_answer_in_fewer_steps(tmp_path, mo
     monkeypatch.setattr(an, "evolve", lambda cfg, certify=False: real(cfg))
     assert classify("full.json")[:2] == (bracket, observations)
     assert certified <= 0.6 * len(diffusions), (certified, len(diffusions))
+
+
+def test_classify_ends_global_probes_at_the_sups_ode_bound(monkeypatch):
+    # criterion 10's config: each Global probe ends at the sup's ODE bound
+    # after a few steps, where it took about 1,000 at dt_max; the whole
+    # bisection took 4,053 diffusion steps without that exit and 93 with it
+    cfg = classify_config(time={"t_end": 1000.0, "output_schedule": [100.0, 1000.0]})
+    calls = []
+    step = SpectralPropagator.__call__
+    monkeypatch.setattr(SpectralPropagator, "__call__", lambda self, *a: calls.append(1) or step(self, *a))
+    bracket = classify_threshold(cfg, 0.5, 3.0, tol=0.1)
+    assert (round(bracket.lambda_global, 4), round(bracket.lambda_blowup, 4)) == (0.6615, 0.6996)
+    assert len(calls) <= 200, len(calls)
 
 
 def test_classify_threshold_state_resume(tmp_path, monkeypatch):

@@ -272,6 +272,116 @@ def test_an_overflowing_box_mean_certifies_at_once():
 
 
 # ---------------------------------------------------------------------------
+# evolve: the sup's ODE bound
+
+
+def _ode_value(s: float, p: float, t: float) -> float:
+    """v(t) for v' = v^p from v(0) = s, inf at or past the pole."""
+    room = 1.0 - (p - 1.0) * t * s ** (p - 1.0)
+    return s / room ** (1.0 / (p - 1.0)) if room > 0.0 else math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    L=st.sampled_from([4.0, 8.0, 16.0, 32.0]),
+    alpha=st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    p=st.sampled_from([2.0, 2.5, 3.0]),
+    eta=st.floats(0.05, 0.95),
+    amplitude=st.floats(0.01, 5.0),
+    width_per_L=st.floats(0.02, 2.0),
+    t_end=st.sampled_from([0.5, 2.0, 20.0, 200.0]),
+    headroom=st.floats(0.5, 4.0),
+)
+# a flat datum follows the ODE, so its bound S_end at the first step is the
+# full run's sup at t_end: a threshold 1e-6 above it lets the exit fire
+# there, and 1e-6 below it the full run ends Blowup on the threshold
+@example(n=16, L=4.0, alpha=0.5, p=2.0, eta=0.5, amplitude=1.0, width_per_L=1e6, t_end=0.5,
+         headroom=1.0 + 1e-6)
+@example(n=16, L=4.0, alpha=0.5, p=2.0, eta=0.5, amplitude=1.0, width_per_L=1e6, t_end=0.5,
+         headroom=1.0 - 1e-6)
+def test_a_global_exit_is_the_full_runs_verdict(n, L, alpha, p, eta, amplitude, width_per_L, t_end,
+                                                headroom):
+    # a run that exits Global is the full run cut short: the same rows up to
+    # its end, and Global in both.  The sup threshold is headroom times the
+    # datum's ODE value at t_end, or the default past that ODE's pole.
+    s_end = _ode_value(amplitude, p, t_end)
+    threshold = headroom * s_end if math.isfinite(s_end) else 1e8
+    cfg = make_config(params={"alpha": alpha, "d": 1, "p": p}, grid={"n": n, "L": L},
+                      initial={"kind": "gaussian", "amplitude": amplitude, "width": width_per_L * L},
+                      time={"t_end": t_end, "dt_max": t_end / 200.0, "eta": eta,
+                            "blowup_sup_threshold": threshold,
+                            "output_schedule": [t_end / 2.0, t_end]})
+    certified, full = evolve(cfg, certify=True), evolve(cfg)
+    rows = len(certified.times)
+    for column in ("times", "sup_norm", "l2_norm", "mass", "min_value", "dt"):
+        np.testing.assert_array_equal(getattr(certified, column), getattr(full, column)[:rows])
+    if isinstance(certified.status, Global):
+        assert full.status == certified.status
+    if width_per_L == 1e6:  # the examples: the exit fires at once, or the full run hits the threshold
+        assert certified.status == full.status
+        assert rows == 1 if headroom > 1.0 else isinstance(full.status, Blowup)
+
+
+def _counted_steps(monkeypatch, cfg, certify):
+    """The status of evolve(cfg) and its number of diffusion substeps."""
+    calls = []
+    diffuse = ns._diffuse
+    monkeypatch.setattr(ns, "_diffuse", lambda *args: calls.append(1) or diffuse(*args))
+    record = evolve(cfg, certify=certify)
+    monkeypatch.setattr(ns, "_diffuse", diffuse)
+    return record.status, len(calls)
+
+
+@pytest.mark.parametrize("d, alpha, eta, exits", [
+    (1, 0.5, 0.5, True),  # the contrast: a Z-matrix generator and eta < 1
+    (1, 1.5, 0.1, False),  # the 1-d generator is not a Z-matrix past alpha 1
+    (2, 0.5, 0.1, False),  # nor any 2-d one
+    (1, 0.5, 1.0, False),  # eta = 1: the two half reactions can reach the pole
+])
+def test_the_global_exit_fires_only_on_a_z_matrix_with_eta_below_one(monkeypatch, d, alpha, eta, exits):
+    # a small datum whose own ODE stays finite past t_end: on a monotone
+    # lattice the sup's bound ends the run at its first step
+    cfg = make_config(params={"alpha": alpha, "d": d, "p": 3.0}, grid={"n": 16, "L": 8.0},
+                      initial={"kind": "gaussian", "amplitude": 0.05},
+                      time={"t_end": 100.0, "eta": eta, "output_schedule": [50.0, 100.0]})
+    status, steps = _counted_steps(monkeypatch, cfg, certify=True)
+    full_status, full_steps = _counted_steps(monkeypatch, cfg, certify=False)
+    assert status == full_status == Global(100.0)
+    assert full_steps == 100
+    assert steps == (1 if exits else full_steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([256, 32768]),  # the cosine matrix and the transform-order routes
+       alpha=st.sampled_from([0.3, 0.5, 1.0]), p=st.sampled_from([2.0, 3.0]),
+       dt_per_h=st.floats(-4.0, 2.0), floor=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+       spikiness=st.floats(1.0, 30.0), seed=st.integers(0, 2**32 - 1))
+def test_a_monotone_lattice_step_keeps_the_sup_and_the_order(n, alpha, p, dt_per_h, floor, spikiness,
+                                                             seed):
+    # the lemma under the sup's ODE bound: on a 1-d lattice with alpha <= 1
+    # the diffusion step does not raise the max, and a Strang step R D R
+    # keeps two ordered data ordered, up to the transforms' rounding.  A
+    # high floor leaves only rounding (4e-16 and 3e-15 at worst over 300
+    # draws); alpha 1.5 raises the max by 2e-7 and breaks the order by 0.9%
+    grid = Grid(1, n, 32.0)
+    rng = np.random.default_rng(seed)
+    u = floor + rng.random(n // 2 + 1) ** spikiness
+    v = u + rng.random(n // 2 + 1) ** spikiness
+    dt = min(10.0 ** dt_per_h * grid.h ** alpha, 0.5 / ((p - 1.0) * np.max(v) ** (p - 1.0)))
+    stepped = ns._diffuse(u, grid, dt, alpha)
+    assert np.max(stepped) <= (1.0 + 1e-14) * np.max(u)
+
+    def strang(w):
+        w = ns._reaction(w.copy(), 0.5 * dt, p, np.max(w))
+        w = ns._diffuse(w, grid, dt, alpha)
+        return ns._reaction(w, 0.5 * dt, p, np.max(np.abs(w)))
+
+    su, sv = strang(u), strang(v)
+    assert np.all(su <= sv + 1e-14 * np.max(sv))
+
+
+# ---------------------------------------------------------------------------
 # evolve: accuracy and structure
 
 
