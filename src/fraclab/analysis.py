@@ -13,8 +13,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
+from . import np
 from .config import ExperimentConfig, _finite, _is_number
 from .constants import (
     ModelParams,

@@ -13,8 +13,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
+from . import np
 from .constants import (
     ModelParams,
     critical_exponents,

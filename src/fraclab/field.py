@@ -17,8 +17,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import np
 from .constants import ModelParams, singular_amplitude
 
 SNAPSHOT_MAGIC = b"FRDF"

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import np
 from .field import Field, Grid, SnapshotBlocks, _check_fit_window, _row_blocks, heat_propagate
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from . import np
 from .config import ExperimentConfig, InitialSpec
 from .constants import ModelParams, kappa_from_params
 from .field import (

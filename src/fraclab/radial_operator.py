@@ -19,8 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import np
 from .constants import frac_lap_constant, log_gamma, sphere_area, singular_amplitude
 
 

@@ -378,14 +378,19 @@ def test_evolve_snapshots_read_back_with_their_csv_rows(tmp_path, d, n, every):
         assert np.array_equal(field.values, unfold(fold(field.values)))
 
 
-def _fresh_python(code, *argv):
-    """The last line code prints when run with argv in a fresh interpreter."""
+def _fresh_python_output(code, *argv):
+    """What code prints when run with argv in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", code, *argv],
-                         capture_output=True, text=True, check=True, env=env)
-    return out.stdout.strip().splitlines()[-1]
+                         capture_output=True, text=True, check=True, env=env, timeout=300)
+    return out.stdout
+
+
+def _fresh_python(code, *argv):
+    """The last line code prints when run with argv in a fresh interpreter."""
+    return _fresh_python_output(code, *argv).strip().splitlines()[-1]
 
 
 def _scipy_modules_after(argv):
@@ -429,6 +434,65 @@ def test_import_cli_loads_neither_hashlib_nor_numpy_polynomial():
     late = {"hashlib", "numpy.polynomial", "csv", "_csv"}
     code = f"import sys, fraclab.cli; print(sorted({late!r} & set(sys.modules)))"
     assert _fresh_python(code) == "[]"
+
+
+def test_import_cli_loads_no_numpy():
+    code = "import sys, fraclab.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--alpha", "1", "--d", "3", "--p", "2", "--json"],
+    ["sigma", "--alpha", "0.5", "--d", "1", "--p", "2.1", "--json"],
+    ["--version"],
+    ["evolve", "--help"],
+    ["evolve", "--config", "{unknown_key}"],
+], ids=["constants", "sigma", "version", "help", "unknown-key"])
+def test_commands_that_hold_no_array_load_no_numpy(argv, tmp_path):
+    # a listed output schedule is checked as an array, so this one is dyadic
+    doc = {"params": {"alpha": 0.5, "d": 1, "p": 3.0}, "initial": {"kind": "gaussian"}, "bogus": 1}
+    (tmp_path / "unknown.json").write_text(json.dumps(doc))
+    argv = [arg.format(unknown_key=tmp_path / "unknown.json") for arg in argv]
+    code = ("import sys; {}from fraclab.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy' in sys.modules)")
+    lazy, eager = (_fresh_python_output(code.format(first), *argv) for first in ("", "import numpy; "))
+    *printed, last = lazy.splitlines()
+    rc = 2 if argv[-1].endswith("unknown.json") else 0
+    assert last == f"{rc} False"
+    assert eager.splitlines() == [*printed, f"{rc} True"]
+
+
+_FIRST_USE = textwrap.dedent("""
+    import sys, threading
+    from fraclab.field import Grid, multiplicity, propagator
+    assert not [name for name in sys.modules if name.startswith("numpy.")]  # numpy has not run
+    sys.setswitchinterval(1e-6)  # switch threads often during the load
+    grid, count = Grid(1, 64, 8.0), int(sys.argv[1])
+    barrier, results = threading.Barrier(count), []
+
+    def first_use():
+        barrier.wait()
+        try:
+            m = multiplicity(grid)
+            results.append(repr((m.tolist(), propagator(grid, 0.5)(m, 0.25).tolist())))
+        except Exception as exc:
+            results.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=first_use) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+    print(len(results), sorted(set(results)), [thread.is_alive() for thread in threads].count(True))
+""")
+
+
+def test_concurrent_first_numpy_reads_all_succeed():
+    # four threads make the package's first numpy read at once: each waits
+    # for the one load and gets what a lone thread gets
+    alone = _fresh_python(_FIRST_USE, "1")
+    assert alone.startswith("1 [") and "Error" not in alone
+    assert _fresh_python(_FIRST_USE, "4") == alone.replace("1", "4", 1)
 
 
 def test_every_public_name_is_declared_once_by_its_module():

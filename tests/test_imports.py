@@ -86,3 +86,12 @@ def test_scipy_is_imported_only_for_wide_octants():
     sites = [f"{path.stem}:{site}" for path in sorted(SRC.glob("*.py"))
              for site in _import_sites(ast.parse(path.read_text(), str(path)), "scipy")]
     assert sites == ["field:SpectralPropagator.__call__"]
+
+
+def test_modules_read_numpy_through_the_package_handle():
+    # `from . import np` defers numpy to its first read; a module-level
+    # numpy import would load it with the package.  Imports inside a
+    # function (leggauss) stay allowed.
+    sites = [path.stem for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+             for site in _import_sites(ast.parse(path.read_text(), str(path)), "numpy") if not site]
+    assert sites == []

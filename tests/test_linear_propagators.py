@@ -311,6 +311,26 @@ def test_runs_reject_a_supercritical_kappa_before_any_step(run, monkeypatch):
         calls[run]()
 
 
+@pytest.mark.parametrize("run", ["hardy_evolve", "kernel_ratio_probe", "hypercontractivity_measure"])
+def test_runs_solve_sigma_once(run, monkeypatch):
+    # the guard's root serves every output's weight and NormSeries.sigma
+    g = Grid(1, 256, 32.0)
+    f = InitialSpec("gaussian").build(g, PARAMS)
+    spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
+    times = [1.0, 2.0, 4.0]
+    calls = {
+        "hardy_evolve": lambda: hardy_evolve(f, spec, times, substeps_per_interval=2),
+        "kernel_ratio_probe": lambda: kernel_ratio_probe(g, spec, (0.5,), times, substeps_per_interval=2),
+        "hypercontractivity_measure": lambda: hypercontractivity_measure(
+            f, spec, [(2.0, 1.0), (math.inf, 1.0)], times, substeps_per_interval=2),
+    }
+    solved = []
+    solve = lp.solve_sigma
+    monkeypatch.setattr(lp, "solve_sigma", lambda *args: solved.append(args) or solve(*args))
+    calls[run]()
+    assert solved == [(spec.kappa, spec.d, spec.alpha)]
+
+
 @pytest.mark.parametrize("radius", [0.125, 0.0, -1.0, math.nan, math.inf])
 def test_kernel_ratio_rejects_an_empty_or_invalid_window(monkeypatch, radius):
     # h/2 = 0.125 around y = 0 holds only the origin cell, which the probe
