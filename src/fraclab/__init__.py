@@ -4,45 +4,33 @@ singular steady state, Hardy-potential semigroups, Morrey norms, and
 blowup/decay experiment harnesses."""
 
 import importlib
-import sys
-import threading
 import types
 
 __version__ = "0.1.0"
 
 
-class _Numpy(types.ModuleType):
-    """numpy, imported at the first attribute read of this handle.
+def _numpy_attribute(name):
+    """Import numpy (the import system makes concurrent first reads wait
+    for one load) and keep its attribute name on the handle np."""
+    import numpy
 
-    The read imports numpy under a lock, copies numpy's namespace in, reads
-    any name not copied (a submodule such as fft, which numpy imports at
-    its first read) from numpy once and keeps it, and turns the handle into
-    a plain module, so later reads cost a module read.  Caveat: when
-    fraclab is imported before numpy, np holds numpy's objects but is not
-    the numpy module, so a top-level numpy function patched after the load
-    does not reach fraclab.
-    """
-
-    _lock = threading.Lock()
-
-    def __getattr__(self, name):
-        with self._lock:
-            if type(self) is _Numpy:
-                import numpy
-
-                held = vars(self)
-                held.update(vars(numpy), __getattr__=lambda late: held.setdefault(late, getattr(numpy, late)))
-                self.__class__ = types.ModuleType
-        return getattr(self, name)
+    value = getattr(numpy, name)
+    setattr(np, name, value)
+    return value
 
 
-# Every module reads numpy as `from . import np`: numpy itself when it is
-# already loaded, else the handle above, so commands that hold no array
-# (constants, sigma, --version, --help, a refused document) never load it.
+# Every module reads numpy as `from . import np`: a plain module whose
+# __getattr__ (PEP 562) fetches each name from numpy at its first read and
+# keeps it, so later reads cost a module read, and commands that hold no
+# array (constants, sigma, --version, --help, a refused document) never
+# load numpy.  np stays the same object, so no module's namespace changes
+# at the load (perfbench's tracer test compares them by identity); np holds numpy's objects but is not numpy, so a
+# numpy function patched after fraclab has read it does not reach fraclab.
 # importlib.util.LazyLoader would not do: it switches the module's class
 # before numpy has loaded, so a concurrent first read from another thread
 # finds names missing, and an `import numpy` statement loads it at once.
-np = sys.modules.get("numpy") or _Numpy("numpy")
+np = types.ModuleType("numpy")
+np.__getattr__ = _numpy_attribute
 
 # Each public name, declared once beside its module; the modules are
 # imported eagerly, in this order, and __all__ follows the table.
@@ -85,4 +73,4 @@ for _module, _names in _PUBLIC.items():
     _source = importlib.import_module(f".{_module}", __name__)
     globals().update((name, getattr(_source, name)) for name in _names)
     __all__ += _names
-del importlib, sys, threading, _module, _names, _source
+del importlib, types, _module, _names, _source

@@ -9,6 +9,7 @@ for the weight exponent sigma.  All functions are pure; no numpy required.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -179,11 +180,15 @@ def kappa_from_delta(params: ModelParams, delta: float) -> float:
     return (delta * singular_amplitude(params)) ** (params.p - 1.0)
 
 
+@functools.lru_cache(typed=True)
 def solve_sigma(kappa: float, d: int, alpha: float) -> float:
     """Smaller root sigma of C(sigma) = kappa on (0, (d - alpha)/2].
 
     C is increasing on that interval, so bisection applies.  C is symmetric
     about (d - alpha)/2, so the companion root is d - alpha - sigma.
+
+    Roots are memoized per (kappa, d, alpha) and argument type: a Hardy run
+    reads sigma at every output time.
     """
     if not d > alpha:
         raise ValueError(f"a weight exponent needs d > alpha, got d={d}, alpha={alpha}")

@@ -70,9 +70,8 @@ class HardyOperatorSpec:
             return 0.0
         return solve_sigma(self.kappa, self.d, self.alpha)
 
-    def weight(self, t: float, sigma: float | None = None) -> WeightSpec | None:
-        """The weight at time t; sigma, when given, is self.sigma() solved once by the caller."""
-        sigma = self.sigma() if sigma is None else sigma
+    def weight(self, t: float) -> WeightSpec | None:
+        sigma = self.sigma()
         if sigma == 0.0:
             return None
         return WeightSpec(sigma=sigma, t=t, alpha=self.alpha)
@@ -145,15 +144,14 @@ class NormSeries:
 def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, norms):
     """Run e^{-tH} w0 through the schedule; return one row per output time
     t, holding weighted_norm(w(t), q, spec.weight(t) if weighted else None)
-    for each (q, weighted) in norms, the state array at the last time, and
-    spec.sigma(), solved once.
+    for each (q, weighted) in norms, and the state array at the last time.
 
     A datum even in every coordinate (see field.fold) runs on its octant,
     where a norm weighs each point by its multiplicity, and the last state
     is that octant; any other datum runs on the lattice.  Both take the one
     loop of _strang_intervals, and each output is checked finite.
     """
-    sigma = spec.sigma()  # raises for a supercritical kappa before any work
+    spec.sigma()  # raises for a supercritical kappa before any work
     if float(np.min(w0.values)) < 0.0:
         raise ValueError("w0 must be nonnegative")
     grid, rows = w0.grid, []
@@ -163,10 +161,10 @@ def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, 
     for t, values in _strang_intervals(values if even else w0.values, grid, spec, times, substeps):
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        weight = spec.weight(t, sigma)
+        weight = spec.weight(t)
         phi = None if weight is None else weight_layout(grid, weight)
         rows.append([norm(grid, values, q, phi if on else None) for q, on in norms])
-    return rows, values, sigma
+    return rows, values
 
 
 def hardy_evolve(
@@ -184,9 +182,9 @@ def hardy_evolve(
     """
     times = _check_schedule(times)
     norms = [(q, weighted) for weighted in (False, True) for q in (1.0, 2.0, math.inf)]
-    rows, last, sigma = _nonnegative_flow(w0, spec, times, substeps_per_interval, norms)
+    rows, last = _nonnegative_flow(w0, spec, times, substeps_per_interval, norms)
     final = Field._adopt(w0.grid, unfold(last) if last.shape != w0.grid.shape else last)
-    return NormSeries(times, sigma, *np.array(rows).T, final=final)
+    return NormSeries(times, spec.sigma(), *np.array(rows).T, final=final)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def kernel_ratio_probe(
     drop the origin cell (the continuum weight is singular there), and drop
     points where the free kernel has decayed under the support floor.
     """
-    sigma = spec.sigma()  # raises for a supercritical kappa before any work
+    spec.sigma()  # raises for a supercritical kappa before any work
     times = _check_schedule(times)
     delta, idx = _cell_delta(grid, y)
     y_point = tuple(grid.axis()[i] for i in idx)
@@ -256,7 +254,7 @@ def kernel_ratio_probe(
     rows = []  # (max, min) of the ratio at each output
     for t_out, values in _strang_intervals(delta.values, grid, spec, times, substeps_per_interval):
         free = heat_propagate(delta, t_out, spec.alpha)
-        wspec = spec.weight(t_out, sigma)
+        wspec = spec.weight(t_out)
         phi = np.ones(grid.shape) if wspec is None else weight_values(grid, wspec)
         mask = window & (free.values > _SUPPORT_FLOOR * np.max(free.values))
         ratio = values[mask] / (phi[mask] * phi[idx] * free.values[mask])
@@ -297,7 +295,7 @@ def hypercontractivity_measure(
             raise ValueError(f"need 1 <= r <= q, got r={r}, q={q}")
     times = _check_fit_window(times)
     weighted = [(q, True) for q, _ in pairs]
-    rows, _, _ = _nonnegative_flow(w0, spec, times, substeps_per_interval, weighted)
+    rows, _ = _nonnegative_flow(w0, spec, times, substeps_per_interval, weighted)
     results = []
     for (q, r), norms in zip(pairs, map(np.array, zip(*rows))):
         slope = float(np.polyfit(np.log(times), np.log(norms), 1)[0])

@@ -478,7 +478,7 @@ _FIRST_USE = textwrap.dedent("""
         except Exception as exc:
             results.append(f"{type(exc).__name__}: {exc}")
 
-    threads = [threading.Thread(target=first_use) for _ in range(count)]
+    threads = [threading.Thread(target=first_use, daemon=True) for _ in range(count)]
     for thread in threads:
         thread.start()
     for thread in threads:

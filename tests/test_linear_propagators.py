@@ -312,8 +312,8 @@ def test_runs_reject_a_supercritical_kappa_before_any_step(run, monkeypatch):
 
 
 @pytest.mark.parametrize("run", ["hardy_evolve", "kernel_ratio_probe", "hypercontractivity_measure"])
-def test_runs_solve_sigma_once(run, monkeypatch):
-    # the guard's root serves every output's weight and NormSeries.sigma
+def test_runs_solve_sigma_once(run):
+    # every output's weight and NormSeries.sigma read the root the guard solved
     g = Grid(1, 256, 32.0)
     f = InitialSpec("gaussian").build(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
@@ -324,11 +324,9 @@ def test_runs_solve_sigma_once(run, monkeypatch):
         "hypercontractivity_measure": lambda: hypercontractivity_measure(
             f, spec, [(2.0, 1.0), (math.inf, 1.0)], times, substeps_per_interval=2),
     }
-    solved = []
-    solve = lp.solve_sigma
-    monkeypatch.setattr(lp, "solve_sigma", lambda *args: solved.append(args) or solve(*args))
+    lp.solve_sigma.cache_clear()
     calls[run]()
-    assert solved == [(spec.kappa, spec.d, spec.alpha)]
+    assert lp.solve_sigma.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("radius", [0.125, 0.0, -1.0, math.nan, math.inf])
