@@ -149,8 +149,8 @@ def cmd_linear_evolve(args) -> int:
     thread_count()
     config = _load_config(args.config)
     _check_folder(args.csv, "csv file")
-    spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
-    series = hardy_evolve(config.initial_field(), spec, config.output_times())
+    grid, spec = config.build_grid(), HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
+    series = hardy_evolve(grid, config.initial.build_octant(grid, config.params), spec, config.output_times())
     columns = "t,norm_q1,norm_q2,norm_qinf,weighted_q1,weighted_q2,weighted_qinf"
     _write_series(config, columns, series.rows(), {"sigma": series.sigma, "kappa": spec.kappa}, args.csv)
     return 0

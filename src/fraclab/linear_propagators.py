@@ -27,7 +27,6 @@ from .field import (
     _check_schedule,
     _far_field_radius,
     _hypot,
-    fold,
     heat_propagate,
     norm,
     octant_weight_values,
@@ -81,16 +80,19 @@ def _strang_intervals(values: np.ndarray, grid: Grid, spec: HardyOperatorSpec, t
     """Yield (t, values) at each output time, covering every interval from
     the previous time (0 first) by equal Strang substeps of spec's flow.
 
-    A state of grid.shape is the lattice, whose potential is unfolded; any
-    other is the octant (see field.fold; n >= 16 gives n/2 + 1 < n).  The
-    propagator reads the layout from the state, as norm does.  The potential
-    half-steps between two diffusions fuse into one e^{dt V}, and e^{dt V/2}
-    is built once per interval.  The input array is left alone, and a
-    yielded array is never written again.
+    The layout is the state's: grid.shape is the lattice, whose potential
+    is unfolded, the octant's shape (see field.fold; n >= 16 gives n/2 + 1
+    < n) the octant, and any other shape raises before any step.  The
+    potential half-steps between two diffusions fuse into one e^{dt V}, and
+    e^{dt V/2} is built once per interval.  The input array is left alone,
+    and a yielded array is never written again.
     """
     if substeps < 1:
         raise ValueError("substeps_per_interval must be at least 1")
-    step, potential = propagator(grid, spec.alpha), spec.octant_potential(grid)
+    potential = spec.octant_potential(grid)
+    if values.shape not in (grid.shape, potential.shape):
+        raise ValueError(f"shape {values.shape} is neither {grid.shape} nor {potential.shape}")
+    step = propagator(grid, spec.alpha)
     potential = unfold(potential) if values.shape == grid.shape else potential
     t_prev = 0.0
     for t_out in times:
@@ -125,66 +127,55 @@ class NormSeries:
     weighted_q1: np.ndarray
     weighted_q2: np.ndarray
     weighted_qinf: np.ndarray
-    final: Field
 
     def rows(self):
         """Rows matching the CSV column order of the linear-evolve command."""
-        cols = (
-            self.times,
-            self.plain_q1,
-            self.plain_q2,
-            self.plain_qinf,
-            self.weighted_q1,
-            self.weighted_q2,
-            self.weighted_qinf,
-        )
-        return list(zip(*cols))
+        return list(zip(self.times, self.plain_q1, self.plain_q2, self.plain_qinf,
+                        self.weighted_q1, self.weighted_q2, self.weighted_qinf))
 
 
-def _nonnegative_flow(w0: Field, spec: HardyOperatorSpec, times, substeps: int, norms):
+def _nonnegative_flow(grid: Grid, w0: np.ndarray, spec: HardyOperatorSpec, times, substeps: int, norms):
     """Run e^{-tH} w0 through the schedule; return one row per output time
     t, holding weighted_norm(w(t), q, spec.weight(t) if weighted else None)
-    for each (q, weighted) in norms, and the state array at the last time.
+    for each (q, weighted) in norms.
 
-    A datum even in every coordinate (see field.fold) runs on its octant,
-    where a norm weighs each point by its multiplicity, and the last state
-    is that octant; any other datum runs on the lattice.  Both take the one
-    loop of _strang_intervals, and each output is checked finite.
+    w0 of grid.shape is the lattice, and of the octant's shape (see
+    field.fold) the octant, where a norm weighs each point by its
+    multiplicity; _strang_intervals steps the caller's layout and refuses
+    any other.  w0 must be finite and nonnegative, and so is each output.
     """
     spec.sigma()  # raises for a supercritical kappa before any work
-    if float(np.min(w0.values)) < 0.0:
-        raise ValueError("w0 must be nonnegative")
-    grid, rows = w0.grid, []
-    values = fold(w0.values)
-    even = np.array_equal(unfold(values), w0.values)
-    weight_layout = octant_weight_values if even else weight_values
-    for t, values in _strang_intervals(values if even else w0.values, grid, spec, times, substeps):
+    if not (np.all(np.isfinite(w0)) and float(np.min(w0)) >= 0.0):
+        raise ValueError("w0 must be finite and nonnegative")
+    weight_layout = weight_values if w0.shape == grid.shape else octant_weight_values
+    rows = []
+    for t, values in _strang_intervals(w0, grid, spec, times, substeps):
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         weight = spec.weight(t)
         phi = None if weight is None else weight_layout(grid, weight)
         rows.append([norm(grid, values, q, phi if on else None) for q, on in norms])
-    return rows, values
+    return rows
 
 
 def hardy_evolve(
-    w0: Field,
+    grid: Grid,
+    w0: np.ndarray,
     spec: HardyOperatorSpec,
     times,
     substeps_per_interval: int = 24,
 ) -> NormSeries:
-    """Evolve w0 and record norms at each scheduled time.
+    """Evolve the datum w0, the lattice array or the octant of grid (see
+    _nonnegative_flow), and record norms at each scheduled time.
 
     Each interval between consecutive output times (starting from 0) is
     covered by equal Strang substeps; the splitting error is O(dt^2) per
-    substep and the potential substep is exact.  A datum even in every
-    coordinate runs on its octant (see _nonnegative_flow).
+    substep and the potential substep is exact.
     """
     times = _check_schedule(times)
     norms = [(q, weighted) for weighted in (False, True) for q in (1.0, 2.0, math.inf)]
-    rows, last = _nonnegative_flow(w0, spec, times, substeps_per_interval, norms)
-    final = Field._adopt(w0.grid, unfold(last) if last.shape != w0.grid.shape else last)
-    return NormSeries(times, spec.sigma(), *np.array(rows).T, final=final)
+    rows = _nonnegative_flow(grid, w0, spec, times, substeps_per_interval, norms)
+    return NormSeries(times, spec.sigma(), *np.array(rows).T)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +266,16 @@ class HypercontractivityResult:
 
 
 def hypercontractivity_measure(
-    w0: Field,
+    grid: Grid,
+    w0: np.ndarray,
     spec: HardyOperatorSpec,
     pairs,
     times,
     substeps_per_interval: int = 24,
 ) -> list:
-    """Fit the decay exponent of the weighted q-norm of e^{-tH} w0 for each
-    (q, r) in pairs, from one flow; returns one result per pair, in order.
+    """Fit the decay exponent of the weighted q-norm of e^{-tH} w0 (laid out
+    as in hardy_evolve) for each (q, r) in pairs, from one flow; returns one
+    result per pair, in order.
 
     For a datum with finite weighted r-norm the smoothing gain is
     -(d/alpha)(1/r - 1/q); each fitted slope is returned next to that target.
@@ -295,7 +288,7 @@ def hypercontractivity_measure(
             raise ValueError(f"need 1 <= r <= q, got r={r}, q={q}")
     times = _check_fit_window(times)
     weighted = [(q, True) for q, _ in pairs]
-    rows, _ = _nonnegative_flow(w0, spec, times, substeps_per_interval, weighted)
+    rows = _nonnegative_flow(grid, w0, spec, times, substeps_per_interval, weighted)
     results = []
     for (q, r), norms in zip(pairs, map(np.array, zip(*rows))):
         slope = float(np.polyfit(np.log(times), np.log(norms), 1)[0])

@@ -421,8 +421,8 @@ def test_lattice_steps_leave_scipy_unloaded():
         spec = HardyOperatorSpec(alpha=1.0, d=2, kappa=0.2 * power_map_coeff_max(2, 1.0))
         kernel_ratio_probe(grid, spec, (0.5, 0.5), [0.5, 1.0], substeps_per_interval=2)
         x = grid.axis()
-        w0 = Field(grid, np.exp(-(x[:, None] - 0.3) ** 2 - x[None, :] ** 2))  # not even
-        hardy_evolve(w0, spec, [0.5, 1.0], substeps_per_interval=2)
+        w0 = np.exp(-(x[:, None] - 0.3) ** 2 - x[None, :] ** 2)  # the lattice layout
+        hardy_evolve(grid, w0, spec, [0.5, 1.0], substeps_per_interval=2)
         print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))
     """)
     assert _fresh_python(code) == "[]"
@@ -598,9 +598,10 @@ def test_linear_evolve_csv_depends_on_the_config_alone(tmp_path, capsys):
         assert main(["linear-evolve", "--config", str(cfg), "--csv", str(path)]) == 0
     assert first.read_bytes() == second.read_bytes()
     config = cli._load_config(cfg)
+    grid = config.build_grid()
     spec = HardyOperatorSpec(config.params.alpha, config.params.d, config.kappa())
-    series = hardy_evolve(config.initial_field(), spec, config.output_times(),
-                          substeps_per_interval=24)
+    series = hardy_evolve(grid, config.initial.build_octant(grid, config.params), spec,
+                          config.output_times(), substeps_per_interval=24)
     lines = [line for line in first.read_text().splitlines() if not line.startswith("#")]
     assert lines[1:] == [",".join(repr(float(x)) for x in row) for row in series.rows()]
 

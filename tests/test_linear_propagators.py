@@ -6,11 +6,12 @@ import pytest
 import fraclab.linear_propagators as lp
 from fraclab.config import InitialSpec
 from fraclab.constants import ModelParams, power_map_coeff_max
-from fraclab.field import Field, Grid, dyadic_schedule, heat_propagate
+from fraclab.field import Grid, dyadic_schedule, fold, heat_propagate, unfold
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     HypercontractivityResult,
     _cell_delta,
+    _strang_intervals,
     hardy_evolve,
     hardy_step,
     hypercontractivity_measure,
@@ -44,15 +45,15 @@ def test_step_domain_errors():
 
 def test_runs_reject_a_mismatched_spec_dimension():
     g = Grid(1, 64, 8.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=2, kappa=0.1)
     times = [0.5, 1.0, 2.0]
     with pytest.raises(ValueError, match="spec dimension"):
-        hardy_evolve(f, spec, times, substeps_per_interval=2)
+        hardy_evolve(g, f, spec, times, substeps_per_interval=2)
     with pytest.raises(ValueError, match="spec dimension"):
         kernel_ratio_probe(g, spec, [0.0], times, substeps_per_interval=2)
     with pytest.raises(ValueError, match="spec dimension"):
-        hypercontractivity_measure(f, spec, [(2.0, 1.0)], times, substeps_per_interval=2)
+        hypercontractivity_measure(g, f, spec, [(2.0, 1.0)], times, substeps_per_interval=2)
 
 
 @pytest.mark.parametrize("substeps", [0, -2])
@@ -62,14 +63,14 @@ def test_runs_reject_fewer_than_one_substep_before_any_step(run, substeps, monke
     # step: a nonpositive count would give kernel_ratio_probe finite or NaN
     # ratios
     g = Grid(1, 256, 32.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.01)
     times = [0.5, 1.0, 2.0]
     calls = {
-        "hardy_evolve": lambda: hardy_evolve(f, spec, times, substeps_per_interval=substeps),
+        "hardy_evolve": lambda: hardy_evolve(g, f, spec, times, substeps_per_interval=substeps),
         "kernel_ratio_probe": lambda: kernel_ratio_probe(g, spec, [0.0], times, substeps_per_interval=substeps),
         "hypercontractivity_measure": lambda: hypercontractivity_measure(
-            f, spec, [(2.0, 1.0)], times, substeps_per_interval=substeps),
+            g, f, spec, [(2.0, 1.0)], times, substeps_per_interval=substeps),
     }
     monkeypatch.setattr(lp, "propagator", lambda *_: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match="substeps_per_interval must be at least 1"):
@@ -150,24 +151,24 @@ def test_dyadic_schedule():
 
 def test_evolve_input_validation():
     g = Grid(1, 64, 8.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.1)
     with pytest.raises(ValueError):
-        hardy_evolve(f, spec, [])
+        hardy_evolve(g, f, spec, [])
     with pytest.raises(ValueError):
-        hardy_evolve(f, spec, [1.0, 0.5])
+        hardy_evolve(g, f, spec, [1.0, 0.5])
     with pytest.raises(ValueError):
-        hardy_evolve(Field(g, -f.values), spec, [1.0])
+        hardy_evolve(g, -f, spec, [1.0])
     over = HardyOperatorSpec(alpha=0.5, d=1, kappa=2.0 * CMAX_1D_HALF)
     with pytest.raises(ValueError):
-        hardy_evolve(f, over, [1.0])
+        hardy_evolve(g, f, over, [1.0])
 
 
 def test_evolve_records_consistent_norms():
     g = Grid(1, 256, 32.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.3 * CMAX_1D_HALF)
-    series = hardy_evolve(f, spec, [0.5, 1.0, 2.0], substeps_per_interval=8)
+    series = hardy_evolve(g, f, spec, [0.5, 1.0, 2.0], substeps_per_interval=8)
     # q = 2 weight cancels; plain and weighted L2 agree
     np.testing.assert_allclose(series.weighted_q2, series.plain_q2, rtol=1e-12)
     # phi >= 1: the sup is damped by 1/phi while the L1 integrand carries
@@ -180,9 +181,9 @@ def test_evolve_records_consistent_norms():
 
 def test_zero_kappa_weighted_equals_plain():
     g = Grid(1, 256, 32.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
-    series = hardy_evolve(f, spec, [1.0, 2.0], substeps_per_interval=4)
+    series = hardy_evolve(g, f, spec, [1.0, 2.0], substeps_per_interval=4)
     assert series.sigma == 0.0
     np.testing.assert_allclose(series.weighted_qinf, series.plain_qinf, rtol=1e-13)
     np.testing.assert_allclose(series.weighted_q1, series.plain_q1, rtol=1e-13)
@@ -190,10 +191,10 @@ def test_zero_kappa_weighted_equals_plain():
 
 def test_free_bump_sup_slope():
     g = Grid(1, 2048, 256.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     ts = np.geomspace(4.0, 40.0, 8)
-    series = hardy_evolve(f, spec, ts, substeps_per_interval=2)
+    series = hardy_evolve(g, f, spec, ts, substeps_per_interval=2)
     slope = np.polyfit(np.log(ts), np.log(series.plain_qinf), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.05)
 
@@ -230,7 +231,7 @@ def test_cell_delta_picks_the_nearest_cell_on_the_torus():
 
 @pytest.mark.parametrize("dip", [None, 5], ids=["even-octant", "off-centre-lattice"])
 def test_octant_flow_stops_at_the_first_non_finite_output(monkeypatch, dip):
-    # an even datum runs on its octant, one that is not on the lattice; in
+    # an octant datum runs on the octant, a lattice one on the lattice; in
     # either layout a state that overflowed must raise before any norm reads it
     finite, norm = [], lp.norm
 
@@ -243,12 +244,66 @@ def test_octant_flow_stops_at_the_first_non_finite_output(monkeypatch, dip):
     values = np.full(g.shape, 1e308)
     if dip is not None:
         values[dip] = 1.0
-    w0 = Field(g, values)
+    w0 = fold(values) if dip is None else values
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            hardy_evolve(w0, spec, [1.0, 2.0], substeps_per_interval=1)
+            hardy_evolve(g, w0, spec, [1.0, 2.0], substeps_per_interval=1)
     assert all(finite)
+
+
+# the 1-d cosine route (an octant of at most GEMM_MAX points), the 1-d
+# transform-order route, and 3-d
+ROUTES = pytest.mark.parametrize("d, n", [(1, 256), (1, 1024), (3, 16)],
+                                 ids=["cosine", "transform-order", "3-d"])
+
+
+def _spoiled(values: np.ndarray, value: float) -> np.ndarray:
+    out = values.copy()
+    out[(1,) * out.ndim] = value
+    return out
+
+
+@ROUTES
+@pytest.mark.parametrize("datum", ["one-point", "half-line", "nan", "inf", "negative", "negative-lattice"])
+@pytest.mark.parametrize("run", ["hardy_evolve", "hypercontractivity_measure"])
+def test_runs_refuse_a_datum_array_before_any_step(run, datum, d, n, monkeypatch):
+    # the datum's shape picks its layout: a (1,) array would broadcast into
+    # a valid octant and an (n/2,)*d one is neither layout; a datum in
+    # either layout must be finite and nonnegative
+    g = Grid(d, n, 8.0)
+    octant = InitialSpec("gaussian").build_octant(g, PARAMS)
+    w0, match = {
+        "one-point": (np.ones(1), "neither"),
+        "half-line": (np.ones((n // 2,) * d), "neither"),
+        "nan": (_spoiled(octant, math.nan), "finite and nonnegative"),
+        "inf": (_spoiled(octant, math.inf), "finite and nonnegative"),
+        "negative": (_spoiled(octant, -1e-3), "finite and nonnegative"),
+        "negative-lattice": (_spoiled(unfold(octant), -1e-3), "finite and nonnegative"),
+    }[datum]
+    spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
+    times = [1.0, 2.0, 4.0]
+    calls = {
+        "hardy_evolve": lambda: hardy_evolve(g, w0, spec, times, substeps_per_interval=2),
+        "hypercontractivity_measure": lambda: hypercontractivity_measure(
+            g, w0, spec, [(2.0, 1.0)], times, substeps_per_interval=2),
+    }
+    monkeypatch.setattr(lp, "propagator", lambda *_: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match=match):
+        calls[run]()
+
+
+@ROUTES
+def test_strang_intervals_refuses_a_state_of_neither_layout_before_any_step(d, n, monkeypatch):
+    # the one loop of every linearized run (kernel_ratio_probe,
+    # SandwichMonitor and hardy_step among them); the first and last
+    # shapes would broadcast against the octant's potential
+    g = Grid(d, n, 8.0)
+    spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
+    monkeypatch.setattr(lp, "propagator", lambda *_: pytest.fail("a step ran"))
+    for shape in ((1,), (n // 2,) * d, (n // 2 + 1,) * d + (1,)):
+        with pytest.raises(ValueError, match=r"shape \(.*\) is neither"):
+            next(_strang_intervals(np.ones(shape), g, spec, [1.0], 2))
 
 
 def test_kernel_ratio_free_flow_bounded_by_one():
@@ -298,13 +353,13 @@ def test_kernel_ratio_runs_the_free_flow_at_d_below_alpha():
 @pytest.mark.parametrize("run", ["hardy_evolve", "kernel_ratio_probe", "hypercontractivity_measure"])
 def test_runs_reject_a_supercritical_kappa_before_any_step(run, monkeypatch):
     g = Grid(1, 256, 32.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=2.0 * CMAX_1D_HALF)
     times = [1.0, 2.0, 4.0]
     calls = {
-        "hardy_evolve": lambda: hardy_evolve(f, spec, times),
+        "hardy_evolve": lambda: hardy_evolve(g, f, spec, times),
         "kernel_ratio_probe": lambda: kernel_ratio_probe(g, spec, (0.5,), times),
-        "hypercontractivity_measure": lambda: hypercontractivity_measure(f, spec, [(2.0, 1.0)], times),
+        "hypercontractivity_measure": lambda: hypercontractivity_measure(g, f, spec, [(2.0, 1.0)], times),
     }
     monkeypatch.setattr(lp, "propagator", lambda *_: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match="exceeds the coefficient maximum"):
@@ -315,14 +370,14 @@ def test_runs_reject_a_supercritical_kappa_before_any_step(run, monkeypatch):
 def test_runs_solve_sigma_once(run):
     # every output's weight and NormSeries.sigma read the root the guard solved
     g = Grid(1, 256, 32.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     times = [1.0, 2.0, 4.0]
     calls = {
-        "hardy_evolve": lambda: hardy_evolve(f, spec, times, substeps_per_interval=2),
+        "hardy_evolve": lambda: hardy_evolve(g, f, spec, times, substeps_per_interval=2),
         "kernel_ratio_probe": lambda: kernel_ratio_probe(g, spec, (0.5,), times, substeps_per_interval=2),
         "hypercontractivity_measure": lambda: hypercontractivity_measure(
-            f, spec, [(2.0, 1.0), (math.inf, 1.0)], times, substeps_per_interval=2),
+            g, f, spec, [(2.0, 1.0), (math.inf, 1.0)], times, substeps_per_interval=2),
     }
     lp.solve_sigma.cache_clear()
     calls[run]()
@@ -343,38 +398,38 @@ def test_kernel_ratio_rejects_an_empty_or_invalid_window(monkeypatch, radius):
 def test_hypercontractivity_no_gain_at_equal_exponents():
     # a constant field is invariant under the free flow: slope exactly 0
     g = Grid(1, 64, 8.0)
-    f = Field(g, np.full(g.shape, 0.7))
+    f = np.full(g.n // 2 + 1, 0.7)  # the octant of a constant field
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
-    (res,) = hypercontractivity_measure(f, spec, pairs=[(2.0, 2.0)], times=[1.0, 2.0, 4.0])
+    (res,) = hypercontractivity_measure(g, f, spec, pairs=[(2.0, 2.0)], times=[1.0, 2.0, 4.0])
     assert res.expected == 0.0
     assert abs(res.slope) < 1e-10
 
 
 def test_hypercontractivity_domain_errors():
     g = Grid(1, 64, 8.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=1.0, d=1, kappa=0.0)
     with pytest.raises(ValueError):
-        hypercontractivity_measure(f, spec, pairs=[(1.0, 2.0)], times=[1.0, 2.0, 4.0])
+        hypercontractivity_measure(g, f, spec, pairs=[(1.0, 2.0)], times=[1.0, 2.0, 4.0])
     with pytest.raises(ValueError):
-        hypercontractivity_measure(f, spec, pairs=[(2.0, 1.0)], times=[1.0, 1.5])
+        hypercontractivity_measure(g, f, spec, pairs=[(2.0, 1.0)], times=[1.0, 1.5])
     with pytest.raises(ValueError, match="at least one"):
-        hypercontractivity_measure(f, spec, pairs=[], times=[1.0, 2.0, 4.0])
+        hypercontractivity_measure(g, f, spec, pairs=[], times=[1.0, 2.0, 4.0])
     # every pair is checked, not only the first
     with pytest.raises(ValueError, match="1 <= r <= q"):
-        hypercontractivity_measure(f, spec, pairs=[(2.0, 1.0), (1.0, 2.0)], times=[1.0, 2.0, 4.0])
+        hypercontractivity_measure(g, f, spec, pairs=[(2.0, 1.0), (1.0, 2.0)], times=[1.0, 2.0, 4.0])
 
 
 def test_hypercontractivity_pairs_share_one_flow_bit_for_bit():
     g = Grid(1, 4096, 512.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     times = np.geomspace(2.0, 8.0, 5)
     pairs = ((math.inf, 1.0), (2.0, 1.0), (math.inf, 2.0))
-    together = hypercontractivity_measure(f, spec, pairs, times, substeps_per_interval=4)
+    together = hypercontractivity_measure(g, f, spec, pairs, times, substeps_per_interval=4)
     assert len(together) == len(pairs)
     for pair, res in zip(pairs, together):
-        (alone,) = hypercontractivity_measure(f, spec, [pair], times, substeps_per_interval=4)
+        (alone,) = hypercontractivity_measure(g, f, spec, [pair], times, substeps_per_interval=4)
         assert res.slope == alone.slope
         assert res.expected == alone.expected
         assert np.array_equal(res.norms, alone.norms)
@@ -384,12 +439,12 @@ def test_hypercontractivity_pairs_share_one_flow_bit_for_bit():
 def test_hypercontractivity_sup_gain_slope():
     # (q, r) = (inf, 1): expected exponent -d/alpha = -2
     g = Grid(1, 65536, 8192.0)
-    f = InitialSpec("gaussian").build(g, PARAMS)
+    f = InitialSpec("gaussian").build_octant(g, PARAMS)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.5 * CMAX_1D_HALF)
     t_max = (g.half_length / 8.0) ** 0.5
     times = np.geomspace(t_max / 10.0, t_max, 10)
     (res,) = hypercontractivity_measure(
-        f, spec, pairs=[(math.inf, 1.0)], times=times, substeps_per_interval=16
+        g, f, spec, pairs=[(math.inf, 1.0)], times=times, substeps_per_interval=16
     )
     assert isinstance(res, HypercontractivityResult)
     assert res.expected == pytest.approx(-2.0)

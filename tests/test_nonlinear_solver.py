@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_an_overflowing_box_mean_certifies_at_once():
         certified, full = evolve(cfg, certify=True), evolve(cfg)
     assert certified.status == full.status
     assert certified.status.t_star > 0.0  # one step was taken
+
+
+def test_a_schedule_ending_before_t_end_records_only_its_times():
+    # the run goes on to t_end, but its rows are t = 0 and the scheduled
+    # times: none is added at t_end
+    cfg = make_config(grid={"n": 16, "L": 4.0}, initial={"kind": "gaussian", "amplitude": 0.1},
+                      time={"t_end": 4.0, "output_schedule": [0.5, 1.0]})
+    record = evolve(cfg)
+    assert record.status == Global(4.0)
+    assert record.times.tolist() == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 0.5), (3, 1.0)], ids=["sup-exit", "box-mean-only"])
+def test_a_certified_zero_datum_ends_global_without_a_warning(d, alpha):
+    # a zero box mean gives no box time, so the certificate must not divide
+    # by it; in 1-d at alpha 0.5 the sup's bound then ends the run at its
+    # first step, and in 3-d the run goes on to t_end
+    cfg = make_config(params={"alpha": alpha, "d": d, "p": 2.0}, grid={"n": 16, "L": 4.0},
+                      initial={"kind": "zero"}, time={"t_end": 2.0, "output_schedule": [1.0, 2.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = evolve(cfg, certify=True)
+    assert record.status == Global(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from fraclab.field import (
     write_snapshot,
 )
 from fraclab.analysis import deficit_evolution, singular_convergence_rates, weighted_decay_check
+from fraclab.cli import main
 from fraclab.linear_propagators import (
     HardyOperatorSpec,
     hardy_evolve,
@@ -236,18 +237,18 @@ def test_even_hardy_runs_cache_no_lattice_array(d):
     grid = Grid(d, 32 if d < 3 else 16, 4.0)
     spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
     times = [0.1, 0.2, 0.4]
-    even = InitialSpec("gaussian").build(grid, ModelParams(alpha=0.5, d=d, p=3.0))
-    off = even.values.copy()
+    even = InitialSpec("gaussian").build_octant(grid, ModelParams(alpha=0.5, d=d, p=3.0))
+    off = unfold(even)
     off[(1,) * d] += 0.5  # not even: runs on the lattice
-    runs = (
-        lambda w0: hardy_evolve(w0, spec, times, 2),
-        lambda w0: hypercontractivity_measure(w0, spec, [(2.0, 1.0)], times, 2),
-        lambda w0: hardy_step(w0, 0.1, spec),
-    )
-    for w0 in (even, Field(grid, off)):
+    for w0, lattice in ((even, unfold(even)), (off, off)):  # the octant layout, and the lattice one
+        runs = (
+            lambda: hardy_evolve(grid, w0, spec, times, 2),
+            lambda: hypercontractivity_measure(grid, w0, spec, [(2.0, 1.0)], times, 2),
+            lambda: hardy_step(Field(grid, lattice), 0.1, spec),
+        )
         for run in runs:
             clear_grid_cache()
-            run(w0)
+            run()
             _assert_cache_holds_octants(grid)
     clear_grid_cache()
     kernel_ratio_probe(grid, spec, (0.5,) * d, times, substeps_per_interval=2)
@@ -256,18 +257,43 @@ def test_even_hardy_runs_cache_no_lattice_array(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_even_hypercontractivity_builds_no_field(d, monkeypatch):
-    # its fits read norms only, so the last octant is never unfolded into
-    # a lattice Field
+    # its fits read norms only, so no octant is ever unfolded into a
+    # lattice Field
     grid = Grid(d, 32 if d < 3 else 16, 4.0)
     spec = HardyOperatorSpec(alpha=0.5, d=d, kappa=0.5 * power_map_coeff_max(d, 0.5))
-    w0 = InitialSpec("gaussian").build(grid, ModelParams(alpha=0.5, d=d, p=3.0))
+    w0 = InitialSpec("gaussian").build_octant(grid, ModelParams(alpha=0.5, d=d, p=3.0))
 
     def adopt(cls, grid, values):
         raise AssertionError("a Field was built")
 
     monkeypatch.setattr(Field, "_adopt", classmethod(adopt))
-    (result,) = hypercontractivity_measure(w0, spec, [(2.0, 1.0)], [0.1, 0.2, 0.4], 2)
+    (result,) = hypercontractivity_measure(grid, w0, spec, [(2.0, 1.0)], [0.1, 0.2, 0.4], 2)
     assert np.all(np.isfinite(result.norms))
+
+
+def test_linear_evolve_steps_the_config_octant(tmp_path, monkeypatch):
+    # the command hands hardy_evolve the document's octant: with unfold (in
+    # field and in every module that imports it by name), Field._adopt and
+    # Field.__post_init__ refusing, a 64^3 run still writes its rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice array or Field was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "fraclab" and getattr(module, "unfold", None) is unfold:
+            monkeypatch.setattr(module, "unfold", refuse)
+    monkeypatch.setattr(Field, "_adopt", classmethod(refuse))
+    monkeypatch.setattr(Field, "__post_init__", refuse)
+    cfg, csv = tmp_path / "linear.json", tmp_path / "linear.csv"
+    cfg.write_text(json.dumps({
+        "params": {"alpha": 1.0, "d": 3, "p": 2.0},
+        "grid": {"n": 64, "L": 8.0},
+        "time": {"t_end": 1.0, "output_schedule": [0.25, 0.5, 1.0]},
+        "initial": {"kind": "truncated_singular", "delta": 0.9},
+        "potential": {"kappa": "from-delta"},
+    }))
+    assert main(["linear-evolve", "--config", str(cfg), "--csv", str(csv)]) == 0
+    rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

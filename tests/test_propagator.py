@@ -85,6 +85,12 @@ def _values(grid: Grid, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(grid.shape)
 
 
+def _last_state(w0: np.ndarray, grid: Grid, spec, times, substeps: int) -> np.ndarray:
+    """The state hardy_evolve steps w0 to at its last output time, in w0's layout."""
+    *_, (_, last) = _strang_intervals(w0, grid, spec, times, substeps)
+    return last
+
+
 def _reference(values: np.ndarray, grid: Grid, t: float, alpha: float) -> np.ndarray:
     """exp(-t |k|^alpha) applied with numpy.fft and freshly built frequencies."""
     axes = [2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)] * (grid.d - 1)
@@ -565,7 +571,7 @@ def test_fused_hardy_evolve_matches_single_steps(d, alpha_frac, kappa_frac, subs
     spec = HardyOperatorSpec(alpha=alpha, d=d, kappa=kappa)
     w0 = Field(grid, np.abs(_values(grid, seed)))
     schedule = [0.1, 0.3, 0.4]
-    series = hardy_evolve(w0, spec, schedule, substeps)
+    series = hardy_evolve(grid, w0.values, spec, schedule, substeps)
 
     w, t_prev = w0, 0.0
     for t_out, sup in zip(schedule, series.plain_qinf):
@@ -574,7 +580,8 @@ def test_fused_hardy_evolve_matches_single_steps(d, alpha_frac, kappa_frac, subs
         t_prev = t_out
         assert math.isclose(sup, w.sup(), rel_tol=1e-12)
     scale = np.max(np.abs(w.values))
-    assert np.max(np.abs(series.final.values - w.values)) <= 1e-12 * scale
+    last = _last_state(w0.values, grid, spec, schedule, substeps)
+    assert np.max(np.abs(last - w.values)) <= 1e-12 * scale
 
 
 @PROPERTY
@@ -591,9 +598,8 @@ def test_hardy_evolve_preserves_order(d, alpha_frac, kappa_frac, substeps, stret
     # lattice kernel rings and order fails by percents
     t0 = dyadic_schedule(grid, alpha, 16.0 * grid.h**alpha)[0]
     schedule = t0 * np.array(sorted(set(stretch)))
-    for k in range(1, schedule.size + 1):  # each output is the last of a prefix run
-        w = hardy_evolve(Field(grid, w0), spec, schedule[:k], substeps).final.values
-        v = hardy_evolve(Field(grid, v0), spec, schedule[:k], substeps).final.values
+    for (_, w), (_, v) in zip(_strang_intervals(w0, grid, spec, schedule, substeps),
+                              _strang_intervals(v0, grid, spec, schedule, substeps)):
         assert np.min(v - w) >= -1e-12 * np.max(v)
 
 
@@ -711,59 +717,65 @@ def test_evolve_records_at_128_do_not_depend_on_fft_workers(monkeypatch):
     }))
 
 
-def _long_hardy_records(monkeypatch, centre: float):
+def _long_hardy_records(monkeypatch, centre: float, octant: bool):
     """hardy_evolve of a Gaussian centred at x = centre on a 2 LONG line,
-    run with one FFT worker and with two."""
+    given as its octant (see fold) or as the lattice array, run with one FFT
+    worker and with two: its series and its last state."""
     grid = Grid(1, 2 * LONG, 512.0)
     spec = HardyOperatorSpec(alpha=0.5, d=1, kappa=0.2 * power_map_coeff_max(1, 0.5))
-    w0 = Field(grid, np.exp(-(grid.axis() - centre) ** 2))
-    series = []
+    w0 = np.exp(-(grid.axis() - centre) ** 2)
+    w0 = fold(w0) if octant else w0
+    records = []
     for threads in ("1", "2"):
         monkeypatch.setenv("FRACLAB_THREADS", threads)
-        series.append(hardy_evolve(w0, spec, [0.5, 1.0, 2.0], 4))
-    return series
+        records.append((hardy_evolve(grid, w0, spec, [0.5, 1.0, 2.0], 4),
+                        _last_state(w0, grid, spec, [0.5, 1.0, 2.0], 4)))
+    return records
 
 
 def _assert_same_records(one, two):
+    (series_one, last_one), (series_two, last_two) = one, two
     for name in ("plain_q1", "plain_q2", "plain_qinf", "weighted_q1", "weighted_q2", "weighted_qinf"):
-        assert np.array_equal(getattr(one, name), getattr(two, name)), name
-    assert np.array_equal(one.final.values, two.final.values)
+        assert np.array_equal(getattr(series_one, name), getattr(series_two, name)), name
+    assert np.array_equal(last_one, last_two)
 
 
 def test_long_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
     # off centre, so the datum is not even and runs on the lattice
-    _assert_same_records(*_long_hardy_records(monkeypatch, 0.3))
+    _assert_same_records(*_long_hardy_records(monkeypatch, 0.3, octant=False))
 
 
 def test_long_even_hardy_evolve_records_do_not_depend_on_fft_workers(monkeypatch):
     # centred, so the datum is even and runs on its octant
-    _assert_same_records(*_long_hardy_records(monkeypatch, 0.0))
+    _assert_same_records(*_long_hardy_records(monkeypatch, 0.0, octant=True))
 
 
 NORMS = [(q, weighted) for weighted in (False, True) for q in (1.0, 2.0, math.inf)]
 PAIRS = ((math.inf, 1.0), (2.0, 1.0), (1.0, 1.0))
 
 
-def _lattice_rows(w0: Field, spec, times, substeps: int, norms):
+def _lattice_rows(grid: Grid, lattice: np.ndarray, spec, times, substeps: int, norms):
     """The reference: norm rows and last values of the lattice flow, a
     Field and its weighted_norm at each output time."""
     rows = []
-    for t, values in _strang_intervals(w0.values, w0.grid, spec, times, substeps):
-        w, weight = Field(w0.grid, values), spec.weight(t)
+    for t, values in _strang_intervals(lattice, grid, spec, times, substeps):
+        w, weight = Field(grid, values), spec.weight(t)
         rows.append([weighted_norm(w, q, weight if weighted else None) for q, weighted in norms])
     return np.array(rows), w.values
 
 
-def _hardy_runs(w0: Field, spec, times, substeps: int):
-    """hardy_evolve's rows and final values beside the lattice reference,
-    and hypercontractivity_measure's norms beside theirs."""
-    series = hardy_evolve(w0, spec, times, substeps)
-    measured = hypercontractivity_measure(w0, spec, PAIRS, times, substeps)
-    rows, final = _lattice_rows(w0, spec, times, substeps, NORMS)
-    pair_rows, _ = _lattice_rows(w0, spec, times, substeps, [(q, True) for q, _ in PAIRS])
+def _hardy_runs(grid: Grid, w0: np.ndarray, lattice: np.ndarray, spec, times, substeps: int):
+    """hardy_evolve's rows and last state (unfolded when w0 is an octant)
+    beside the lattice reference from lattice, and
+    hypercontractivity_measure's norms beside theirs."""
+    series = hardy_evolve(grid, w0, spec, times, substeps)
+    measured = hypercontractivity_measure(grid, w0, spec, PAIRS, times, substeps)
+    last = _last_state(w0, grid, spec, times, substeps)
+    rows, final = _lattice_rows(grid, lattice, spec, times, substeps, NORMS)
+    pair_rows, _ = _lattice_rows(grid, lattice, spec, times, substeps, [(q, True) for q, _ in PAIRS])
     return (
         (np.array(series.rows())[:, 1:], rows),
-        (series.final.values, final),
+        (last if last.shape == grid.shape else unfold(last), final),
         (np.array([result.norms for result in measured]).T, pair_rows),
     )
 
@@ -780,12 +792,16 @@ def _spec(d: int, alpha_frac: float, kappa_frac: float) -> HardyOperatorSpec:
 def test_even_hardy_runs_match_the_lattice_flow(shape, alpha_frac, kappa_frac, substeps, seed):
     d, n = shape
     grid = Grid(d, n, 4.0 if n < LONG else 512.0)
-    w0 = Field(grid, np.abs(_even(grid, seed)))
-    runs = _hardy_runs(w0, _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4], substeps)
+    lattice, spec, times = np.abs(_even(grid, seed)), _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4]
+    # the caller's shape picks the layout: its octant runs there, to rounding of the lattice flow
+    runs = _hardy_runs(grid, fold(lattice), lattice, spec, times, substeps)
     (rows, ref_rows), (final, ref_final), (pair_rows, ref_pair_rows) = runs
     np.testing.assert_allclose(rows, ref_rows, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(pair_rows, ref_pair_rows, rtol=1e-12, atol=0.0)
     assert np.max(np.abs(final - ref_final)) <= 1e-12 * np.max(ref_final)
+    # and the even lattice array runs on the lattice, bit for bit
+    for got, reference in _hardy_runs(grid, lattice, lattice, spec, times, substeps):
+        assert np.array_equal(got, reference)
 
 
 @PROPERTY
@@ -796,7 +812,7 @@ def test_hardy_runs_of_data_that_is_not_even_keep_the_lattice_bits(d, alpha_frac
     grid = _grid(d)
     values = np.abs(_even(grid, seed))
     values[(1,) * d] += 0.5  # its mirror point keeps the old value
-    runs = _hardy_runs(Field(grid, values), _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4], substeps)
+    runs = _hardy_runs(grid, values, values, _spec(d, alpha_frac, kappa_frac), [0.1, 0.2, 0.4], substeps)
     for got, reference in runs:
         assert np.array_equal(got, reference)
 

@@ -16,7 +16,7 @@ import pytest
 from fraclab.analysis import classify_threshold
 from fraclab.config import InitialSpec, config_from_dict
 from fraclab.constants import ModelParams, power_map_coeff_max
-from fraclab.field import Field, Grid
+from fraclab.field import Grid
 from fraclab.linear_propagators import HardyOperatorSpec, hardy_evolve
 from fraclab.nonlinear_solver import Blowup, Global, evolve
 
@@ -145,10 +145,14 @@ HARDY_RUNS = [
 ]
 
 
-def _hardy_datum(grid: Grid, width: float, even: bool) -> Field:
+def _hardy_run(grid: Grid, width: float, even: bool, spec, times):
+    """hardy_evolve of a Gaussian of this width: centred and given as its
+    octant if even, else off centre on the lattice."""
     if even:
-        return InitialSpec("gaussian", width=width).build(grid, ModelParams(1.0, grid.d, 3.0))
-    return Field(grid, np.exp(-((grid.axis() - width) / width) ** 2))  # runs on the lattice
+        w0 = InitialSpec("gaussian", width=width).build_octant(grid, ModelParams(1.0, grid.d, 3.0))
+    else:
+        w0 = np.exp(-((grid.axis() - width) / width) ** 2)
+    return hardy_evolve(grid, w0, spec, times, 8)
 
 
 @pytest.mark.parametrize("mu", MUS)
@@ -158,9 +162,8 @@ def test_hardy_norms_are_covariant_under_the_critical_scaling(d, n, L, alpha, fr
     # same kappa, because the potential's floor is h/2 of each grid
     spec = HardyOperatorSpec(alpha, d, fraction * power_map_coeff_max(d, alpha))
     times = np.array([0.25, 0.5, 1.0, 2.0])
-    base = hardy_evolve(_hardy_datum(Grid(d, n, L), 1.0, even), spec, times, 8)
-    twin = hardy_evolve(_hardy_datum(Grid(d, n, L / mu), 1.0 / mu, even), spec,
-                        times * mu ** (-alpha), 8)
+    base = _hardy_run(Grid(d, n, L), 1.0, even, spec, times)
+    twin = _hardy_run(Grid(d, n, L / mu), 1.0 / mu, even, spec, times * mu ** (-alpha))
     assert base.sigma > 0.0
     for q, name in [(1.0, "q1"), (2.0, "q2"), (math.inf, "qinf")]:
         for kind in ("plain", "weighted"):
